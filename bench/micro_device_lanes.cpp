@@ -47,7 +47,6 @@ CellResult run_cell(std::uint32_t lanes_n, std::uint32_t depth,
   lss::DeviceLanesConfig cfg;
   cfg.lanes = lanes_n;
   cfg.queue_depth = depth;
-  cfg.chunk_bytes = std::uint64_t{1} << 20;
   cfg.lane_bandwidth_mb_per_s = 200.0;
   lss::DeviceLanes lanes(cfg);
 

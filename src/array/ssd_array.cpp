@@ -111,17 +111,4 @@ std::uint64_t SsdArray::device_bytes(std::uint32_t device) const {
   return devices_[device]->bytes_written();
 }
 
-TimeUs SsdArray::schedule_chunk(std::uint32_t stream, TimeUs now_us) {
-  if (stream >= config_.num_streams) {
-    throw std::out_of_range("stream index out of range");
-  }
-  // One chunk lands on one device; parity is amortised by charging
-  // chunk_bytes * num_devices / (num_devices - 1) of bandwidth.
-  const std::uint64_t effective_bytes = effective_chunk_bytes();
-  const std::uint32_t dev =
-      static_cast<std::uint32_t>(stripe_index_[stream] + stripe_cursor_[stream]) %
-      config_.num_devices;
-  return devices_[dev]->reserve(now_us, effective_bytes);
-}
-
 }  // namespace adapt::array

@@ -9,9 +9,8 @@
 //
 // The model tracks, per stream and per device:
 //   * valid data bytes, zero-padding bytes (partial chunks flushed under
-//     SLA pressure), and parity bytes;
-// and provides the bandwidth-based completion-time estimate used by the
-// prototype engine.
+//     SLA pressure), and parity bytes.
+// Completion timing lives in lss::DeviceLanes, the one device-timing model.
 #pragma once
 
 #include <cstdint>
@@ -63,39 +62,6 @@ class SsdArray {
   std::uint64_t device_bytes(std::uint32_t device) const;
   std::uint32_t data_columns() const noexcept {
     return config_.num_devices - 1;
-  }
-
-  /// Prototype support: schedules the chunk write at `now_us`, returning
-  /// the simulated completion time with device contention.
-  TimeUs schedule_chunk(std::uint32_t stream, TimeUs now_us);
-
-  // -- lane-timing API (reserve-compatible) ---------------------------------
-  // lss::DeviceLanes models this array as one submission lane per device.
-  // These accessors expose exactly the numbers schedule_chunk feeds into
-  // SsdDevice::reserve, so a lane submission and a reservation of the same
-  // chunk produce the same service time.
-
-  /// One lane per device.
-  std::uint32_t lane_count() const noexcept { return config_.num_devices; }
-
-  /// Per-lane (per-device) sustained bandwidth.
-  double lane_bandwidth_mb_per_s() const noexcept {
-    return config_.device_bandwidth_mb_per_s;
-  }
-
-  /// Bandwidth charged per chunk landed on one device: the chunk itself
-  /// plus its amortised share of the stripe's parity chunk,
-  /// chunk_bytes * num_devices / (num_devices - 1).
-  std::uint64_t effective_chunk_bytes() const noexcept {
-    return static_cast<std::uint64_t>(config_.chunk_bytes) *
-           config_.num_devices / data_columns();
-  }
-
-  /// Modeled service time of one parity-amortised chunk on one lane —
-  /// identical to what schedule_chunk charges its device.
-  TimeUs lane_chunk_service_us() const noexcept {
-    return SsdDevice::service_time_us(config_.device_bandwidth_mb_per_s,
-                                      effective_chunk_bytes());
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "array/ssd_device.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace adapt::array {
@@ -29,20 +28,6 @@ std::uint64_t SsdDevice::stream_bytes(std::uint32_t stream) const {
     throw std::out_of_range("stream index out of range");
   }
   return stream_bytes_[stream].load(std::memory_order_relaxed);
-}
-
-TimeUs SsdDevice::reserve(TimeUs now_us, std::uint64_t bytes) {
-  const TimeUs service = service_us(bytes);
-  // CAS loop: start at max(now, busy_until), finish start + service.
-  std::uint64_t prev = busy_until_us_.load(std::memory_order_relaxed);
-  for (;;) {
-    const TimeUs start = std::max<TimeUs>(now_us, prev);
-    const TimeUs done = start + service;
-    if (busy_until_us_.compare_exchange_weak(prev, done,
-                                             std::memory_order_relaxed)) {
-      return done;
-    }
-  }
 }
 
 }  // namespace adapt::array

@@ -26,10 +26,8 @@ class SsdDevice {
 
   /// The bandwidth model's service time for `bytes` at
   /// `bandwidth_mb_per_s`, rounded to the nearest microsecond. This is THE
-  /// timing formula of the device layer: write(), reserve(), and
-  /// lss::DeviceLanes all derive their completion times from it, so a lane
-  /// submission and a direct reservation of the same payload cost the same
-  /// modeled time.
+  /// timing formula of the device layer: write() and lss::DeviceLanes both
+  /// derive their service times from it.
   static TimeUs service_time_us(double bandwidth_mb_per_s,
                                 std::uint64_t bytes) noexcept {
     const double us =
@@ -51,15 +49,10 @@ class SsdDevice {
   }
   std::uint64_t stream_bytes(std::uint32_t stream) const;
 
-  /// Simulated busy-time bookkeeping for the prototype: reserves the device
-  /// starting no earlier than `now_us`, returns the completion time.
-  TimeUs reserve(TimeUs now_us, std::uint64_t bytes);
-
  private:
   SsdDeviceConfig config_;
   std::atomic<std::uint64_t> bytes_written_{0};
   std::vector<std::atomic<std::uint64_t>> stream_bytes_;
-  std::atomic<std::uint64_t> busy_until_us_{0};
 };
 
 }  // namespace adapt::array

@@ -143,18 +143,9 @@ inline unsigned hardware_concurrency() noexcept {
   return n == 0 ? 1 : n;
 }
 
-/// Scheduler yield for bounded spin-then-yield waits (group-commit
-/// followers awaiting their leader's completion publish).
+/// Scheduler yield for short retry loops (seqlock readers that caught a
+/// write in progress).
 inline void yield_now() noexcept { std::this_thread::yield(); }
-
-/// Spin budget for spin-then-yield waits: `multi_core` iterations on a
-/// machine with real parallelism, 0 on a single-core host — there, the
-/// condition a spinner waits on can only be produced by a thread that
-/// needs the very core the spin is burning, so yield immediately.
-inline int spin_budget(int multi_core) noexcept {
-  static const bool single = hardware_concurrency() <= 1;
-  return single ? 0 : multi_core;
-}
 
 /// Blocking sleep for polling loops that model think time or idle GC
 /// backoff; microsecond granularity.

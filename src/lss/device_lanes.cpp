@@ -12,9 +12,6 @@ void DeviceLanesConfig::validate() const {
   if (queue_depth == 0) {
     throw std::invalid_argument("DeviceLanes: queue depth must be positive");
   }
-  if (chunk_bytes == 0) {
-    throw std::invalid_argument("DeviceLanes: chunk bytes must be positive");
-  }
   if (!(lane_bandwidth_mb_per_s > 0.0)) {
     throw std::invalid_argument("DeviceLanes: bandwidth must be positive");
   }
@@ -97,19 +94,6 @@ LaneCompletion DeviceLanes::submit(std::uint32_t lane, std::uint64_t bytes,
                             c.seq, service, complete_us, flow_id});
   }
   return c;
-}
-
-TimeUs DeviceLanes::submit_chunks(std::uint32_t lane_hint,
-                                  std::uint64_t chunks, TimeUs now_us) {
-  TimeUs durable_us = now_us;
-  const auto lanes = static_cast<std::uint32_t>(lanes_.size());
-  for (std::uint64_t i = 0; i < chunks; ++i) {
-    const std::uint32_t lane =
-        static_cast<std::uint32_t>((lane_hint + i) % lanes);
-    const LaneCompletion c = submit(lane, config_.chunk_bytes, now_us);
-    durable_us = std::max(durable_us, c.complete_us);
-  }
-  return durable_us;
 }
 
 DeviceLanesStats DeviceLanes::stats() const {

@@ -12,10 +12,8 @@
 //               the oldest outstanding completion (modeled backpressure; the
 //               submission queue is bounded, never the host thread).
 //   * service:  the lane serves admitted submissions in order at its
-//               configured bandwidth, using the same formula as
-//               array::SsdDevice::reserve (service_time_us), so a lane
-//               submission and a direct device reservation of the same
-//               payload cost the same modeled time.
+//               configured bandwidth, using the device layer's one timing
+//               formula (array::SsdDevice::service_time_us).
 //   * complete: complete_us = max(admit_us, lane busy_until) + service.
 //               The caller decides what "waiting for durability" means —
 //               the prototype sleeps the submitting thread until
@@ -51,9 +49,6 @@ namespace adapt::lss {
 struct DeviceLanesConfig {
   std::uint32_t lanes = 4;        ///< one per device, as in SsdArray
   std::uint32_t queue_depth = 8;  ///< outstanding submissions per lane
-  /// Payload charged per submit_chunks() submission: a parity-amortised
-  /// chunk, matching SsdArray::effective_chunk_bytes for a 4-device RAID-5.
-  std::uint64_t chunk_bytes = kDefaultChunkSize;
   /// Per-lane sustained bandwidth (aggregate bandwidth / lanes).
   double lane_bandwidth_mb_per_s = 500.0;
 
@@ -147,13 +142,6 @@ class DeviceLanes {
   /// traced submission joins its originating batch's causal flow.
   LaneCompletion submit(std::uint32_t lane, std::uint64_t bytes,
                         TimeUs now_us, std::uint64_t flow_id = 0);
-
-  /// Convenience for chunk-granular callers: submits `chunks` submissions
-  /// of config().chunk_bytes round-robin over the lanes starting at
-  /// `lane_hint % lanes`, and returns the LATEST completion time — the
-  /// batch's durable time.
-  TimeUs submit_chunks(std::uint32_t lane_hint, std::uint64_t chunks,
-                       TimeUs now_us);
 
   /// Consistent per-lane snapshot (takes each lane mutex in turn).
   DeviceLanesStats stats() const;

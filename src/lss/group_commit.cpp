@@ -1,8 +1,6 @@
 #include "lss/group_commit.h"
 
 #include <algorithm>
-#include <array>
-#include <optional>
 #include <stdexcept>
 
 namespace adapt::lss {
@@ -60,135 +58,108 @@ void ConcurrentEngine::set_trace_sink(std::uint32_t i, TraceSink* sink) {
   sh.engine->set_trace_sink(sink);
 }
 
+/// One queued sub-op. Lives on the submitting thread's stack for the
+/// duration of write(); the queue links tickets, never owns them (see the
+/// lifetime rule in group_commit.h).
+struct ConcurrentEngine::WriteTicket {
+  enum class State : std::uint8_t { kQueued, kCompleted, kAborted };
+
+  WriteTicket(Lba lba_in, std::uint32_t blocks_in, TimeUs submit_in) noexcept
+      : lba(lba_in), blocks(blocks_in), submit_us(submit_in) {}
+
+  WriteTicket(const WriteTicket&) = delete;
+  WriteTicket& operator=(const WriteTicket&) = delete;
+
+  Lba lba;                  ///< shard-local address
+  std::uint32_t blocks;
+  TimeUs submit_us;         ///< simulated submit timestamp (monotonised
+                            ///< per shard by the leader before applying)
+  /// Modeled durable time of this op's batch, stamped by the leader before
+  /// it marks the ticket terminal. 0 when the batch flushed nothing.
+  TimeUs durable_us = 0;
+  /// The per-shard-monotonised timestamp the leader applied this op at —
+  /// the op's "joined" milestone for the phase breakdown.
+  TimeUs joined_us = 0;
+  // Guarded by the shard's queue_mu. The leader reads `next` without it
+  // only inside its captured batch, whose links no writer changes again.
+  WriteTicket* next = nullptr;   ///< next newer ticket in the queue
+  State state = State::kQueued;  ///< set terminal by the batch leader
+  CondVar cv;                    ///< waited on with queue_mu held
+};
+
 void ConcurrentEngine::write(Lba lba, std::uint32_t blocks, TimeUs submit_us) {
   if (lba + blocks > logical_blocks_) {
     throw std::out_of_range("write beyond logical capacity");
   }
-  if (blocks == 0) return;
   // Range split: shard s covers [s*bps, (s+1)*bps). A request is tiny next
-  // to a shard, so the common case is exactly one sub-span; a span that
-  // straddles a boundary links every touched shard before any ticket is
-  // awaited — submitting serially would pay one full intake round trip per
-  // shard for every split write.
+  // to a shard, so almost every op is one sub-span; one that crosses a
+  // boundary commits one shard after another (see the header).
   const std::uint64_t bps = shard_config_.logical_blocks;
-  const auto s_first = static_cast<std::uint32_t>(lba / bps);
-  const auto s_last = static_cast<std::uint32_t>((lba + blocks - 1) / bps);
-  if (s_first == s_last) {
-    // Fast path: the request fits one shard — true for all but ~1 in
-    // thousands of requests (a request is tiny next to a shard), and the
-    // wave machinery below costs real wall time per op at bench rates. One
-    // stack ticket, no arrays.
-    Shard& sh = *shards_[s_first];
-    WriteTicket t(lba - std::uint64_t{s_first} * bps, blocks, submit_us);
-    std::exception_ptr error;
-    const WriteState st =
-        sh.intake.link(&t) ? WriteState::kLeader : WriteIntake::await(&t);
-    if (st == WriteState::kLeader) {
-      try {
-        lead(sh, &t);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    } else if (st == WriteState::kAborted) {
-      // Some earlier op in our batch made the leader's engine apply throw;
-      // this op was never applied. The leader rethrows the original
-      // exception on its own thread — here, surface the loss instead of
-      // returning success.
-      error = std::make_exception_ptr(WriteAborted{});
-    }
-    // Wait out this op's share of its batch's coalesced flush on THIS
-    // thread — the leader stamped durable_us into every ticket before
-    // publishing. An aborted op was never applied and owes no device time.
-    if (durable_wait_ && st != WriteState::kAborted && t.durable_us > 0) {
-      durable_wait_(t.durable_us);
-    }
-    if (error != nullptr) std::rethrow_exception(error);
-    return;
-  }
+  const Lba end = lba + blocks;
   TimeUs durable_us = 0;
   std::exception_ptr error;
-  constexpr std::uint32_t kWave = 8;
-  std::uint32_t s = s_first;
-  while (s <= s_last && error == nullptr) {
-    std::array<std::optional<WriteTicket>, kWave> tickets;
-    std::array<Shard*, kWave> owner{};
-    std::array<bool, kWave> terminal{};
-    std::uint32_t cnt = 0;
-    for (; s <= s_last && cnt < kWave; ++s) {
-      const std::uint64_t shard_base = std::uint64_t{s} * bps;
-      const std::uint64_t lo = std::max<std::uint64_t>(lba, shard_base);
-      const std::uint64_t hi =
-          std::min<std::uint64_t>(lba + blocks, shard_base + bps);
-      WriteTicket& t = tickets[cnt].emplace(
-          lo - shard_base, static_cast<std::uint32_t>(hi - lo), submit_us);
-      owner[cnt] = shards_[s].get();
-      terminal[cnt] = false;
-      // Leadership won at link time is recorded via state: poll below
-      // treats it exactly like a later promotion.
-      if (owner[cnt]->intake.link(&t)) {
-        t.state.store(WriteState::kLeader, std::memory_order_relaxed);
-      }
-      ++cnt;
-    }
-    // Every ticket must reach a terminal state before this wave's stack
-    // storage is reused (or the function unwinds). Poll ALL of them rather
-    // than parking on one: a thread blocked on shard B while holding a
-    // promoted leadership on shard A would stall A — and three such
-    // threads can form a cross-shard leader-wait cycle that never resolves.
-    std::uint32_t pending = cnt;
-    int spins = spin_budget(2048);
-    while (pending > 0) {
-      bool progressed = false;
-      for (std::uint32_t k = 0; k < cnt; ++k) {
-        if (terminal[k]) continue;
-        const WriteState st =
-            tickets[k]->state.load(std::memory_order_acquire);
-        if (!is_terminal(st)) continue;
-        if (st == WriteState::kLeader) {
-          try {
-            lead(*owner[k], &*tickets[k]);
-          } catch (...) {
-            error = std::current_exception();
-          }
-        } else if (st == WriteState::kAborted && error == nullptr) {
-          // A sub-span was dropped by a failing batch on its shard; the
-          // whole multi-shard op is only partially applied, so fail it.
-          error = std::make_exception_ptr(WriteAborted{});
-        }
-        if (st != WriteState::kAborted) {
-          durable_us = std::max(durable_us, tickets[k]->durable_us);
-        }
-        terminal[k] = true;
-        --pending;
-        progressed = true;
-      }
-      if (!progressed) {
-        if (spins > 0) {
-          --spins;
-        } else {
-          yield_now();
-        }
-      }
-    }
+  for (Lba at = lba; at < end && error == nullptr;) {
+    const std::uint32_t s = shard_of(at);
+    const Lba shard_base = std::uint64_t{s} * bps;
+    const Lba stop = std::min<Lba>(end, shard_base + bps);
+    WriteTicket t(at - shard_base, static_cast<std::uint32_t>(stop - at),
+                  submit_us);
+    durable_us = std::max(durable_us, commit(*shards_[s], t, error));
+    at = stop;
   }
-  // One wait for the latest durable time over every batch this op rode in
-  // (each leader stamped its batch's durable_us before publishing), run on
-  // the submitting thread alone: follower completions above never stall on
-  // the modeled flush.
+  // Wait out this op's share of its batches' coalesced flushes on THIS
+  // thread, once, for the latest durable time — the leaders stamped it
+  // into every ticket before completing them.
   if (durable_wait_ && durable_us > 0) durable_wait_(durable_us);
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
-  WriteTicket* const last = sh.intake.capture_group(leader);
+TimeUs ConcurrentEngine::commit(Shard& sh, WriteTicket& t,
+                                std::exception_ptr& error) {
+  WriteTicket* last = nullptr;
+  WriteTicket::State state = WriteTicket::State::kQueued;
+  {
+    LockGuard q(sh.queue_mu);
+    if (sh.tail == nullptr) {
+      sh.head = &t;
+    } else {
+      sh.tail->next = &t;
+    }
+    sh.tail = &t;
+    while (t.state == WriteTicket::State::kQueued && sh.head != &t) {
+      t.cv.wait(sh.queue_mu, q);
+    }
+    state = t.state;
+    // At the head and not yet committed: lead everything queued so far.
+    if (state == WriteTicket::State::kQueued) last = sh.tail;
+  }
+  if (last != nullptr) {
+    try {
+      lead(sh, &t, last);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  } else if (state == WriteTicket::State::kAborted) {
+    // Some earlier op in our batch made the leader's engine apply throw;
+    // this op was never applied and owes no device time. The leader
+    // rethrows the original exception on its own thread — here, surface
+    // the loss instead of returning success.
+    error = std::make_exception_ptr(WriteAborted{});
+    return 0;
+  }
+  return t.durable_us;
+}
+
+void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader,
+                            WriteTicket* last) {
   std::uint64_t batch_ops = 0;
   std::uint64_t batch_blocks = 0;
   std::uint64_t flushed_delta = 0;
   std::vector<PendingFlush> flushes;
   std::exception_ptr error;
   // First ticket whose op did NOT apply because the engine threw; it and
-  // everything linked after it get published kAborted so their write()
-  // calls fail instead of silently reporting lost writes as durable.
+  // everything queued after it get marked kAborted so their write() calls
+  // fail instead of silently reporting lost writes as durable.
   WriteTicket* aborted_from = nullptr;
   // Applied milestone of the batch: the shard clock after the last applied
   // op (batch-granular — ops in one batch share the apply timestamp).
@@ -205,7 +176,7 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
     }
     WriteTicket* w = leader;
     try {
-      for (;; w = w->link_newer.load(std::memory_order_relaxed)) {
+      for (;; w = w->next) {
         // Engine timestamps must be monotone per shard; arrival order and
         // submit-clock order can disagree under contention, so clamp. The
         // clamped value is what gets recorded — replay needs the ts that
@@ -255,13 +226,6 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
                       flow_id});
     }
   }
-  sh.groups.fetch_add(1, std::memory_order_relaxed);
-  sh.ops.fetch_add(batch_ops, std::memory_order_relaxed);
-  std::uint64_t prev_max = sh.max_batch.load(std::memory_order_relaxed);
-  while (prev_max < batch_ops &&
-         !sh.max_batch.compare_exchange_weak(prev_max, batch_ops,
-                                             std::memory_order_relaxed)) {
-  }
   // Model durability outside every lock. Even a batch that failed mid-way
   // submits: the applied prefix's flushes hit the device before the engine
   // threw, and their modeled time must not vanish from the timeline.
@@ -270,18 +234,16 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
     outcome = flush_submit_(sh.index, flushes);
   }
   const TimeUs durable_us = outcome.durable_us;
-  // Walk the batch BEFORE any completion is published: followers cannot
-  // unwind until they observe a terminal state, so pre-publication ticket
-  // access is lifetime-safe, and publish's release pairs with await's
-  // acquire to make the durable stamp visible. Aborted tickets get stamped
-  // too (harmless — their write() skips the wait) but are excluded from
-  // the phase breakdown: they were never applied, so they have no
-  // lifecycle to attribute.
+  // Walk the batch BEFORE any ticket is marked terminal: followers cannot
+  // unwind until then, and the queue_mu hand-off below makes the durable
+  // stamp visible to them. Aborted tickets get stamped too (harmless —
+  // their write() skips the wait) but are excluded from the phase
+  // breakdown: they were never applied, so they have no lifecycle to
+  // attribute.
   LatencyBreakdown batch_lat;
   {
     bool aborted = false;
-    for (WriteTicket* w = leader;;
-         w = w->link_newer.load(std::memory_order_relaxed)) {
+    for (WriteTicket* w = leader;; w = w->next) {
       if (w == aborted_from) aborted = true;
       if (durable_us > 0) w->durable_us = durable_us;
       if (!aborted) {
@@ -291,24 +253,24 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
       if (w == last) break;
     }
   }
-  if (batch_ops > 0) {
-    {
-      LockGuard g(sh.lat_mu);
-      sh.breakdown.merge_from(batch_lat);
-    }
-    if (batch_hook_) {
-      batch_hook_(BatchSample{sh.index, batch_ops, batch_blocks, batch_lat});
-    }
+  {
+    LockGuard g(sh.stats_mu);
+    ++sh.stats.groups;
+    sh.stats.ops += batch_ops;
+    sh.stats.max_batch = std::max(sh.stats.max_batch, batch_ops);
+    sh.breakdown.merge_from(batch_lat);
+  }
+  if (batch_ops > 0 && batch_hook_) {
+    batch_hook_(BatchSample{sh.index, batch_ops, batch_blocks, batch_lat});
   }
   // Emit per-op durability events under the re-acquired shard lock (the
-  // per-shard ring is unsynchronised); still pre-publication, so every
-  // ticket is alive. Traced runs pay this second lock hop; untraced runs
-  // skip it entirely.
+  // per-shard ring is unsynchronised); no ticket is terminal yet, so every
+  // one is alive. Traced runs pay this second lock hop; untraced runs skip
+  // it entirely.
   if (flow_id != 0 && durable_us > 0) {
     LockGuard g(sh.mu);
     bool aborted = false;
-    for (WriteTicket* w = leader;;
-         w = w->link_newer.load(std::memory_order_relaxed)) {
+    for (WriteTicket* w = leader;; w = w->next) {
       if (w == aborted_from) aborted = true;
       if (!aborted && sh.sink != nullptr) {
         emit(sh.sink, TraceEvent{TraceEventKind::kOpDurable,
@@ -319,28 +281,27 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
       if (w == last) break;
     }
   }
-  // Hand off leadership immediately: the next batch can apply into the
-  // engine the moment this one leaves the critical section — the pipeline
-  // the big lock could never form.
-  sh.intake.exit_group(last);
-  // Publish completions oldest-to-newest, reading each link BEFORE the
-  // store: a completed follower's stack frame — ticket included — can
-  // vanish immediately. Never read or follow last->link_newer here —
-  // exit_group may have pointed it at the promoted next leader, which is
-  // not ours to complete (a size-1 batch has no followers at all). Each
-  // op runs its own durable wait AFTER its ticket publishes, so
-  // completions are never delayed by the modeled flush.
-  if (leader != last) {
+  // Complete the batch and hand off leadership: mark each follower
+  // terminal and wake it, pop the batch, and wake the new head, which
+  // leads the next batch. A woken follower must reacquire queue_mu before
+  // it can read its state and unwind, so its ticket stays alive for as
+  // long as this block holds the mutex. Each op runs its own durable wait
+  // after it is completed, so completions never wait on the modeled flush.
+  {
+    LockGuard q(sh.queue_mu);
     bool aborted = (aborted_from == leader);
-    WriteTicket* w = leader->link_newer.load(std::memory_order_relaxed);
-    while (w != nullptr) {
-      WriteTicket* const next =
-          (w == last) ? nullptr
-                      : w->link_newer.load(std::memory_order_relaxed);
+    for (WriteTicket* w = leader; w != last;) {
+      w = w->next;
       if (w == aborted_from) aborted = true;
-      WriteIntake::publish(
-          w, aborted ? WriteState::kAborted : WriteState::kCompleted);
-      w = next;
+      w->state = aborted ? WriteTicket::State::kAborted
+                         : WriteTicket::State::kCompleted;
+      w->cv.notify_one();
+    }
+    sh.head = last->next;
+    if (sh.head == nullptr) {
+      sh.tail = nullptr;
+    } else {
+      sh.head->cv.notify_one();
     }
   }
   if (error != nullptr) std::rethrow_exception(error);
@@ -465,9 +426,8 @@ void ConcurrentEngine::check_invariants(audit::Level level) const {
 
 GroupCommitStats ConcurrentEngine::shard_stats(std::uint32_t i) const {
   const Shard& sh = *shards_.at(i);
-  return GroupCommitStats{sh.groups.load(std::memory_order_relaxed),
-                          sh.ops.load(std::memory_order_relaxed),
-                          sh.max_batch.load(std::memory_order_relaxed)};
+  LockGuard g(sh.stats_mu);
+  return sh.stats;
 }
 
 GroupCommitStats ConcurrentEngine::merged_stats() const {
@@ -484,7 +444,7 @@ GroupCommitStats ConcurrentEngine::merged_stats() const {
 LatencyBreakdown ConcurrentEngine::latency_breakdown() const {
   LatencyBreakdown merged;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->lat_mu);
+    LockGuard g(shard->stats_mu);
     merged.merge_from(shard->breakdown);
   }
   return merged;

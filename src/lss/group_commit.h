@@ -1,39 +1,33 @@
-// Lock-free MPSC group-commit front-end over LBA-sharded LssEngines.
+// Group-commit front-end over LBA-range-sharded LssEngines.
 //
-// This is the live concurrent write path that replaces the prototype's
-// big-lock GuardedEngine: client threads no longer serialize per-op on one
-// mutex; they link write tickets onto a per-shard lock-free intake list and
-// one of them — the *group leader* — applies the whole linked batch against
-// the shard's engine in a single critical section, then publishes per-op
-// completion. The shape follows the RocksDB/FrozenHot LoggingServer writer
-// group (SNIPPETS.md #2/#3):
+// The prototype's live concurrent write path. Each shard keeps a FIFO
+// writer queue shaped like LevelDB's DBImpl::Write (the writer-group
+// pattern of SNIPPETS.md #2/#3): client threads queue up, and the thread
+// at the head of the queue — the *group leader* — applies everything
+// queued behind it against the shard's engine in one critical section.
 //
-//   1. link():   CAS-push the ticket onto the shard's newest_ list head.
-//                The thread that installs the head onto an EMPTY list is
-//                the leader; everyone else is a follower.
-//   2. capture_group(): the leader snapshots newest_ and back-fills the
-//                link_newer pointers (the CAS push only writes link_older),
-//                fixing the batch as [leader .. last].
-//   3. apply:    the leader takes the shard mutex once and applies every
-//                ticket in link order — oldest first, so the linearized
-//                order is exactly arrival order — against the LssEngine.
-//   4. exit_group(): CAS newest_ from `last` back to nullptr; if new
-//                tickets arrived meanwhile, the oldest of them is promoted
-//                to leader of the next batch (its link_older is severed
-//                first so a later walk never crosses into the dying batch).
-//   5. complete(): the leader marks each follower kCompleted — or
-//                kAborted from the first not-applied ticket on, when the
-//                engine threw mid-batch — *after* reading its link_newer:
-//                tickets live on follower stacks and may be destroyed the
-//                instant they complete. Before publishing, the leader
-//                submits the batch's drained flush records to the device
-//                model (OUTSIDE the shard lock) and stamps the modeled
-//                durable time into every ticket, so each op — leader and
-//                followers alike — waits out its own share of the
-//                coalesced flush on its own thread (see set_device_model):
-//                a batch never serializes its followers behind a modeled
-//                sleep, and no op's latency silently excludes its device
-//                time.
+//   1. enqueue: a writer appends its stack-owned ticket to the shard's
+//               queue under queue_mu and waits on the ticket's condvar
+//               until it is completed or reaches the head.
+//   2. apply:   the head captures the batch [itself .. tail], takes the
+//               engine mutex mu once, and applies every ticket oldest
+//               first — so the linearized order is exactly arrival order.
+//               queue_mu is not held meanwhile, so writers that arrive
+//               during the apply queue up behind the batch.
+//   3. durable: outside mu, the leader submits the batch's drained flush
+//               records to the device model and stamps the modeled
+//               durable time into every ticket of the batch, so each op —
+//               leader and followers alike — waits out its own share of
+//               the coalesced flush on its own thread (see
+//               set_device_model).
+//   4. exit:    under queue_mu, the leader marks each follower kCompleted
+//               — or kAborted from the first ticket the engine failed to
+//               apply — wakes it, pops the batch, and wakes the new head,
+//               which leads the next batch.
+//
+// Lifetime rule: a follower unwinds only after reading its terminal state
+// under queue_mu, so the leader may touch follower tickets until it marks
+// them terminal, and while it holds that mutex.
 //
 // Determinism contract (the oracle): a shard's final state is a pure
 // function of its (op, lba, blocks, ts) sequence. The leader records every
@@ -44,17 +38,11 @@
 // bit-exactly; tests/concurrent_commit_test.cpp proves it. Thread
 // scheduling may change *which* order gets recorded, never whether the
 // recorded order explains the result.
-//
-// Concurrency: the intake list is the only lock-free piece; everything
-// behind it is the ordinary single-threaded engine guarded by the shard
-// mutex (held only by the current leader, so in steady state it is
-// uncontended — the "lock" the clients used to convoy on is now taken once
-// per batch, not once per op).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -69,29 +57,6 @@
 
 namespace adapt::lss {
 
-/// Ticket lifecycle: linked (kInit) -> optionally parked by its owner
-/// (kLockedWaiting, the RocksDB WriteThread "locked waiting" state) -> a
-/// terminal state published by the current leader: promoted to lead the
-/// next batch (kLeader), applied (kCompleted), or not applied because the
-/// leader's engine apply threw earlier in the batch (kAborted).
-enum class WriteState : std::uint8_t {
-  kInit = 0,
-  /// Owner-only intermediate: the waiter CASed itself here before parking
-  /// on the ticket's condvar, so publish() knows it must store + notify
-  /// under the ticket mutex instead of the lock-free CAS.
-  kLockedWaiting = 1,
-  kLeader = 2,
-  kCompleted = 3,
-  kAborted = 4,
-};
-
-/// True for the states a published ticket can end in — what await() and
-/// the wave poll in ConcurrentEngine::write wait for.
-constexpr bool is_terminal(WriteState s) noexcept {
-  return s == WriteState::kLeader || s == WriteState::kCompleted ||
-         s == WriteState::kAborted;
-}
-
 /// Thrown by ConcurrentEngine::write on a thread whose op was NOT applied
 /// because the batch leader's engine apply threw earlier in the batch (the
 /// original exception surfaces on the leader's own thread). Ops already
@@ -103,176 +68,6 @@ class WriteAborted : public std::runtime_error {
       : std::runtime_error(
             "group commit aborted: the batch leader's engine apply failed "
             "before this op was applied") {}
-};
-
-/// One in-flight write op. Lives on the submitting thread's stack for the
-/// duration of the call; the intake links tickets, never owns them.
-struct WriteTicket {
-  WriteTicket(Lba lba_in, std::uint32_t blocks_in, TimeUs submit_in) noexcept
-      : lba(lba_in), blocks(blocks_in), submit_us(submit_in) {}
-
-  WriteTicket(const WriteTicket&) = delete;
-  WriteTicket& operator=(const WriteTicket&) = delete;
-
-  Lba lba;                  ///< shard-local address
-  std::uint32_t blocks;
-  TimeUs submit_us;         ///< simulated submit timestamp (monotonised
-                            ///< per shard by the leader before applying)
-  /// Modeled durable time of this op's batch, stamped by the LEADER before
-  /// the ticket is published (pre-publication stores are lifetime-safe —
-  /// the owner cannot unwind until it observes a terminal state — and
-  /// publish's release CAS/store pairs with await's acquire load, so the
-  /// stamp is visible to the waiter). 0 when the batch flushed nothing.
-  /// Every non-aborted op waits this out on its OWN thread: the coalesced
-  /// flush is charged to each op in the batch, never absorbed by the
-  /// leader alone.
-  TimeUs durable_us = 0;
-  /// The per-shard-monotonised timestamp the LEADER applied this op at —
-  /// the op's "joined" milestone for the phase breakdown. Leader-only
-  /// storage: written and read exclusively by the current leader between
-  /// capture_group and publish, while the ticket is pinned on its owner's
-  /// stack, so no synchronisation is needed beyond the publish fence.
-  TimeUs joined_us = 0;
-  WriteTicket* link_older = nullptr;              ///< set once by link()
-  std::atomic<WriteTicket*> link_newer{nullptr};  ///< back-filled by leader
-  std::atomic<WriteState> state{WriteState::kInit};
-  /// Parking for await(): the waiter blocks on its OWN ticket's condvar,
-  /// but only after CASing state to kLockedWaiting. publish() takes this
-  /// mutex only when it sees that parked state (otherwise it publishes
-  /// with a plain CAS and never touches the ticket again), so the mutex
-  /// is touched by the publisher exclusively while the owner is committed
-  /// to reacquiring it before unwinding — the ticket's stack frame cannot
-  /// vanish under the publisher's store/notify/unlock.
-  Mutex mu;
-  CondVar cv;
-};
-
-/// The per-shard lock-free MPSC intake list. Thread-safe: any number of
-/// producers may link() concurrently; exactly one thread at a time (the
-/// current leader) runs capture_group/exit_group.
-class WriteIntake {
- public:
-  WriteIntake() = default;
-  WriteIntake(const WriteIntake&) = delete;
-  WriteIntake& operator=(const WriteIntake&) = delete;
-
-  /// Pushes `w` onto the list. Returns true when the list was empty —
-  /// the caller just became group leader. The release CAS publishes the
-  /// ticket's payload fields to the leader's acquire load of newest_.
-  bool link(WriteTicket* w) noexcept {
-    WriteTicket* old = newest_.load(std::memory_order_relaxed);
-    while (true) {
-      w->link_older = old;
-      if (newest_.compare_exchange_weak(old, w, std::memory_order_release,
-                                        std::memory_order_relaxed)) {
-        return old == nullptr;
-      }
-    }
-  }
-
-  /// Leader only. Snapshots the current list as this batch and back-fills
-  /// link_newer pointers from the snapshot down to `leader`, so the batch
-  /// can be walked oldest-to-newest. Returns the batch's newest ticket.
-  WriteTicket* capture_group(WriteTicket* leader) noexcept {
-    WriteTicket* newest = newest_.load(std::memory_order_acquire);
-    create_missing_newer_links(newest);
-    (void)leader;
-    return newest;
-  }
-
-  /// Leader only, after the batch [leader .. last] has been applied and
-  /// its followers are about to be completed. If no newer ticket arrived,
-  /// resets the list (returns nullptr). Otherwise promotes the oldest
-  /// post-batch ticket to leader of the next group and returns it.
-  WriteTicket* exit_group(WriteTicket* last) noexcept {
-    WriteTicket* expected = last;
-    if (newest_.compare_exchange_strong(expected, nullptr,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      return nullptr;
-    }
-    // Newer tickets exist; `expected` is the current newest. Build the
-    // newer-links down to `last`, then hand leadership to last's newer
-    // neighbour. Sever its link_older FIRST so no later walk (from a yet
-    // newer ticket) can cross into this batch once its tickets start
-    // completing and vanishing.
-    create_missing_newer_links(expected);
-    WriteTicket* next_leader = last->link_newer.load(std::memory_order_relaxed);
-    next_leader->link_older = nullptr;
-    publish(next_leader, WriteState::kLeader);
-    return next_leader;
-  }
-
-  /// Moves `w` to a terminal state and wakes its owner if parked —
-  /// RocksDB's WriteThread::SetState shape. Fast path: CAS kInit ->
-  /// terminal; on success the publisher never touches the ticket again,
-  /// so an owner that observes the state from await()'s spin (or the
-  /// wave poll in ConcurrentEngine::write) may unwind and destroy the
-  /// ticket immediately — there is no trailing notify/unlock racing the
-  /// destruction. Slow path: the CAS can only fail because the owner
-  /// CASed itself to kLockedWaiting, committing to reacquire w->mu
-  /// before unwinding; storing + notifying under that mutex is therefore
-  /// lifetime-safe. Do not touch `w` after this returns.
-  static void publish(WriteTicket* w, WriteState terminal) noexcept {
-    WriteState expected = w->state.load(std::memory_order_relaxed);
-    if (expected == WriteState::kLockedWaiting ||
-        !w->state.compare_exchange_strong(expected, terminal,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-      // The only other writer of state is the owner parking itself.
-      LockGuard g(w->mu);
-      w->state.store(terminal, std::memory_order_release);
-      w->cv.notify_one();
-    }
-  }
-
-  /// Follower wait: bounded spin (skipped entirely on a single-core host,
-  /// where spinning starves the leader — see spin_budget), then CAS into
-  /// kLockedWaiting and park on the ticket's own condvar until the
-  /// current leader completes, aborts, or promotes this ticket — a parked
-  /// follower costs the scheduler nothing, unlike a yield loop cycling
-  /// the run queue. If the CAS loses, the leader already published; the
-  /// failed CAS's loaded value IS the terminal state. Returns the
-  /// terminal state observed.
-  static WriteState await(WriteTicket* w) noexcept {
-    for (int spin = spin_budget(2048); spin > 0; --spin) {
-      const WriteState s = w->state.load(std::memory_order_acquire);
-      if (s != WriteState::kInit) return s;
-    }
-    WriteState expected = WriteState::kInit;
-    if (!w->state.compare_exchange_strong(expected,
-                                          WriteState::kLockedWaiting,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      return expected;
-    }
-    LockGuard g(w->mu);
-    while (true) {
-      const WriteState s = w->state.load(std::memory_order_acquire);
-      if (is_terminal(s)) return s;
-      w->cv.wait(w->mu, g);
-    }
-  }
-
- private:
-  /// Walks link_older from `newest`, setting each older ticket's
-  /// link_newer, stopping at the first ticket that already has one (or at
-  /// the batch head, whose link_older is nullptr). Called only by the
-  /// (single) current leader.
-  static void create_missing_newer_links(WriteTicket* newest) noexcept {
-    WriteTicket* head = newest;
-    while (true) {
-      WriteTicket* older = head->link_older;
-      if (older == nullptr ||
-          older->link_newer.load(std::memory_order_relaxed) != nullptr) {
-        break;
-      }
-      older->link_newer.store(head, std::memory_order_relaxed);
-      head = older;
-    }
-  }
-
-  std::atomic<WriteTicket*> newest_{nullptr};
 };
 
 /// One op in a shard's linearized log, recorded by the leader in apply
@@ -295,13 +90,13 @@ struct GroupCommitStats {
 
 /// The concurrent front-end: N independent LBA-sharded LssEngines (same
 /// geometry division and per-shard seeding as ShardedEngine — shard i
-/// seeds with base_seed + i), each fronted by a WriteIntake and a Mutex
-/// held only by that shard's current group leader.
+/// seeds with base_seed + i), each fronted by a writer queue whose head
+/// leads the shard's next batch.
 ///
 /// Partitioning is by contiguous LBA range (shard = lba / blocks_per_shard)
 /// rather than ShardedEngine's modulo striping: a multi-block request is
 /// tiny next to a shard (tens of blocks vs tens of thousands), so range
-/// partitioning keeps almost every op on ONE shard — one intake rendezvous
+/// partitioning keeps almost every op on ONE shard — one queue rendezvous
 /// per op instead of one per touched shard. Modulo striping would shred
 /// each request across all shards and make every op wait on several other
 /// threads' leaders, which serializes badly once cores are scarce. Hotspot
@@ -351,17 +146,14 @@ class ConcurrentEngine {
   /// thread; must be thread-safe.
   using DurableWaitFn = std::function<void(TimeUs durable_us)>;
 
-  /// Device-model hooks, replacing the old leader-absorbs-the-wait flush
-  /// hook. The leader submits the batch's flushes once (outside the shard
-  /// lock, before follower completions are published) and stamps the
-  /// returned durable time into every ticket of the batch; each op then
-  /// runs `wait` on its OWN thread. Leader and follower submit→durable
-  /// latencies therefore both include their share of the coalesced flush —
-  /// the per-thread accounting matches the big-lock path, where each
-  /// client that tipped a chunk paid its own wait (the skew the PR 8
-  /// prototype documented as a caveat is gone; the follower-latency
-  /// regression test in tests/concurrent_commit_test.cpp pins it). Set
-  /// both hooks before the first write, or neither.
+  /// Device-model hooks. The leader submits the batch's flushes once
+  /// (outside the shard lock, before follower completions are published)
+  /// and stamps the returned durable time into every ticket of the batch;
+  /// each op then runs `wait` on its OWN thread. Leader and follower
+  /// submit→durable latencies therefore both include their share of the
+  /// coalesced flush (the follower-latency regression test in
+  /// tests/concurrent_commit_test.cpp pins it). Set both hooks before the
+  /// first write, or neither.
   void set_device_model(FlushSubmitFn submit, DurableWaitFn wait) {
     flush_submit_ = std::move(submit);
     durable_wait_ = std::move(wait);
@@ -384,17 +176,18 @@ class ConcurrentEngine {
 
   /// Thread-safe group-commit write of `blocks` consecutive global blocks
   /// at `lba`. Under range partitioning the span almost always lands on a
-  /// single shard; when it straddles a boundary, every touched shard's
-  /// ticket is linked BEFORE any is awaited, so the sub-writes commit in
-  /// parallel instead of paying one intake round trip per shard. Returns
-  /// once every sub-span has been applied and this op has waited out the
-  /// modeled durable time of every batch it rode in (its durable share of
-  /// the coalesced flushes). Failure contract: if the engine
-  /// throws while a leader applies a batch, the leader's thread rethrows
-  /// the engine's exception, and every caller whose op was NOT applied
-  /// (the failing op and everything linked after it in that batch) throws
-  /// WriteAborted instead of returning success — an op that returns
-  /// normally was applied, an op that throws was not (at-most-once).
+  /// single shard; one that crosses a boundary commits its sub-spans one
+  /// shard after another. A thread therefore waits in one queue at a time,
+  /// so no cross-shard wait cycle can form. Returns once every sub-span
+  /// has been applied and this op has waited once for the latest modeled
+  /// durable time of the batches it rode in (its durable share of the
+  /// coalesced flushes). Failure contract: if the engine throws while a
+  /// leader applies a batch, the leader's thread rethrows the engine's
+  /// exception, and every caller whose op was NOT applied (the failing op
+  /// and everything queued after it in that batch) throws WriteAborted
+  /// instead of returning success — an op that returns normally was
+  /// applied, an op that throws was not (at-most-once). A straddling span
+  /// stops at the first shard whose sub-span fails.
   void write(Lba lba, std::uint32_t blocks, TimeUs submit_us);
 
   /// Thread-safe proactive GC pass on shard `i`. Returns true when the
@@ -448,12 +241,23 @@ class ConcurrentEngine {
                          const std::vector<RecordedOp>& log);
 
  private:
+  /// One queued sub-op, owned by the submitting thread's stack (defined
+  /// in group_commit.cpp next to the queue protocol).
+  struct WriteTicket;
+
   struct Shard {
     std::uint32_t index = 0;
     ShardParts parts;
+    /// Guards the writer queue: head/tail and every queued ticket's `next`
+    /// and `state`. Separate from `mu` and never held while a batch
+    /// applies, so writers keep queueing behind the running batch.
+    Mutex queue_mu;
+    WriteTicket* head ADAPT_GUARDED_BY(queue_mu) = nullptr;  ///< leader
+    WriteTicket* tail ADAPT_GUARDED_BY(queue_mu) = nullptr;  ///< newest
+    /// The engine mutex: held by the current leader for the apply, by GC
+    /// passes, and by the observers.
     Mutex mu;
     std::unique_ptr<LssEngine> engine ADAPT_PT_GUARDED_BY(mu);
-    WriteIntake intake;
     TimeUs last_ts ADAPT_GUARDED_BY(mu) = 0;
     /// Flush records appended by the engine's chunk writer (the collector
     /// attached in the ctor) since the last drain. Every batch and GC pass
@@ -465,23 +269,29 @@ class ConcurrentEngine {
     /// Monotone per-shard batch counter; combined with the shard index it
     /// forms the batch's nonzero causal-flow id.
     std::uint64_t batch_seq ADAPT_GUARDED_BY(mu) = 0;
-    std::atomic<std::uint64_t> groups{0};
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> max_batch{0};
-    /// Phase-attributed latency of this shard's committed batches. Guarded
-    /// by its own mutex (not `mu`) so latency export never contends the
-    /// apply path's critical section.
-    mutable Mutex lat_mu;
-    LatencyBreakdown breakdown ADAPT_GUARDED_BY(lat_mu);
+    /// Batching counters and phase-attributed latency of this shard's
+    /// committed batches. Guarded by their own mutex (not `mu`) so stats
+    /// export never contends the apply path's critical section.
+    mutable Mutex stats_mu;
+    GroupCommitStats stats ADAPT_GUARDED_BY(stats_mu);
+    LatencyBreakdown breakdown ADAPT_GUARDED_BY(stats_mu);
   };
 
-  /// Leader protocol: capture batch, apply under the shard lock, drain the
-  /// batch's flush records, submit them to the device model OUTSIDE the
-  /// lock, stamp the modeled durable time into every batch ticket, hand
-  /// off leadership, publish completions. The durable WAIT must NOT happen
-  /// here — each op (this leader included) runs it from write() on its own
-  /// thread, or every follower would serialize behind the leader's sleep.
-  void lead(Shard& sh, WriteTicket* leader);
+  /// Queues `t` on `sh` and returns once its batch has committed: leads
+  /// the batch when `t` reaches the head of the queue, otherwise waits for
+  /// the leader's verdict. Returns the durable time `t` owes (0 when it
+  /// was aborted or its batch flushed nothing); stores the leader's engine
+  /// exception, or WriteAborted, into `error`.
+  TimeUs commit(Shard& sh, WriteTicket& t, std::exception_ptr& error);
+
+  /// Leader protocol over the batch [leader .. last]: apply under the
+  /// shard lock, drain the batch's flush records, submit them to the
+  /// device model OUTSIDE the lock, stamp the modeled durable time into
+  /// every batch ticket, then complete the followers and pop the batch.
+  /// The durable WAIT must NOT happen here — each op (this leader
+  /// included) runs it from write() on its own thread, or every follower
+  /// would serialize behind the leader's sleep.
+  void lead(Shard& sh, WriteTicket* leader, WriteTicket* last);
 
   LssConfig shard_config_;
   std::uint64_t logical_blocks_ = 0;

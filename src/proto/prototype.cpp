@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -15,11 +14,9 @@
 #include <vector>
 
 #include "adapt/adapt_policy.h"
-#include "common/annotations.h"
 #include "common/histogram.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
-#include "lss/engine.h"
 #include "obs/provenance.h"
 #include "obs/runtime_stats.h"
 #include "placement/factory.h"
@@ -108,8 +105,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   lss::LssConfig lss_config = config.lss;
   lss_config.logical_blocks = config.workload.working_set_blocks;
 
-  const bool big_lock = config.front_end == FrontEnd::kBigLockOracle;
-  const std::uint32_t shards = big_lock ? 1 : resolve_shards(config);
+  const std::uint32_t shards = resolve_shards(config);
   const lss::ShardFactory factory = make_prototype_shard_factory(config);
 
   // Device model: lss::DeviceLanes — one submission/completion queue per
@@ -125,7 +121,6 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   lss::DeviceLanesConfig lanes_config;
   lanes_config.lanes = std::max<std::uint32_t>(config.device_lanes, 1);
   lanes_config.queue_depth = std::max<std::uint32_t>(config.io_depth, 1);
-  lanes_config.chunk_bytes = chunk_bytes;
   lanes_config.lane_bandwidth_mb_per_s =
       config.array_bandwidth_mb_per_s / lanes_config.lanes;
   lss::DeviceLanes lanes(lanes_config);
@@ -180,219 +175,134 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   WorkSignal gc_signal;
   constexpr std::uint64_t kGcIdleWaitUs = 1000;
 
-  // Runs all client threads against `write_op` (blocking submit→durable)
-  // and joins them. write_op must be thread-safe.
-  const auto run_clients =
-      [&](const std::function<void(Lba, std::uint32_t, TimeUs)>& write_op) {
-        auto client_fn = [&](std::uint32_t client_id) {
-          trace::YcsbConfig wc = config.workload;
-          wc.seed = config.seed * 7919 + client_id;
-          trace::YcsbGenerator gen(wc);
-          Log2Histogram& latency = client_latency[client_id];
-          spans[client_id].start_ns = monotonic_now_ns();
-          std::uint64_t written = 0;
-          // Think-time debt is paid in coarse slices: OS sleeps have
-          // ~50 us granularity, so per-request 20 us sleeps would crater
-          // throughput for the wrong reason.
-          double think_debt_us = 0.0;
-          while (written < config.writes_per_client) {
-            const trace::Record r = gen.next();
-            if (r.op != trace::OpType::kWrite) continue;
-            const TimeUs submit_us = wall_now_us(start);
-            const std::uint64_t submit_ns = monotonic_now_ns();
-            write_op(r.lba, r.blocks, submit_us);
-            latency.add(monotonic_now_ns() - submit_ns);
-            think_debt_us += config.client_think_us;
-            if (think_debt_us >= 1000.0) {
-              sleep_for_us(static_cast<std::uint64_t>(think_debt_us));
-              think_debt_us = 0.0;
-            }
-            written += r.blocks;
-          }
-          spans[client_id].end_ns = monotonic_now_ns();
-        };
-        std::vector<Thread> clients;
-        clients.reserve(config.num_clients);
-        for (std::uint32_t i = 0; i < config.num_clients; ++i) {
-          clients.emplace_back(client_fn, i);
-        }
-        for (auto& t : clients) t.join();
-      };
-
   PrototypeResult result;
   result.policy = config.policy;
   result.num_clients = config.num_clients;
   result.shards = shards;
-  std::uint64_t pending_blocks_total = 0;
 
-  if (!big_lock) {
-    // ---- the live path: lock-free MPSC group-commit over LBA shards ----
-    lss::ConcurrentEngine engine(lss_config, shards, config.seed, factory,
-                                 /*record_ops=*/false);
-    // Apply/durable split: batch leaders submit their drained flushes to
-    // the lanes and stamp the completion into every ticket; each op then
-    // sleeps out its own share on its own thread.
-    engine.set_device_model(submit_flushes,
-                            [&](TimeUs durable_us) { wait_until(durable_us); });
-    // Live runtime snapshot (ADAPT_LIVE_STATS=<seconds>): batch leaders
-    // publish their BatchSample into a seqlock-readable RuntimeStats; a
-    // poller thread prints periodic throughput/p99/phase lines to stderr
-    // without ever blocking a writer.
-    obs::RuntimeStats live_stats;
-    std::atomic<bool> live_stop{false};
-    Thread live_poller;
-    double live_interval = 0.0;
-    if (const char* env = std::getenv("ADAPT_LIVE_STATS");
-        env != nullptr && *env != '\0') {
-      live_interval = std::atof(env);
-    }
-    if (live_interval > 0.0) {
-      engine.set_batch_hook(
-          [&live_stats](const lss::BatchSample& s) { live_stats.publish(s); });
-      live_poller = Thread([&live_stats, &live_stop, live_interval] {
-        obs::RuntimeSnapshot prev;
-        double slept = 0.0;
-        while (!live_stop.load(std::memory_order_relaxed)) {
-          // Sleep in 50 ms slices so shutdown never waits out a long
-          // interval.
-          sleep_for_us(50'000);
-          slept += 0.05;
-          if (slept + 1e-9 < live_interval) continue;
-          slept = 0.0;
-          const obs::RuntimeSnapshot cur = live_stats.snapshot();
-          std::fprintf(stderr, "%s\n",
-                       obs::format_live_line(prev, cur, live_interval).c_str());
-          prev = cur;
-        }
-        // Final summary line so even sub-interval runs report once.
+  lss::ConcurrentEngine engine(lss_config, shards, config.seed, factory,
+                               /*record_ops=*/false);
+  // Apply/durable split: batch leaders submit their drained flushes to the
+  // lanes and stamp the completion into every ticket; each op then sleeps
+  // out its own share on its own thread.
+  engine.set_device_model(submit_flushes,
+                          [&](TimeUs durable_us) { wait_until(durable_us); });
+  // Live runtime snapshot (ADAPT_LIVE_STATS=<seconds>): batch leaders
+  // publish their BatchSample into a seqlock-readable RuntimeStats; a
+  // poller thread prints periodic throughput/p99/phase lines to stderr
+  // without ever blocking a writer.
+  obs::RuntimeStats live_stats;
+  std::atomic<bool> live_stop{false};
+  Thread live_poller;
+  double live_interval = 0.0;
+  if (const char* env = std::getenv("ADAPT_LIVE_STATS");
+      env != nullptr && *env != '\0') {
+    live_interval = std::atof(env);
+  }
+  if (live_interval > 0.0) {
+    engine.set_batch_hook(
+        [&live_stats](const lss::BatchSample& s) { live_stats.publish(s); });
+    live_poller = Thread([&live_stats, &live_stop, live_interval] {
+      obs::RuntimeSnapshot prev;
+      double slept = 0.0;
+      while (!live_stop.load(std::memory_order_relaxed)) {
+        // Sleep in 50 ms slices so shutdown never waits out a long
+        // interval.
+        sleep_for_us(50'000);
+        slept += 0.05;
+        if (slept + 1e-9 < live_interval) continue;
+        slept = 0.0;
         const obs::RuntimeSnapshot cur = live_stats.snapshot();
         std::fprintf(stderr, "%s\n",
                      obs::format_live_line(prev, cur, live_interval).c_str());
+        prev = cur;
+      }
+      // Final summary line so even sub-interval runs report once.
+      const obs::RuntimeSnapshot cur = live_stats.snapshot();
+      std::fprintf(stderr, "%s\n",
+                   obs::format_live_line(prev, cur, live_interval).c_str());
+    });
+  }
+  const std::uint32_t watermark =
+      lss_config.free_segment_reserve +
+      engine.shard_for_inspection(0).group_count() + 4;
+
+  std::unique_ptr<ThreadPool> gc_pool;
+  if (config.background_gc) {
+    gc_pool = std::make_unique<ThreadPool>(shards);
+    for (std::uint32_t i = 0; i < shards; ++i) {
+      gc_pool->submit([&, i] {
+        std::vector<lss::PendingFlush> flushes;
+        while (!done.load(std::memory_order_relaxed)) {
+          // Snapshot the signal BEFORE probing for work: a write that
+          // lands between the probe and the park bumps the version, so
+          // wait_change returns immediately instead of losing the wakeup.
+          const std::uint64_t seen = gc_signal.version();
+          const bool worked = engine.gc_step(i, wall_now_us(start),
+                                             watermark, nullptr, &flushes);
+          if (worked && !flushes.empty()) {
+            wait_until(submit_flushes(i, flushes).durable_us);
+          } else if (!worked) {
+            gc_signal.wait_change(seen, kGcIdleWaitUs);
+          }
+        }
       });
     }
-    const std::uint32_t watermark =
-        lss_config.free_segment_reserve +
-        engine.shard_for_inspection(0).group_count() + 4;
-
-    std::unique_ptr<ThreadPool> gc_pool;
-    if (config.background_gc) {
-      gc_pool = std::make_unique<ThreadPool>(shards);
-      for (std::uint32_t i = 0; i < shards; ++i) {
-        gc_pool->submit([&, i] {
-          std::vector<lss::PendingFlush> flushes;
-          while (!done.load(std::memory_order_relaxed)) {
-            // Snapshot the signal BEFORE probing for work: a write that
-            // lands between the probe and the park bumps the version, so
-            // wait_change returns immediately instead of losing the wakeup.
-            const std::uint64_t seen = gc_signal.version();
-            const bool worked = engine.gc_step(i, wall_now_us(start),
-                                               watermark, nullptr, &flushes);
-            if (worked && !flushes.empty()) {
-              wait_until(submit_flushes(i, flushes).durable_us);
-            } else if (!worked) {
-              gc_signal.wait_change(seen, kGcIdleWaitUs);
-            }
-          }
-        });
-      }
-    }
-
-    run_clients([&](Lba lba, std::uint32_t blocks, TimeUs submit_us) {
-      engine.write(lba, blocks, submit_us);
-      gc_signal.bump();
-    });
-    done.store(true, std::memory_order_relaxed);
-    gc_signal.bump();
-    if (gc_pool != nullptr) gc_pool->shutdown();
-    live_stop.store(true, std::memory_order_relaxed);
-    if (live_poller.joinable()) live_poller.join();
-
-    result.metrics = engine.merged_metrics();
-    result.group_commit = engine.merged_stats();
-    result.breakdown = engine.latency_breakdown();
-    result.policy_memory_bytes = engine.policy_memory_bytes();
-    pending_blocks_total = engine.merged_pending_blocks();
-    const lss::LssConfig& per_shard = engine.per_shard_config();
-    result.engine_memory_bytes =
-        shards * (per_shard.logical_blocks * sizeof(std::uint64_t) +
-                  static_cast<std::size_t>(per_shard.total_segments()) *
-                      per_shard.segment_blocks() * (sizeof(Lba) + 1));
-  } else {
-    // ---- the demoted big-lock oracle: every op convoys on one mutex ----
-    lss::ShardParts parts = factory(0, lss_config);
-    lss::LssEngine engine(lss_config, *parts.policy, *parts.victim, nullptr,
-                          config.seed);
-    if (parts.hook != nullptr) engine.set_aggregation_hook(parts.hook);
-
-    struct GuardedEngine {
-      explicit GuardedEngine(lss::LssEngine& e) : engine(&e) {}
-      Mutex mu;
-      lss::LssEngine* const engine ADAPT_PT_GUARDED_BY(mu);
-      /// Flush records collected by the engine since the last drain
-      /// (attached below); drained by whichever thread holds the lock.
-      std::vector<lss::PendingFlush> flushes ADAPT_GUARDED_BY(mu);
-    } shared(engine);
-    {
-      LockGuard lock(shared.mu);
-      shared.engine->set_flush_collector(&shared.flushes);
-    }
-
-    const std::uint32_t watermark = lss_config.free_segment_reserve +
-                                    parts.policy->group_count() + 4;
-    std::unique_ptr<ThreadPool> gc_pool;
-    if (config.background_gc) {
-      // One GC task per client (the paper's setting), all contending the
-      // same lock — part of what makes this the convoying baseline.
-      gc_pool = std::make_unique<ThreadPool>(config.num_clients);
-      for (std::uint32_t i = 0; i < config.num_clients; ++i) {
-        gc_pool->submit([&] {
-          std::vector<lss::PendingFlush> flushes;
-          while (!done.load(std::memory_order_relaxed)) {
-            const std::uint64_t seen = gc_signal.version();
-            bool worked = false;
-            flushes.clear();
-            {
-              LockGuard lock(shared.mu);
-              worked =
-                  shared.engine->gc_step(wall_now_us(start), watermark);
-              flushes.swap(shared.flushes);
-            }
-            if (worked && !flushes.empty()) {
-              wait_until(submit_flushes(0, flushes).durable_us);
-            } else if (!worked) {
-              gc_signal.wait_change(seen, kGcIdleWaitUs);
-            }
-          }
-        });
-      }
-    }
-
-    run_clients([&](Lba lba, std::uint32_t blocks, TimeUs submit_us) {
-      std::vector<lss::PendingFlush> flushes;
-      {
-        LockGuard lock(shared.mu);
-        shared.engine->write(lba, blocks, submit_us);
-        flushes.swap(shared.flushes);
-      }
-      if (!flushes.empty()) wait_until(submit_flushes(0, flushes).durable_us);
-      gc_signal.bump();
-    });
-    done.store(true, std::memory_order_relaxed);
-    gc_signal.bump();
-    if (gc_pool != nullptr) gc_pool->shutdown();
-
-    result.metrics = engine.metrics();
-    result.policy_memory_bytes = parts.policy->memory_usage_bytes();
-    for (GroupId g = 0; g < engine.group_count(); ++g) {
-      pending_blocks_total += engine.pending_blocks(g);
-    }
-    result.engine_memory_bytes =
-        lss_config.logical_blocks * sizeof(std::uint64_t) +
-        static_cast<std::size_t>(lss_config.total_segments()) *
-            lss_config.segment_blocks() * (sizeof(Lba) + 1);
   }
 
-  // ---- shared result assembly ----
+  auto client_fn = [&](std::uint32_t client_id) {
+    trace::YcsbConfig wc = config.workload;
+    wc.seed = config.seed * 7919 + client_id;
+    trace::YcsbGenerator gen(wc);
+    Log2Histogram& latency = client_latency[client_id];
+    spans[client_id].start_ns = monotonic_now_ns();
+    std::uint64_t written = 0;
+    // Think-time debt is paid in coarse slices: OS sleeps have ~50 us
+    // granularity, so per-request 20 us sleeps would crater throughput
+    // for the wrong reason.
+    double think_debt_us = 0.0;
+    while (written < config.writes_per_client) {
+      const trace::Record r = gen.next();
+      if (r.op != trace::OpType::kWrite) continue;
+      const TimeUs submit_us = wall_now_us(start);
+      const std::uint64_t submit_ns = monotonic_now_ns();
+      engine.write(r.lba, r.blocks, submit_us);
+      gc_signal.bump();
+      latency.add(monotonic_now_ns() - submit_ns);
+      think_debt_us += config.client_think_us;
+      if (think_debt_us >= 1000.0) {
+        sleep_for_us(static_cast<std::uint64_t>(think_debt_us));
+        think_debt_us = 0.0;
+      }
+      written += r.blocks;
+    }
+    spans[client_id].end_ns = monotonic_now_ns();
+  };
+  {
+    std::vector<Thread> clients;
+    clients.reserve(config.num_clients);
+    for (std::uint32_t i = 0; i < config.num_clients; ++i) {
+      clients.emplace_back(client_fn, i);
+    }
+  }  // joins the clients
+  done.store(true, std::memory_order_relaxed);
+  gc_signal.bump();
+  if (gc_pool != nullptr) gc_pool->shutdown();
+  live_stop.store(true, std::memory_order_relaxed);
+  if (live_poller.joinable()) live_poller.join();
+
+  result.metrics = engine.merged_metrics();
+  result.group_commit = engine.merged_stats();
+  result.breakdown = engine.latency_breakdown();
+  result.policy_memory_bytes = engine.policy_memory_bytes();
+  const std::uint64_t pending_blocks_total = engine.merged_pending_blocks();
+  const lss::LssConfig& per_shard = engine.per_shard_config();
+  result.engine_memory_bytes =
+      shards * (per_shard.logical_blocks * sizeof(std::uint64_t) +
+                static_cast<std::size_t>(per_shard.total_segments()) *
+                    per_shard.segment_blocks() * (sizeof(Lba) + 1));
+
+  // ---- result assembly ----
   result.lanes = lanes.stats();
   result.elapsed_seconds = spans_elapsed_seconds(spans);
   result.user_blocks = result.metrics.user_blocks;

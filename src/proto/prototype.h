@@ -11,12 +11,10 @@
 // saturates, the scheme with the lowest WA sustains the highest client
 // throughput.
 //
-// Client threads replay independent YCSB-A streams against the live
-// concurrent front-end (lss::ConcurrentEngine): per-shard lock-free MPSC
-// group-commit intake where one client batches its followers' writes into
-// a single engine pass. Background GC runs on a ThreadPool, one task per
-// shard. The old single-mutex path survives as FrontEnd::kBigLockOracle —
-// a test/bench-only contended baseline, no longer the product path.
+// Client threads replay independent YCSB-A streams against the concurrent
+// front-end (lss::ConcurrentEngine): a per-shard writer queue whose head
+// applies every write queued behind it in a single engine pass. Background
+// GC runs on a ThreadPool, one task per shard.
 //
 // Per-op latency (submit -> durable) is captured in nanoseconds into
 // fixed-memory Log2Histograms (one per client thread, merged at the end)
@@ -37,16 +35,6 @@
 #include "trace/synthetic.h"
 
 namespace adapt::proto {
-
-/// Which write path the clients run against.
-enum class FrontEnd {
-  /// Lock-free MPSC group-commit intake over LBA shards — the live path.
-  kGroupCommit,
-  /// One mutex around one engine: the big-lock prototype this PR replaced.
-  /// Kept only as the contended baseline for the scaling bench and as a
-  /// sanity oracle in tests; measures lock convoying, not the engine.
-  kBigLockOracle,
-};
 
 struct PrototypeConfig {
   lss::LssConfig lss;
@@ -78,9 +66,8 @@ struct PrototypeConfig {
   /// min(num_clients, 8), capped so each shard keeps at least 2^15 logical
   /// blocks (the same per-shard floor the simulator applies). An explicit
   /// value is used as-is and may throw from LssConfig::validate when the
-  /// per-shard geometry gets too small. Ignored by the big-lock oracle.
+  /// per-shard geometry gets too small.
   std::uint32_t shards = 0;
-  FrontEnd front_end = FrontEnd::kGroupCommit;
 };
 
 struct PrototypeResult {
@@ -100,16 +87,14 @@ struct PrototypeResult {
   double latency_p999_us = 0.0;
   /// Per-op submit->durable latency distribution, nanoseconds.
   Log2Histogram latency_ns;
-  /// Group-commit batching counters (all zero under the big-lock oracle).
+  /// Group-commit batching counters.
   lss::GroupCommitStats group_commit;
-  /// Phase-attributed virtual-time latency from the group-commit path
-  /// (empty under the big-lock oracle): intake wait, batch apply, lane
-  /// queue, device service — exported into the manifest's
-  /// latency_breakdown block with its additivity identity.
+  /// Phase-attributed virtual-time latency from the group-commit path:
+  /// intake wait, batch apply, lane queue, device service — exported into
+  /// the manifest's latency_breakdown block with its additivity identity.
   lss::LatencyBreakdown breakdown;
   /// Device-lane snapshot: per-lane submit/stall/busy counters plus the
-  /// merged queue-depth and submit→complete distributions (both front-ends
-  /// drive the same DeviceLanes instance).
+  /// merged queue-depth and submit→complete distributions.
   lss::DeviceLanesStats lanes;
   lss::LssMetrics metrics;
   std::size_t policy_memory_bytes = 0;
@@ -132,10 +117,9 @@ struct ClientSpan {
 /// callers must treat 0 as "unmeasurable", never divide by it.
 double spans_elapsed_seconds(const std::vector<ClientSpan>& spans);
 
-/// Guarded rate: amount / elapsed, or 0 when elapsed <= 0. The big-lock
-/// prototype divided by a single end-to-end wall clock truncated through
-/// TimeUs, so a sub-tick run produced inf/garbage throughput; this is the
-/// fix the regression tests in proto_test.cpp pin.
+/// Guarded rate: amount / elapsed, or 0 when elapsed <= 0 (or the rate is
+/// not finite), so a run shorter than the clock tick never reports
+/// inf/garbage throughput; the regression tests in proto_test.cpp pin it.
 double safe_rate(double amount, double elapsed_seconds);
 
 /// Resolved shard count for `config` (applies the auto rule above).

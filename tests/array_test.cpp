@@ -42,18 +42,6 @@ TEST(SsdDeviceTest, InvalidConfigThrows) {
       std::invalid_argument);
 }
 
-TEST(SsdDeviceTest, ReserveSerializesRequests) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 1, .bandwidth_mb_per_s = 1});
-  // 1 MB/s: 1000 bytes take 1000 us.
-  const TimeUs first = dev.reserve(0, 1000);
-  const TimeUs second = dev.reserve(0, 1000);
-  EXPECT_EQ(first, 1000u);
-  EXPECT_EQ(second, 2000u);
-  // After idle, a later request starts at its arrival.
-  const TimeUs third = dev.reserve(10000, 1000);
-  EXPECT_EQ(third, 11000u);
-}
-
 // ---------------------------------------------------------------------------
 // SsdArray
 // ---------------------------------------------------------------------------
@@ -172,15 +160,6 @@ TEST(SsdArrayTest, InvalidConfigThrows) {
                std::invalid_argument);
   EXPECT_THROW(SsdArray(SsdArrayConfig{.num_devices = 4, .chunk_bytes = 0}),
                std::invalid_argument);
-}
-
-TEST(SsdArrayTest, ScheduleChunkAdvancesWithContention) {
-  SsdArray arr(small_array());
-  const TimeUs a = arr.schedule_chunk(0, 0);
-  EXPECT_GT(a, 0u);
-  // Scheduling on the same stream/device back-to-back must not go backwards.
-  const TimeUs b = arr.schedule_chunk(0, 0);
-  EXPECT_GE(b, a);
 }
 
 TEST(SsdArrayTest, TwoDeviceArrayIsMirrorLike) {

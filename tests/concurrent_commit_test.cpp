@@ -1,18 +1,19 @@
-// Tests for the lock-free MPSC group-commit front-end (lss/group_commit.h):
-// intake protocol unit tests, and the differential linearization oracle —
-// the concurrent path records its per-shard op order, a serial engine
-// replays it, and final state + deterministic metrics must match bit-exactly.
+// Tests for the group-commit front-end (lss/group_commit.h): the writer
+// queue's batching and leader handoff, the failure and latency contracts,
+// and the differential linearization oracle — the concurrent path records
+// its per-shard op order, a serial engine replays it, and final state +
+// deterministic metrics must match bit-exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/sync.h"
 #include "lss/group_commit.h"
 #include "lss/placement_policy.h"
@@ -21,81 +22,6 @@
 
 namespace adapt::lss {
 namespace {
-
-// ---------------------------------------------------------------------------
-// WriteIntake protocol (single-threaded: the protocol's state transitions
-// are fully observable without real concurrency).
-
-TEST(WriteIntakeTest, FirstLinkBecomesLeader) {
-  WriteIntake intake;
-  WriteTicket t(0, 1, 0);
-  EXPECT_TRUE(intake.link(&t));
-  EXPECT_EQ(intake.capture_group(&t), &t);
-  EXPECT_EQ(intake.exit_group(&t), nullptr);
-  // List reset: the next ticket is a fresh leader again.
-  WriteTicket u(1, 1, 0);
-  EXPECT_TRUE(intake.link(&u));
-  EXPECT_EQ(intake.exit_group(&u), nullptr);
-}
-
-TEST(WriteIntakeTest, FollowersLinkBehindLeaderInArrivalOrder) {
-  WriteIntake intake;
-  WriteTicket a(0, 1, 0), b(1, 1, 0), c(2, 1, 0);
-  EXPECT_TRUE(intake.link(&a));
-  EXPECT_FALSE(intake.link(&b));
-  EXPECT_FALSE(intake.link(&c));
-  WriteTicket* last = intake.capture_group(&a);
-  EXPECT_EQ(last, &c);
-  // Oldest-to-newest walk covers the batch in arrival order.
-  EXPECT_EQ(a.link_newer.load(), &b);
-  EXPECT_EQ(b.link_newer.load(), &c);
-  EXPECT_EQ(intake.exit_group(last), nullptr);
-}
-
-TEST(WriteIntakeTest, LateArrivalIsPromotedToNextLeader) {
-  WriteIntake intake;
-  WriteTicket a(0, 1, 0), b(1, 1, 0);
-  EXPECT_TRUE(intake.link(&a));
-  WriteTicket* last = intake.capture_group(&a);
-  EXPECT_EQ(last, &a);
-  // b arrives while the leader is applying its batch of one.
-  EXPECT_FALSE(intake.link(&b));
-  WriteTicket* next = intake.exit_group(last);
-  ASSERT_EQ(next, &b);
-  EXPECT_EQ(b.state.load(), WriteState::kLeader);
-  // The promoted leader's link into the dying batch is severed.
-  EXPECT_EQ(b.link_older, nullptr);
-  EXPECT_EQ(intake.exit_group(&b), nullptr);
-}
-
-TEST(WriteIntakeTest, PublishAwaitAbortRoundTrip) {
-  WriteTicket t(0, 1, 0);
-  WriteIntake::publish(&t, WriteState::kAborted);
-  EXPECT_EQ(WriteIntake::await(&t), WriteState::kAborted);
-}
-
-// Regression for a use-after-free in the completion handoff: the owner may
-// observe the terminal state from await()'s lock-free spin and destroy the
-// stack-owned ticket immediately, so publish() must never touch the ticket
-// after its fast-path CAS (the old publish stored under the ticket mutex
-// and then notified/unlocked — a destroyed-mutex race this test trips
-// under TSan/ASan). Odd rounds delay the publisher so the owner exhausts
-// its spin budget and exercises the kLockedWaiting parked path too.
-TEST(WriteIntakeTest, PublishAwaitHandoffStress) {
-  constexpr int kRounds = 1000;
-  for (int round = 0; round < kRounds; ++round) {
-    std::optional<WriteTicket> t;
-    t.emplace(0, 1, 0);
-    Thread publisher([&t, round] {
-      if (round % 2 == 1) sleep_for_us(50);
-      WriteIntake::publish(&*t, WriteState::kCompleted);
-    });
-    EXPECT_EQ(WriteIntake::await(&*t), WriteState::kCompleted);
-    // Destroy the ticket the instant await returns, exactly as write()'s
-    // stack unwinding does; the publisher thread joins only afterwards.
-    t.reset();
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Differential linearization oracle.
@@ -162,6 +88,9 @@ struct DiffCase {
   /// that never reclaims a segment would not be testing the GC interleave.
   std::uint64_t writes_per_client = 20'000;
   bool background_gc = true;
+  /// Mixes 8–64-block spans that cross a blocks_per_shard() boundary into
+  /// the 1-block YCSB stream, so writes split across shards.
+  bool straddle = false;
 };
 
 /// Runs `dc.clients` threads of YCSB writes (plus GC threads) through a
@@ -187,6 +116,7 @@ void run_differential(const DiffCase& dc) {
   // the leader monotonises per shard and records the applied value, so the
   // oracle is exact regardless of what we feed here.
   std::atomic<std::uint64_t> clock{0};
+  std::atomic<std::uint64_t> submitted_blocks{0};
   std::atomic<bool> done{false};
 
   auto client_fn = [&](std::uint32_t client_id) {
@@ -194,14 +124,27 @@ void run_differential(const DiffCase& dc) {
     wc.working_set_blocks = kWorkingSet;
     wc.seed = dc.seed * 7919 + client_id;
     trace::YcsbGenerator gen(wc);
+    Rng rng(wc.seed);
+    const std::uint64_t bps = engine.blocks_per_shard();
     std::uint64_t written = 0;
     while (written < dc.writes_per_client) {
-      const trace::Record r = gen.next();
-      if (r.op != trace::OpType::kWrite) continue;
-      engine.write(r.lba, r.blocks,
-                   clock.fetch_add(1, std::memory_order_relaxed));
-      written += r.blocks;
+      Lba lba = 0;
+      std::uint32_t blocks = 0;
+      if (dc.straddle && rng.below(4) == 0) {
+        // [lba, lba + blocks) covers boundary - 1 and boundary.
+        blocks = static_cast<std::uint32_t>(8 + rng.below(57));
+        const Lba boundary = (1 + rng.below(dc.shards - 1)) * bps;
+        lba = boundary - 1 - rng.below(blocks - 1);
+      } else {
+        const trace::Record r = gen.next();
+        if (r.op != trace::OpType::kWrite) continue;
+        lba = r.lba;
+        blocks = r.blocks;
+      }
+      engine.write(lba, blocks, clock.fetch_add(1, std::memory_order_relaxed));
+      written += blocks;
     }
+    submitted_blocks.fetch_add(written, std::memory_order_relaxed);
   };
   auto gc_fn = [&](std::uint32_t shard) {
     while (!done.load(std::memory_order_relaxed)) {
@@ -237,6 +180,23 @@ void run_differential(const DiffCase& dc) {
     // threads must have migrated blocks concurrently with client writes —
     // otherwise the oracle never sees a write/GC interleave.
     EXPECT_GT(engine.merged_metrics().gc_runs, 0u);
+  }
+  if (dc.straddle) {
+    // Every submitted block is in exactly one shard's log, and spans were
+    // really split: shard 0 logged a sub-span ending at its upper edge.
+    std::uint64_t logged_blocks = 0;
+    bool split_seen = false;
+    for (std::uint32_t i = 0; i < dc.shards; ++i) {
+      for (const RecordedOp& op : engine.recorded_ops(i)) {
+        if (op.kind != RecordedOp::Kind::kWrite) continue;
+        logged_blocks += op.blocks;
+        if (i == 0 && op.lba + op.blocks == engine.blocks_per_shard()) {
+          split_seen = true;
+        }
+      }
+    }
+    EXPECT_EQ(logged_blocks, submitted_blocks.load());
+    EXPECT_TRUE(split_seen);
   }
 
   for (std::uint32_t i = 0; i < dc.shards; ++i) {
@@ -304,6 +264,20 @@ TEST(ConcurrentCommitDifferentialTest, AdaptFourClientsSeed2NoGc) {
   run_differential(dc);
 }
 
+TEST(ConcurrentCommitDifferentialTest, StraddlingSpansTwoShards) {
+  DiffCase dc;
+  dc.straddle = true;
+  run_differential(dc);
+}
+
+TEST(ConcurrentCommitDifferentialTest, StraddlingSpansFourShardsSeed5) {
+  DiffCase dc;
+  dc.straddle = true;
+  dc.seed = 5;
+  dc.shards = 4;
+  run_differential(dc);
+}
+
 TEST(ConcurrentCommitDifferentialTest, SingleShardSingleClientStillExact) {
   DiffCase dc;
   dc.shards = 1;
@@ -328,7 +302,7 @@ TEST(ConcurrentEngineTest, RejectsOutOfRangeWrite) {
 
 // Fault injection for the batch-abort contract: delegates to the real
 // policy, but call #1 parks (holding the leader inside its apply so the
-// test can link followers behind it deterministically) and call #2 throws.
+// test can queue followers behind it deterministically) and call #2 throws.
 struct FaultyControl {
   std::atomic<int> calls{0};
   std::atomic<bool> leader_blocked{false};
@@ -376,9 +350,9 @@ class FaultyPolicy : public PlacementPolicy {
 };
 
 // The failure contract end to end: thread C leads a batch of one and is
-// held inside its engine apply while A and B link behind it; exit_group
-// promotes the older of A/B to lead the batch {A, B}, whose first apply
-// throws. The promoted leader must rethrow the injected engine error, its
+// held inside its engine apply while A and B queue behind it; once C's
+// batch completes, the older of A/B leads the batch {A, B}, whose first
+// apply throws. The promoted leader must rethrow the injected engine error, its
 // follower must throw WriteAborted (its op was never applied), and C —
 // whose op DID apply — must return success. No lost write reports durable.
 TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
@@ -415,7 +389,7 @@ TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
     }
     Thread a([&] { classify(1); });
     Thread b([&] { classify(2); });
-    // Generous margin for a and b to reach link() behind the held leader;
+    // Generous margin for a and b to queue behind the held leader;
     // if either misses the batch it would lead alone and the strict
     // 1/1/1 split below fails loudly rather than passing vacuously.
     sleep_for_us(200'000);
@@ -431,7 +405,7 @@ TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
 
 // Delegating policy that parks call #1 inside the leader's apply (same
 // rendezvous shape as FaultyPolicy, without the injected throw), so the
-// test can deterministically link followers behind a held leader.
+// test can deterministically queue followers behind a held leader.
 class HoldFirstPolicy : public PlacementPolicy {
  public:
   HoldFirstPolicy(std::unique_ptr<PlacementPolicy> inner, FaultyControl* ctrl)
@@ -469,37 +443,111 @@ class HoldFirstPolicy : public PlacementPolicy {
   FaultyControl* ctrl_;
 };
 
-// Regression for the PR 8 latency-attribution caveat: under the old
-// leader-absorbs-the-wait hook, a batch's coalesced flush was charged to
-// its LEADER alone — followers returned in microseconds and their
-// submit→durable latency silently excluded the device time their own
-// writes caused, where the big-lock oracle charges every client that tips
-// a chunk its own wait. The leader now stamps the batch's modeled durable
-// time into every ticket before publishing and each op waits its own share
-// on its own thread, so the held-leader rendezvous below must see ALL
-// three ops (the original leader, the promoted leader of {A, B}, and its
-// follower) spend at least the modeled service time inside write().
-// Before the fix the follower's latency was ~1000x below the floor.
-TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
+/// One-shard sepgc engine whose first placement call parks until
+/// `ctrl->release`, holding the first leader inside its apply.
+std::unique_ptr<ConcurrentEngine> make_held_engine(FaultyControl* ctrl) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
   proto::PrototypeConfig pc;
   pc.policy = "sepgc";
-  FaultyControl ctrl;
   const ShardFactory inner = proto::make_prototype_shard_factory(pc);
-  const ShardFactory factory = [&](std::uint32_t i, const LssConfig& c) {
+  const ShardFactory factory = [inner, ctrl](std::uint32_t i,
+                                             const LssConfig& c) {
     ShardParts parts = inner(i, c);
     parts.policy =
-        std::make_unique<HoldFirstPolicy>(std::move(parts.policy), &ctrl);
+        std::make_unique<HoldFirstPolicy>(std::move(parts.policy), ctrl);
     return parts;
   };
-  ConcurrentEngine engine(cfg, 1, 1, factory);
+  return std::make_unique<ConcurrentEngine>(cfg, 1, 1, factory);
+}
+
+// Batches form in arrival order: while the first leader is parked inside
+// its apply, three writers queue one after another, and the next batch is
+// exactly those three, applied oldest first.
+TEST(ConcurrentEngineTest, BatchesFormInArrivalOrder) {
+  FaultyControl ctrl;
+  const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
+  {
+    Thread first([&] { engine->write(0, 1, 1); });
+    while (!ctrl.leader_blocked.load(std::memory_order_acquire)) {
+      yield_now();
+    }
+    std::vector<Thread> late;
+    late.reserve(3);
+    for (const Lba lba : {Lba{1}, Lba{2}, Lba{3}}) {
+      late.emplace_back([&engine, lba] { engine->write(lba, 1, 1); });
+      // Margin for this writer to queue before the next one starts.
+      sleep_for_us(50'000);
+    }
+    ctrl.release.store(true, std::memory_order_release);
+  }  // joins every writer
+  const std::vector<RecordedOp> log = engine->recorded_ops(0);
+  ASSERT_EQ(log.size(), 4u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].lba, i) << "op " << i;
+  }
+  const GroupCommitStats stats = engine->merged_stats();
+  EXPECT_EQ(stats.groups, 2u);
+  EXPECT_EQ(stats.ops, 4u);
+  EXPECT_EQ(stats.max_batch, 3u);
+}
+
+/// Which test thread is running; read by the batch hook, which runs on
+/// the batch leader's thread.
+thread_local int tl_writer = -1;
+
+// A writer that arrives while a batch applies is not absorbed into it: it
+// waits for the batch to finish and then leads the next batch itself.
+TEST(ConcurrentEngineTest, WriterArrivingDuringApplyLeadsNextBatch) {
+  FaultyControl ctrl;
+  const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
+  // (leader thread, batch size) per batch, in commit order. Batches of one
+  // shard commit one after another, so no lock is needed.
+  std::vector<std::pair<int, std::uint64_t>> batches;
+  engine->set_batch_hook([&batches](const BatchSample& s) {
+    batches.emplace_back(tl_writer, s.ops);
+  });
+  {
+    Thread first([&] {
+      tl_writer = 0;
+      engine->write(0, 1, 1);
+    });
+    while (!ctrl.leader_blocked.load(std::memory_order_acquire)) {
+      yield_now();
+    }
+    Thread late([&] {
+      tl_writer = 1;
+      engine->write(1, 1, 1);
+    });
+    // Margin for the late writer to queue behind the parked leader.
+    sleep_for_us(200'000);
+    ctrl.release.store(true, std::memory_order_release);
+  }  // joins both writers
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0], (std::pair<int, std::uint64_t>{0, 1}));
+  EXPECT_EQ(batches[1], (std::pair<int, std::uint64_t>{1, 1}));
+  EXPECT_EQ(engine->recorded_ops(0).size(), 2u);
+}
+
+// Regression for a latency-attribution bug: under a leader-absorbs-the-
+// wait hook, a batch's coalesced flush was charged to its LEADER alone —
+// followers returned in microseconds and their submit→durable latency
+// silently excluded the device time their own writes caused. The leader
+// now stamps the batch's modeled durable time into every ticket before
+// completing it and each op waits its own share on its own thread, so the
+// held-leader rendezvous below must see ALL three ops (the original
+// leader, the leader of {A, B}, and its follower) spend at least the
+// modeled service time inside write(). Before the fix the follower's
+// latency was ~1000x below the floor.
+TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
+  FaultyControl ctrl;
+  const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
 
   // Modeled device: every flushing batch is durable kServiceUs after
   // submit, and the wait really sleeps — host-clock latency is the proof.
   constexpr TimeUs kServiceUs = 50'000;
   std::atomic<int> submits{0}, waits{0};
-  engine.set_device_model(
+  engine->set_device_model(
       [&](std::uint32_t,
           const std::vector<PendingFlush>& flushes) -> FlushOutcome {
         EXPECT_FALSE(flushes.empty());
@@ -513,11 +561,11 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
 
   // sepgc routes every user write to one fixed group, so a chunk-sized
   // write always tips exactly one full-chunk flush inside its own batch.
-  const std::uint32_t chunk = engine.per_shard_config().chunk_blocks;
+  const std::uint32_t chunk = engine->per_shard_config().chunk_blocks;
   std::uint64_t latency_ns[3] = {0, 0, 0};
   auto timed_write = [&](int idx, Lba lba) {
     const std::uint64_t begin_ns = monotonic_now_ns();
-    engine.write(lba, chunk, 1);
+    engine->write(lba, chunk, 1);
     latency_ns[idx] = monotonic_now_ns() - begin_ns;
   };
   {
@@ -527,8 +575,8 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
     }
     Thread a([&] { timed_write(1, chunk); });
     Thread b([&] { timed_write(2, 2 * chunk); });
-    // Same margin as the abort test: a and b must link behind the held
-    // leader, or the promoted batch is size one and waits drops below 3.
+    // Same margin as the abort test: a and b must queue behind the held
+    // leader, or the second batch is size one and waits drops below 3.
     sleep_for_us(200'000);
     ctrl.release.store(true, std::memory_order_release);
   }  // joins a, b, c

@@ -21,11 +21,13 @@
 namespace adapt::lss {
 namespace {
 
+/// Payload of one chunk-sized submission.
+constexpr std::uint64_t kChunkBytes = std::uint64_t{1} << 20;
+
 DeviceLanesConfig small_config() {
   DeviceLanesConfig cfg;
   cfg.lanes = 1;
   cfg.queue_depth = 2;
-  cfg.chunk_bytes = std::uint64_t{1} << 20;
   cfg.lane_bandwidth_mb_per_s = 100.0;
   return cfg;
 }
@@ -38,21 +40,18 @@ TEST(DeviceLanesConfigTest, ValidateRejectsDegenerateDimensions) {
   cfg.queue_depth = 0;
   EXPECT_THROW(DeviceLanes{cfg}, std::invalid_argument);
   cfg = small_config();
-  cfg.chunk_bytes = 0;
-  EXPECT_THROW(DeviceLanes{cfg}, std::invalid_argument);
-  cfg = small_config();
   cfg.lane_bandwidth_mb_per_s = 0.0;
   EXPECT_THROW(DeviceLanes{cfg}, std::invalid_argument);
 }
 
 TEST(DeviceLanesTest, ServiceTimeMatchesTheDeviceFormula) {
-  // The lane timing law IS SsdDevice's: a lane submission and a direct
-  // device reservation of the same payload must cost the same modeled time.
+  // The lane timing law IS SsdDevice's: a lane submission costs the
+  // device layer's service time for its payload.
   const DeviceLanesConfig cfg = small_config();
   DeviceLanes lanes(cfg);
   const TimeUs service = array::SsdDevice::service_time_us(
-      cfg.lane_bandwidth_mb_per_s, cfg.chunk_bytes);
-  const LaneCompletion c = lanes.submit(0, cfg.chunk_bytes, 0);
+      cfg.lane_bandwidth_mb_per_s, kChunkBytes);
+  const LaneCompletion c = lanes.submit(0, kChunkBytes, 0);
   EXPECT_EQ(c.complete_us - c.admit_us, service);
 }
 
@@ -60,14 +59,14 @@ TEST(DeviceLanesTest, BoundedQueueDelaysAdmissionToOldestCompletion) {
   const DeviceLanesConfig cfg = small_config();  // depth 2
   DeviceLanes lanes(cfg);
   const TimeUs service = array::SsdDevice::service_time_us(
-      cfg.lane_bandwidth_mb_per_s, cfg.chunk_bytes);
+      cfg.lane_bandwidth_mb_per_s, kChunkBytes);
   ASSERT_GT(service, 0u);
 
   // Two fit the queue at t=0; the third finds it full and is admitted (in
   // virtual time) when the oldest outstanding submission completes.
-  const LaneCompletion c1 = lanes.submit(0, cfg.chunk_bytes, 0);
-  const LaneCompletion c2 = lanes.submit(0, cfg.chunk_bytes, 0);
-  const LaneCompletion c3 = lanes.submit(0, cfg.chunk_bytes, 0);
+  const LaneCompletion c1 = lanes.submit(0, kChunkBytes, 0);
+  const LaneCompletion c2 = lanes.submit(0, kChunkBytes, 0);
+  const LaneCompletion c3 = lanes.submit(0, kChunkBytes, 0);
   EXPECT_EQ(c1.admit_us, 0u);
   EXPECT_EQ(c1.complete_us, service);
   EXPECT_EQ(c2.admit_us, 0u);
@@ -86,29 +85,10 @@ TEST(DeviceLanesTest, BoundedQueueDelaysAdmissionToOldestCompletion) {
   // A submission after everything drained retires the ring: admitted at
   // its own wall time, alone in the queue.
   const TimeUs later = c3.complete_us + 1;
-  const LaneCompletion c4 = lanes.submit(0, cfg.chunk_bytes, later);
+  const LaneCompletion c4 = lanes.submit(0, kChunkBytes, later);
   EXPECT_EQ(c4.admit_us, later);
   EXPECT_EQ(c4.complete_us, later + service);
   EXPECT_EQ(lanes.stats().per_lane[0].stalled_submits, 1u);
-}
-
-TEST(DeviceLanesTest, SubmitChunksRoundRobinsAndReturnsLatestCompletion) {
-  DeviceLanesConfig cfg = small_config();
-  cfg.lanes = 4;
-  DeviceLanes lanes(cfg);
-  const TimeUs service = array::SsdDevice::service_time_us(
-      cfg.lane_bandwidth_mb_per_s, cfg.chunk_bytes);
-
-  // Four chunks over four idle lanes: one each, all complete in parallel.
-  EXPECT_EQ(lanes.submit_chunks(/*lane_hint=*/2, 4, 0), service);
-  const DeviceLanesStats stats = lanes.stats();
-  for (const LaneStats& l : stats.per_lane) {
-    EXPECT_EQ(l.submits, 1u);
-  }
-  // Five more starting later: one lane serves two chunks back to back and
-  // sets the batch's durable time.
-  const TimeUs now = 10 * service;
-  EXPECT_EQ(lanes.submit_chunks(0, 5, now), now + 2 * service);
 }
 
 TEST(DeviceLanesTest, CompletionBeforeIsATotalOrder) {
@@ -130,7 +110,7 @@ TEST(DeviceLanesTest, LaneTraceSinkSeesSubmitAndComplete) {
   const DeviceLanesConfig cfg = small_config();
   DeviceLanes lanes(cfg);
   lanes.set_trace_sink(0, &sink);
-  const LaneCompletion c = lanes.submit(0, cfg.chunk_bytes, 7);
+  const LaneCompletion c = lanes.submit(0, kChunkBytes, 7);
   ASSERT_EQ(sink.events.size(), 2u);
   EXPECT_EQ(sink.events[0].kind, TraceEventKind::kLaneSubmit);
   EXPECT_EQ(sink.events[0].a, c.seq);
@@ -138,7 +118,7 @@ TEST(DeviceLanesTest, LaneTraceSinkSeesSubmitAndComplete) {
   EXPECT_EQ(sink.events[1].kind, TraceEventKind::kLaneComplete);
   EXPECT_EQ(sink.events[1].c, c.complete_us);
   lanes.set_trace_sink(0, nullptr);
-  lanes.submit(0, cfg.chunk_bytes, 8);
+  lanes.submit(0, kChunkBytes, 8);
   EXPECT_EQ(sink.events.size(), 2u);
 }
 
@@ -238,7 +218,6 @@ TEST(DeviceLanesDeterminismTest, WorkerCountNeverChangesStatsOrOrder) {
   DeviceLanesConfig cfg;
   cfg.lanes = 4;
   cfg.queue_depth = 8;
-  cfg.chunk_bytes = std::uint64_t{1} << 20;
   cfg.lane_bandwidth_mb_per_s = 150.0;
   const auto schedule = make_schedule(cfg.lanes, /*seed=*/42);
 
@@ -301,7 +280,6 @@ TEST(DeviceLanesDifferentialTest, MatchesNaiveModelOnRandomSchedules) {
     DeviceLanesConfig cfg;
     cfg.lanes = 3;
     cfg.queue_depth = 4;
-    cfg.chunk_bytes = std::uint64_t{1} << 18;
     cfg.lane_bandwidth_mb_per_s = 80.0;
     DeviceLanes lanes(cfg);
     std::vector<NaiveLane> naive(cfg.lanes);
@@ -329,11 +307,10 @@ TEST(DeviceLanesManifestTest, LanesBlockRoundTripsThroughValidator) {
   DeviceLanesConfig cfg;
   cfg.lanes = 2;
   cfg.queue_depth = 2;
-  cfg.chunk_bytes = std::uint64_t{1} << 20;
   cfg.lane_bandwidth_mb_per_s = 100.0;
   DeviceLanes lanes(cfg);
-  for (int i = 0; i < 8; ++i) {
-    lanes.submit_chunks(static_cast<std::uint32_t>(i), 2, 0);
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    lanes.submit(i % cfg.lanes, kChunkBytes, 0);
   }
 
   obs::RunManifest m;

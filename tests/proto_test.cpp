@@ -90,9 +90,9 @@ TEST(PrototypeTest, WaConsistentWithSimSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// Timing regressions: the big-lock prototype divided blocks by a single
-// TimeUs-truncated wall clock, so a run faster than the clock tick reported
-// inf (or, with an unlucky truncation, wildly inflated) throughput.
+// Timing regressions: dividing blocks by a single TimeUs-truncated wall
+// clock made a run faster than the clock tick report inf (or, with an
+// unlucky truncation, wildly inflated) throughput.
 
 TEST(PrototypeTimingTest, SpansEnvelopeCoversAllClients) {
   const std::vector<ClientSpan> spans = {
@@ -141,19 +141,6 @@ TEST(PrototypeTest, GroupCommitStatsPopulated) {
   EXPECT_GE(r.group_commit.ops, r.group_commit.groups);
   EXPECT_GE(r.group_commit.max_batch, 1u);
   EXPECT_GE(r.shards, 1u);
-}
-
-TEST(PrototypeTest, BigLockOracleStillRuns) {
-  PrototypeConfig c = tiny_proto();
-  c.front_end = FrontEnd::kBigLockOracle;
-  c.writes_per_client = 2000;
-  const PrototypeResult r = run_prototype(c);
-  EXPECT_GE(r.user_blocks, 4000u);
-  EXPECT_GT(r.throughput_mib_per_s, 0.0);
-  EXPECT_FALSE(r.latency_ns.empty());
-  // The oracle has no intake, so batching counters stay zero.
-  EXPECT_EQ(r.group_commit.groups, 0u);
-  EXPECT_EQ(r.shards, 1u);
 }
 
 TEST(PrototypeTest, ShardAutoRuleRespectsPerShardFloor) {

@@ -72,29 +72,42 @@ TEST(RuntimeStatsTest, ConcurrentReadersNeverObserveTornSnapshots) {
   constexpr int kReaders = 2;
   constexpr std::uint64_t kPublishesPerWriter = 4000;
 
+  // Readers start first, and writers publish only once every reader has
+  // taken a snapshot, so reads overlap writes however the host schedules.
   std::vector<Thread> threads;
-  threads.reserve(kWriters + kReaders);
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&stats] {
-      for (std::uint64_t i = 0; i < kPublishesPerWriter; ++i) {
-        const std::uint64_t k = (i % 7) + 1;
-        stats.publish_progress(k, 2 * k);
-      }
-    });
-  }
+  threads.reserve(kReaders + kWriters);
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<int> readers_started{0};
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&stats, &stop, &reads] {
+    threads.emplace_back([&stats, &stop, &reads, &readers_started] {
+      bool started = false;
       while (!stop.load(std::memory_order_relaxed)) {
         const RuntimeSnapshot snap = stats.snapshot();
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
         ASSERT_EQ(snap.blocks, 2 * snap.ops)
             << "torn snapshot at batch " << snap.batches;
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  // Join the writers (the first kWriters threads), then stop the readers.
-  for (int w = 0; w < kWriters; ++w) threads[static_cast<size_t>(w)].join();
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&stats, &readers_started] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        yield_now();
+      }
+      for (std::uint64_t i = 0; i < kPublishesPerWriter; ++i) {
+        const std::uint64_t k = (i % 7) + 1;
+        stats.publish_progress(k, 2 * k);
+      }
+    });
+  }
+  // Join the writers (the last kWriters threads), then stop the readers.
+  for (int w = 0; w < kWriters; ++w) {
+    threads[static_cast<size_t>(kReaders + w)].join();
+  }
   stop.store(true, std::memory_order_relaxed);
   threads.clear();  // joins readers
 
