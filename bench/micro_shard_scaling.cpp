@@ -22,6 +22,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/zipf.h"
+#include "lss/sharded_engine.h"
 #include "sim/simulator.h"
 
 namespace adapt::bench {
@@ -87,7 +88,7 @@ int run() {
       std::max<std::uint64_t>(env_u64("ADAPT_BENCH_MAX_SHARDS", 4), 1);
   const std::uint64_t capacity = std::max<std::uint64_t>(
       env_u64("ADAPT_BENCH_SHARD_CAPACITY", std::uint64_t{1} << 17),
-      (std::uint64_t{1} << 15) * max_shards);
+      lss::kMinShardBlocks * max_shards);
   const double fill = env_f64("ADAPT_BENCH_FILL", 3.0);
   const std::uint64_t reps = std::max<std::uint64_t>(
       env_u64("ADAPT_BENCH_REPS", 3), 1);

@@ -10,39 +10,14 @@ ConcurrentEngine::ConcurrentEngine(const LssConfig& config,
                                    std::uint64_t base_seed,
                                    const ShardFactory& factory,
                                    bool record_ops)
-    : shard_config_(shard_config(config, shard_count)),
-      logical_blocks_(config.logical_blocks),
-      record_ops_(record_ops) {
-  if (!factory) {
-    throw std::invalid_argument("ConcurrentEngine: null shard factory");
-  }
-  // Range partitioning splits the array's arrival stream N ways, so each
-  // shard sees inter-write gaps ~N× longer than the unsharded engine
-  // would. The coalesce window models "how long a partial chunk waits for
-  // more user data before padding out"; keeping it fixed while arrival
-  // thins out N× turns routine gaps into deadline expiries and floods the
-  // device with padded flushes. Scale it by the shard count so the
-  // per-shard window represents the same aggregate wait.
-  shard_config_.coalesce_window_us *= shard_count;
+    : record_ops_(record_ops),
+      sharded_(config, shard_count, base_seed, factory) {
   shards_.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-    shard->parts = factory(i, shard_config_);
-    if (shard->parts.policy == nullptr || shard->parts.victim == nullptr) {
-      throw std::invalid_argument(
-          "ConcurrentEngine: factory returned a null policy or victim");
-    }
-    // Same seeding law as ShardedEngine: shard i gets base_seed + i, so a
-    // serial oracle built from the same factory/config/seed is bit-
-    // comparable shard by shard.
     LockGuard g(shard->mu);
-    shard->engine = std::make_unique<LssEngine>(
-        shard_config_, *shard->parts.policy, *shard->parts.victim,
-        shard->parts.array.get(), base_seed + i);
-    if (shard->parts.hook != nullptr) {
-      shard->engine->set_aggregation_hook(shard->parts.hook);
-    }
+    shard->engine = &sharded_.shard(i);
     // Apply/durable split: every flush the engine performs is recorded in
     // the shard's collector; lead() and gc_step() drain it under the shard
     // lock and model durability outside.
@@ -50,6 +25,26 @@ ConcurrentEngine::ConcurrentEngine(const LssConfig& config,
     shards_.push_back(std::move(shard));
   }
 }
+
+/// Holds every shard's engine mutex, taken in index order. No other path
+/// holds two `mu`s, so this order cannot deadlock. The analysis cannot
+/// name a lock set sized at run time, hence the escape hatches.
+class ConcurrentEngine::AllShardsLock {
+ public:
+  explicit AllShardsLock(const ConcurrentEngine& engine)
+      ADAPT_NO_THREAD_SAFETY_ANALYSIS : shards_(engine.shards_) {
+    for (const std::unique_ptr<Shard>& sh : shards_) sh->mu.lock();
+  }
+  ~AllShardsLock() ADAPT_NO_THREAD_SAFETY_ANALYSIS {
+    for (const std::unique_ptr<Shard>& sh : shards_) sh->mu.unlock();
+  }
+
+  AllShardsLock(const AllShardsLock&) = delete;
+  AllShardsLock& operator=(const AllShardsLock&) = delete;
+
+ private:
+  const std::vector<std::unique_ptr<Shard>>& shards_;
+};
 
 void ConcurrentEngine::set_trace_sink(std::uint32_t i, TraceSink* sink) {
   Shard& sh = *shards_.at(i);
@@ -88,25 +83,17 @@ struct ConcurrentEngine::WriteTicket {
 };
 
 void ConcurrentEngine::write(Lba lba, std::uint32_t blocks, TimeUs submit_us) {
-  if (lba + blocks > logical_blocks_) {
-    throw std::out_of_range("write beyond logical capacity");
-  }
-  // Range split: shard s covers [s*bps, (s+1)*bps). A request is tiny next
-  // to a shard, so almost every op is one sub-span; one that crosses a
-  // boundary commits one shard after another (see the header).
-  const std::uint64_t bps = shard_config_.logical_blocks;
-  const Lba end = lba + blocks;
+  // A request is tiny next to a shard, so almost every op is one sub-span;
+  // one that crosses a boundary commits one shard after another and stops
+  // at the first sub-span that fails (see the header).
   TimeUs durable_us = 0;
   std::exception_ptr error;
-  for (Lba at = lba; at < end && error == nullptr;) {
-    const std::uint32_t s = shard_of(at);
-    const Lba shard_base = std::uint64_t{s} * bps;
-    const Lba stop = std::min<Lba>(end, shard_base + bps);
-    WriteTicket t(at - shard_base, static_cast<std::uint32_t>(stop - at),
-                  submit_us);
-    durable_us = std::max(durable_us, commit(*shards_[s], t, error));
-    at = stop;
-  }
+  sharded_.for_each_subspan(
+      lba, blocks, [&](std::uint32_t s, Lba local, std::uint32_t count) {
+        if (error != nullptr) return;
+        WriteTicket t(local, count, submit_us);
+        durable_us = std::max(durable_us, commit(*shards_[s], t, error));
+      });
   // Wait out this op's share of its batches' coalesced flushes on THIS
   // thread, once, for the latest durable time — the leaders stamped it
   // into every ticket before completing them.
@@ -365,63 +352,34 @@ void ConcurrentEngine::flush_all() {
 }
 
 LssMetrics ConcurrentEngine::merged_metrics() const {
-  LssMetrics merged;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    merged.merge_from(shard->engine->metrics());
-  }
-  return merged;
+  const AllShardsLock all(*this);
+  return sharded_.merged_metrics();
 }
 
 std::uint64_t ConcurrentEngine::chunks_flushed() const {
-  std::uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    total += shard->engine->chunks_flushed();
-  }
-  return total;
+  const AllShardsLock all(*this);
+  return sharded_.chunks_flushed();
 }
 
 std::vector<std::uint32_t> ConcurrentEngine::merged_segments_per_group()
     const {
-  std::vector<std::uint32_t> merged;
-  std::vector<std::uint32_t> scratch;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    shard->engine->segments_per_group(scratch);
-    if (merged.size() < scratch.size()) merged.resize(scratch.size(), 0);
-    for (std::size_t g2 = 0; g2 < scratch.size(); ++g2) {
-      merged[g2] += scratch[g2];
-    }
-  }
-  return merged;
+  const AllShardsLock all(*this);
+  return sharded_.merged_segments_per_group();
 }
 
 std::uint64_t ConcurrentEngine::merged_pending_blocks() const {
-  std::uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    const GroupId groups = shard->engine->group_count();
-    for (GroupId g2 = 0; g2 < groups; ++g2) {
-      total += shard->engine->pending_blocks(g2);
-    }
-  }
-  return total;
+  const AllShardsLock all(*this);
+  return sharded_.merged_pending_blocks();
 }
 
 std::size_t ConcurrentEngine::policy_memory_bytes() const {
-  std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->parts.policy->memory_usage_bytes();
-  }
-  return total;
+  const AllShardsLock all(*this);
+  return sharded_.policy_memory_bytes();
 }
 
 void ConcurrentEngine::check_invariants(audit::Level level) const {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    shard->engine->check_invariants(level);
-  }
+  const AllShardsLock all(*this);
+  sharded_.check_invariants(level);
 }
 
 GroupCommitStats ConcurrentEngine::shard_stats(std::uint32_t i) const {

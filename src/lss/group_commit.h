@@ -1,10 +1,14 @@
-// Group-commit front-end over LBA-range-sharded LssEngines.
+// Group-commit front-end: the concurrent driver of the shard set.
 //
-// The prototype's live concurrent write path. Each shard keeps a FIFO
-// writer queue shaped like LevelDB's DBImpl::Write (the writer-group
-// pattern of SNIPPETS.md #2/#3): client threads queue up, and the thread
-// at the head of the queue — the *group leader* — applies everything
-// queued behind it against the shard's engine in one critical section.
+// The prototype's live concurrent write path. ConcurrentEngine owns a
+// ShardedEngine — the one shard set, which alone divides the config,
+// builds and seeds the shards, maps LBAs by contiguous range and merges
+// per-shard results (lss/sharded_engine.h) — and adds only the concurrent
+// intake around it. Each shard keeps a FIFO writer queue shaped like
+// LevelDB's DBImpl::Write (the writer-group pattern of SNIPPETS.md #2/#3):
+// client threads queue up, and the thread at the head of the queue — the
+// *group leader* — applies everything queued behind it against the
+// shard's engine in one critical section.
 //
 //   1. enqueue: a writer appends its stack-owned ticket to the shard's
 //               queue under queue_mu and waits on the ticket's condvar
@@ -88,20 +92,11 @@ struct GroupCommitStats {
   std::uint64_t max_batch = 0;  ///< largest single batch (tickets)
 };
 
-/// The concurrent front-end: N independent LBA-sharded LssEngines (same
-/// geometry division and per-shard seeding as ShardedEngine — shard i
-/// seeds with base_seed + i), each fronted by a writer queue whose head
-/// leads the shard's next batch.
-///
-/// Partitioning is by contiguous LBA range (shard = lba / blocks_per_shard)
-/// rather than ShardedEngine's modulo striping: a multi-block request is
-/// tiny next to a shard (tens of blocks vs tens of thousands), so range
-/// partitioning keeps almost every op on ONE shard — one queue rendezvous
-/// per op instead of one per touched shard. Modulo striping would shred
-/// each request across all shards and make every op wait on several other
-/// threads' leaders, which serializes badly once cores are scarce. Hotspot
-/// skew is not a concern for the target workloads: the YCSB generator uses
-/// a scrambled zipfian, which spreads hot keys uniformly over the range.
+/// The concurrent driver over a ShardedEngine: each shard of the shard set
+/// is fronted by a writer queue whose head leads the shard's next batch,
+/// an engine mutex, a monotonised clock, a flush collector, an op log, a
+/// trace sink and batching stats. Partitioning, per-shard config, seeding
+/// and the merges are the shard set's.
 ///
 /// write() and gc_step() are thread-safe. The merged observers
 /// (merged_metrics, chunks_flushed, recorded_ops, ...) take the shard
@@ -119,17 +114,13 @@ class ConcurrentEngine {
   ConcurrentEngine& operator=(const ConcurrentEngine&) = delete;
 
   std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
+    return sharded_.shard_count();
   }
-  std::uint64_t logical_blocks() const noexcept { return logical_blocks_; }
-  const LssConfig& per_shard_config() const noexcept { return shard_config_; }
-  /// Range partition: shard holding global `lba`; its local address is
-  /// lba - shard * blocks_per_shard().
-  std::uint32_t shard_of(Lba lba) const noexcept {
-    return static_cast<std::uint32_t>(lba / shard_config_.logical_blocks);
+  const LssConfig& per_shard_config() const noexcept {
+    return sharded_.per_shard_config();
   }
   std::uint64_t blocks_per_shard() const noexcept {
-    return shard_config_.logical_blocks;
+    return sharded_.blocks_per_shard();
   }
 
   /// Submits one batch's drained flush records to a device model (e.g.
@@ -162,7 +153,7 @@ class ConcurrentEngine {
   /// Attaches a trace sink to shard `i` (engine events + kGroupCommit
   /// batch events + per-op kOpSubmit/kOpDurable lifecycle events).
   /// Emission happens under the shard lock, so an unsynchronised per-shard
-  /// ring is safe, mirroring ShardedEngine.
+  /// ring is safe.
   void set_trace_sink(std::uint32_t i, TraceSink* sink);
 
   /// Installs a live-stats hook called by every batch leader right after
@@ -205,6 +196,8 @@ class ConcurrentEngine {
   void flush_all();
 
   // -- quiesced observers ---------------------------------------------------
+  // Each holds every shard's engine mutex, taken in index order, while it
+  // calls the shard set's merge of the same name.
 
   LssMetrics merged_metrics() const;
   std::uint64_t chunks_flushed() const;
@@ -227,10 +220,9 @@ class ConcurrentEngine {
 
   /// Read-only access to shard `i`'s engine for final-state comparison.
   /// Quiesced-only: deliberately bypasses the shard lock (the analysis
-  /// cannot express "all writers joined"), hence the escape hatch.
-  const LssEngine& shard_for_inspection(std::uint32_t i) const
-      ADAPT_NO_THREAD_SAFETY_ANALYSIS {
-    return *shards_.at(i)->engine;
+  /// cannot express "all writers joined").
+  const LssEngine& shard_for_inspection(std::uint32_t i) const {
+    return sharded_.shard(i);
   }
 
   /// Serial oracle replay: applies `log` to `engine` exactly as the
@@ -245,9 +237,14 @@ class ConcurrentEngine {
   /// in group_commit.cpp next to the queue protocol).
   struct WriteTicket;
 
+  /// Holds every shard's engine mutex, taken in index order, while a
+  /// quiesced observer calls into the shard set (defined in
+  /// group_commit.cpp).
+  class AllShardsLock;
+
+  /// The intake state fronting one shard of the shard set.
   struct Shard {
     std::uint32_t index = 0;
-    ShardParts parts;
     /// Guards the writer queue: head/tail and every queued ticket's `next`
     /// and `state`. Separate from `mu` and never held while a batch
     /// applies, so writers keep queueing behind the running batch.
@@ -257,7 +254,8 @@ class ConcurrentEngine {
     /// The engine mutex: held by the current leader for the apply, by GC
     /// passes, and by the observers.
     Mutex mu;
-    std::unique_ptr<LssEngine> engine ADAPT_PT_GUARDED_BY(mu);
+    /// This shard's engine, owned by the shard set.
+    LssEngine* engine ADAPT_PT_GUARDED_BY(mu) = nullptr;
     TimeUs last_ts ADAPT_GUARDED_BY(mu) = 0;
     /// Flush records appended by the engine's chunk writer (the collector
     /// attached in the ctor) since the last drain. Every batch and GC pass
@@ -293,12 +291,11 @@ class ConcurrentEngine {
   /// would serialize behind the leader's sleep.
   void lead(Shard& sh, WriteTicket* leader, WriteTicket* last);
 
-  LssConfig shard_config_;
-  std::uint64_t logical_blocks_ = 0;
   bool record_ops_ = true;
   FlushSubmitFn flush_submit_;
   DurableWaitFn durable_wait_;
   std::function<void(const BatchSample&)> batch_hook_;
+  ShardedEngine sharded_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -34,10 +34,13 @@ LssConfig shard_config(const LssConfig& global, std::uint32_t shard_count) {
   }
   LssConfig per_shard = global;
   // Uniform ceil-division: every shard gets the same logical size (the
-  // remainder shards simply never see their top addresses), so one
-  // validate() covers all shards and shard 0 at N == 1 is exact.
+  // last shard simply never sees its top addresses), so one validate()
+  // covers all shards and shard 0 at N == 1 is exact.
   per_shard.logical_blocks =
       (global.logical_blocks + shard_count - 1) / shard_count;
+  // Each shard's inter-write gaps are ~N× the global ones; an unscaled
+  // window would turn routine gaps into deadline expiries and padding.
+  per_shard.coalesce_window_us *= shard_count;
   return per_shard;
 }
 
@@ -68,24 +71,7 @@ ShardedEngine::ShardedEngine(const LssConfig& config,
   }
 }
 
-template <typename Fn>
-void ShardedEngine::for_each_subspan(Lba lba, std::uint32_t blocks,
-                                     Fn&& fn) const {
-  const auto n = static_cast<std::uint32_t>(shards_.size());
-  const auto first_shard = static_cast<std::uint32_t>(lba % n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    // Offset within the span of the first block landing on shard s.
-    const std::uint32_t i0 = (s + n - first_shard) % n;
-    if (i0 >= blocks) continue;
-    const std::uint32_t count = (blocks - i0 + n - 1) / n;
-    fn(s, (lba + i0) / n, count);
-  }
-}
-
 void ShardedEngine::write(Lba lba, std::uint32_t blocks, TimeUs now_us) {
-  if (lba + blocks > logical_blocks_) {
-    throw std::out_of_range("write beyond logical capacity");
-  }
   for_each_subspan(lba, blocks,
                    [&](std::uint32_t s, Lba local, std::uint32_t count) {
                      shards_[s].engine->write(local, count, now_us);
@@ -93,9 +79,6 @@ void ShardedEngine::write(Lba lba, std::uint32_t blocks, TimeUs now_us) {
 }
 
 void ShardedEngine::read(Lba lba, std::uint32_t blocks, TimeUs now_us) {
-  if (lba + blocks > logical_blocks_) {
-    throw std::out_of_range("read beyond logical capacity");
-  }
   for_each_subspan(lba, blocks,
                    [&](std::uint32_t s, Lba local, std::uint32_t count) {
                      shards_[s].engine->read(local, count, now_us);
@@ -110,46 +93,16 @@ void ShardedEngine::flush_all() {
   for (Shard& shard : shards_) shard.engine->flush_all();
 }
 
-bool ShardedEngine::gc_step(TimeUs now_us, std::uint32_t watermark,
-                            ThreadPool* pool) {
-  std::vector<char> did_work(shards_.size(), 0);
-  if (pool == nullptr || shards_.size() == 1) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      did_work[i] = shards_[i].engine->gc_step(now_us, watermark) ? 1 : 0;
-    }
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard& shard = shards_[i];
-      char* flag = &did_work[i];
-      pool->submit([&shard, flag, now_us, watermark] {
-        try {
-          *flag = shard.engine->gc_step(now_us, watermark) ? 1 : 0;
-        } catch (...) {
-          shard.error = std::current_exception();
-        }
-      });
-    }
-    pool->wait_idle();
-    for (Shard& shard : shards_) {
-      if (shard.error != nullptr) {
-        const std::exception_ptr err = shard.error;
-        shard.error = nullptr;
-        std::rethrow_exception(err);
-      }
-    }
+bool ShardedEngine::gc_step(TimeUs now_us, std::uint32_t watermark) {
+  bool did_work = false;
+  for (Shard& shard : shards_) {
+    if (shard.engine->gc_step(now_us, watermark)) did_work = true;
   }
-  for (const char w : did_work) {
-    if (w != 0) return true;
-  }
-  return false;
+  return did_work;
 }
 
 void ShardedEngine::enqueue(Lba lba, std::uint32_t blocks, TimeUs now_us,
                             bool is_write) {
-  if (lba + blocks > logical_blocks_) {
-    throw std::out_of_range(is_write ? "write beyond logical capacity"
-                                     : "read beyond logical capacity");
-  }
   for_each_subspan(lba, blocks,
                    [&](std::uint32_t s, Lba local, std::uint32_t count) {
                      shards_[s].queue.push_back(
@@ -248,6 +201,16 @@ array::StreamStats ShardedEngine::merged_array_totals() const {
     merged.rmw_read_bytes += t.rmw_read_bytes;
   }
   return merged;
+}
+
+std::uint64_t ShardedEngine::merged_pending_blocks() const {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    for (GroupId g = 0; g < shard.engine->group_count(); ++g) {
+      total += shard.engine->pending_blocks(g);
+    }
+  }
+  return total;
 }
 
 std::uint64_t ShardedEngine::chunks_flushed() const noexcept {

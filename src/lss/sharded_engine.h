@@ -1,15 +1,21 @@
-// ShardedEngine: an LBA-sharded parallel front-end over N independent
-// LssEngine shards.
+// ShardedEngine: the one shard set — N independent LssEngine shards over
+// contiguous LBA ranges.
 //
-// The LBA space is modulo-partitioned: lba `l` lives on shard `l % N` at
-// local address `l / N`, so a contiguous global span maps to one contiguous
-// local span per shard and hot/cold mixes spread evenly across shards.
-// Each shard is a complete, independent log-structured store — its own
-// placement policy, victim index, segment pool, and (optionally) SSD array
-// — so shards share no mutable state and a shard's behaviour depends only
-// on its own (op, lba, timestamp) sequence. That makes parallel replay
-// deterministic regardless of thread scheduling: enqueue ops in trace
-// order, then run_queued() replays every shard's queue on a ThreadPool.
+// The LBA space is range-partitioned: shard `s` covers
+// [s * blocks_per_shard, (s + 1) * blocks_per_shard), so global lba `l`
+// lives on shard `l / blocks_per_shard` at local address
+// `l % blocks_per_shard`. A request is tiny next to a shard, so almost
+// every span lands whole on one shard and a group's open chunk sees the
+// same arrival density the unsharded engine would. Each shard is a
+// complete, independent log-structured store — its own placement policy,
+// victim index, segment pool, and (optionally) SSD array — so shards share
+// no mutable state and a shard's behaviour depends only on its own
+// (op, lba, timestamp) sequence.
+//
+// Two drivers sit on this shard set: queued deterministic replay here
+// (enqueue ops in trace order, then run_queued() replays every shard's
+// queue on a ThreadPool — deterministic regardless of thread scheduling),
+// and the concurrent group-commit intake of lss::ConcurrentEngine.
 //
 // N == 1 is an exact pass-through: a 1-shard ShardedEngine reproduces the
 // single-engine pinned fixed-seed regression metrics bit-identically.
@@ -24,12 +30,16 @@
 // no mutable state crosses a shard boundary in between, so there is nothing
 // for a mutex (or a capability annotation) to guard. The ThreadPool
 // underneath carries the annotations; -Wthread-safety checks that side.
+// ConcurrentEngine supplies its own per-shard locks around this class.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -59,15 +69,23 @@ using ShardFactory =
 /// typo cannot allocate absurd per-shard state.
 inline constexpr std::uint32_t kMaxShards = 4096;
 
+/// Per-shard logical-space floor callers apply before sharding: enough
+/// over-provisioned segments for even an 8-group policy's GC watermark at
+/// the default geometry (see LssConfig::validate).
+inline constexpr std::uint64_t kMinShardBlocks = std::uint64_t{1} << 15;
+
 /// Parses a shard count from CLI/config text: strict decimal digits, no
 /// sign or whitespace, value in [1, kMaxShards]. Throws
 /// std::invalid_argument on anything else (including overflow).
 std::uint32_t parse_shard_count(std::string_view text);
 
-/// Derives the per-shard geometry: the logical space divides evenly-as-
+/// Derives the per-shard config: the logical space divides evenly-as-
 /// possible (ceil(logical_blocks / shard_count), uniform across shards so
-/// every shard validates the same way). Throws std::invalid_argument when
-/// shard_count is 0, exceeds kMaxShards, or exceeds logical_blocks.
+/// every shard validates the same way), and the coalesce window scales by
+/// shard_count — each shard sees ~1/N of the arrivals, so its window must
+/// span N× the time to wait for the same amount of user data before
+/// padding out. Throws std::invalid_argument when shard_count is 0,
+/// exceeds kMaxShards, or exceeds logical_blocks.
 LssConfig shard_config(const LssConfig& global, std::uint32_t shard_count);
 
 class ShardedEngine {
@@ -87,18 +105,39 @@ class ShardedEngine {
   }
   std::uint64_t logical_blocks() const noexcept { return logical_blocks_; }
   const LssConfig& per_shard_config() const noexcept { return shard_config_; }
-
-  std::uint32_t shard_of(Lba lba) const noexcept {
-    return static_cast<std::uint32_t>(lba % shards_.size());
+  std::uint64_t blocks_per_shard() const noexcept {
+    return shard_config_.logical_blocks;
   }
-  Lba local_of(Lba lba) const noexcept { return lba / shards_.size(); }
+
+  /// Range partition: the shard holding global `lba`, and its address
+  /// there.
+  std::uint32_t shard_of(Lba lba) const noexcept {
+    return static_cast<std::uint32_t>(lba / blocks_per_shard());
+  }
+  Lba local_of(Lba lba) const noexcept { return lba % blocks_per_shard(); }
+
+  /// Invokes fn(shard_index, local_lba, local_blocks) for every shard
+  /// receiving part of the global span [lba, lba + blocks), in shard
+  /// order. Throws std::out_of_range, invoking nothing, when the span
+  /// passes the logical capacity.
+  template <typename Fn>
+  void for_each_subspan(Lba lba, std::uint32_t blocks, Fn&& fn) const {
+    const Lba end = lba + blocks;
+    if (end > logical_blocks_) {
+      throw std::out_of_range("span beyond logical capacity");
+    }
+    const std::uint64_t bps = blocks_per_shard();
+    for (Lba at = lba; at < end;) {
+      const std::uint32_t s = shard_of(at);
+      const Lba stop = std::min<Lba>(end, (Lba{s} + 1) * bps);
+      fn(s, at - Lba{s} * bps, static_cast<std::uint32_t>(stop - at));
+      at = stop;
+    }
+  }
 
   LssEngine& shard(std::uint32_t i) { return *shards_.at(i).engine; }
   const LssEngine& shard(std::uint32_t i) const {
     return *shards_.at(i).engine;
-  }
-  PlacementPolicy& shard_policy(std::uint32_t i) {
-    return *shards_.at(i).parts.policy;
   }
 
   /// Attaches a trace sink to shard `i`'s engine (nullptr detaches). Each
@@ -107,9 +146,6 @@ class ShardedEngine {
   /// per-shard rings afterwards, exactly like Registry/metrics.
   void set_trace_sink(std::uint32_t i, TraceSink* sink) {
     shards_.at(i).engine->set_trace_sink(sink);
-  }
-  const array::SsdArray* shard_array(std::uint32_t i) const {
-    return shards_.at(i).parts.array.get();
   }
 
   // -- synchronous ops (route to shards on the calling thread) -------------
@@ -127,10 +163,8 @@ class ShardedEngine {
   /// Force-pads every partial chunk on every shard (end-of-trace drain).
   void flush_all();
 
-  /// One proactive GC pass per shard, run in parallel on `pool` when given
-  /// (nullptr runs inline). Returns true if any shard did work.
-  bool gc_step(TimeUs now_us, std::uint32_t watermark,
-               ThreadPool* pool = nullptr);
+  /// One proactive GC pass per shard. Returns true if any shard did work.
+  bool gc_step(TimeUs now_us, std::uint32_t watermark);
 
   // -- batched parallel replay ---------------------------------------------
 
@@ -165,6 +199,10 @@ class ShardedEngine {
   /// Sum of per-shard array totals (zero stats when no shard has an array).
   array::StreamStats merged_array_totals() const;
 
+  /// Appended-but-unflushed blocks summed over every group of every shard
+  /// (closes the write-accounting identity; 0 after flush_all).
+  std::uint64_t merged_pending_blocks() const;
+
   std::uint64_t chunks_flushed() const noexcept;
   std::size_t policy_memory_bytes() const;
 
@@ -185,11 +223,6 @@ class ShardedEngine {
     std::vector<QueuedOp> queue;
     std::exception_ptr error;
   };
-
-  /// Invokes fn(shard_index, local_lba, local_blocks) for every shard
-  /// receiving part of the global span [lba, lba + blocks).
-  template <typename Fn>
-  void for_each_subspan(Lba lba, std::uint32_t blocks, Fn&& fn) const;
 
   void enqueue(Lba lba, std::uint32_t blocks, TimeUs now_us, bool is_write);
   static void replay_queue(Shard& shard) noexcept;

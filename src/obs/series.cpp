@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace adapt::obs {
@@ -116,7 +115,7 @@ TimeSeries merge_series(std::vector<TimeSeries> parts) {
     }
   }
 
-  std::size_t min_rows = std::numeric_limits<std::size_t>::max();
+  std::size_t max_rows = 0;
   for (TimeSeries& part : parts) {
     const std::uint32_t factor_log2 = d_max - part.downsamples;
     if (factor_log2 > 0) {
@@ -127,20 +126,24 @@ TimeSeries merge_series(std::vector<TimeSeries> parts) {
       }
       part.rows.resize(kept);
     }
-    min_rows = std::min(min_rows, part.rows.size());
+    max_rows = std::max(max_rows, part.rows.size());
   }
 
   TimeSeries merged;
   merged.window_blocks =
       (base_window << d_max) * static_cast<std::uint64_t>(parts.size());
   merged.downsamples = d_max;
-  merged.rows.resize(min_rows);
-  for (std::size_t i = 0; i < min_rows; ++i) {
+  merged.rows.resize(max_rows);
+  for (std::size_t i = 0; i < max_rows; ++i) {
     SeriesRow& out = merged.rows[i];
     std::uint32_t thresholds = 0;
     double threshold_sum = 0.0;
     for (const TimeSeries& part : parts) {
-      const SeriesRow& in = part.rows[i];
+      if (part.rows.empty()) continue;
+      // A part that has run out (a shard that saw less traffic) keeps
+      // contributing its last row: rows are cumulative, so that row is the
+      // shard's final state.
+      const SeriesRow& in = part.rows[std::min(i, part.rows.size() - 1)];
       out.vtime += in.vtime;
       out.wall_us = std::max(out.wall_us, in.wall_us);
       out.user_blocks += in.user_blocks;

@@ -60,10 +60,11 @@ double safe_rate(double amount, double elapsed_seconds) {
 std::uint32_t resolve_shards(const PrototypeConfig& config) {
   if (config.shards != 0) return config.shards;
   // Auto: one shard per client up to 8, but never shrink a shard below the
-  // 2^15-block floor the simulator applies — tiny working sets would fail
+  // per-shard floor the simulator applies — tiny working sets would fail
   // LssConfig::validate (op segments must cover the GC watermark).
   const std::uint64_t ws = config.workload.working_set_blocks;
-  const std::uint64_t floor_cap = std::max<std::uint64_t>(1, ws >> 15);
+  const std::uint64_t floor_cap =
+      std::max<std::uint64_t>(1, ws / lss::kMinShardBlocks);
   const std::uint64_t want =
       std::min<std::uint64_t>(std::max<std::uint32_t>(config.num_clients, 1),
                               8);

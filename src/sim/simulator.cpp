@@ -98,9 +98,8 @@ VolumeResult run_volume(const trace::Volume& volume,
   // Floor the logical space so that even an 8-group policy has enough
   // over-provisioned segments for its GC watermark (see
   // LssConfig::validate); with sharding the floor applies per shard.
-  lss_config.logical_blocks =
-      std::max<std::uint64_t>(volume.capacity_blocks,
-                              (std::uint64_t{1} << 15) * shards);
+  lss_config.logical_blocks = std::max<std::uint64_t>(
+      volume.capacity_blocks, lss::kMinShardBlocks * shards);
 
   std::vector<ShardPolicyRefs> policy_refs(shards);
   const auto factory = [&](std::uint32_t shard_index,
@@ -222,14 +221,8 @@ VolumeResult run_volume(const trace::Volume& volume,
   man.over_provision = lss_config.over_provision;
   // Pending (appended-but-unflushed) blocks close the write-accounting
   // identity from the manifest alone; after flush_all this is normally 0.
-  std::uint64_t pending_blocks = 0;
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    const lss::LssEngine& shard = engine.shard(i);
-    for (GroupId g = 0; g < shard.group_count(); ++g) {
-      pending_blocks += shard.pending_blocks(g);
-    }
-  }
-  man.provenance = obs::provenance_of(result.metrics, pending_blocks);
+  man.provenance =
+      obs::provenance_of(result.metrics, engine.merged_pending_blocks());
   man.block_lifetime = result.metrics.block_lifetime;
   man.gc_pause_us = result.metrics.gc_pause_us;
   obs::register_lss_metrics(man.counters, result.metrics);

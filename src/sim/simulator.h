@@ -28,12 +28,13 @@ struct SimConfig {
   std::string victim_policy = "greedy";
   bool with_array = true;
   std::uint64_t seed = 1;
-  /// LBA-sharded parallel replay: the volume's LBA space is modulo-
-  /// partitioned across this many independent engine shards, replayed in
-  /// parallel (one thread per shard) and merged. 1 (the default) replays
-  /// through a single shard, bit-identical to the unsharded engine. With
-  /// more shards the logical space is floored at 32Ki blocks *per shard*
-  /// so every shard's geometry stays feasible.
+  /// LBA-sharded parallel replay: the volume's LBA space is split into
+  /// this many contiguous ranges, one independent engine shard each (see
+  /// lss::ShardedEngine), replayed in parallel (one thread per shard) and
+  /// merged. 1 (the default) replays through a single shard, bit-identical
+  /// to the unsharded engine. With more shards the logical space is
+  /// floored at lss::kMinShardBlocks *per shard* so every shard's geometry
+  /// stays feasible.
   std::uint32_t shards = 1;
   /// ADAPT ablation switches (ignored by baselines).
   bool adapt_threshold_adaptation = true;

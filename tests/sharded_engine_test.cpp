@@ -1,5 +1,5 @@
-// ShardedEngine tests: shard-count parsing, per-shard geometry derivation,
-// the LBA modulo span-split, the 1-shard pass-through identity against a
+// ShardedEngine tests: shard-count parsing, per-shard config derivation,
+// the LBA range span-split, the 1-shard pass-through identity against a
 // direct LssEngine, scheduling-independence of the batched parallel replay,
 // merged-observer accounting, and the per-shard series merge.
 #include <cmath>
@@ -109,13 +109,21 @@ TEST(ShardConfigTest, DividesLogicalSpaceCeil) {
   EXPECT_EQ(shard_config(global, 4).logical_blocks, 513u);
 }
 
-TEST(ShardConfigTest, PreservesEverythingButLogicalBlocks) {
+TEST(ShardConfigTest, PreservesChunkAndSegmentGeometry) {
   const LssConfig global = sharded_config();
   const LssConfig per_shard = shard_config(global, 4);
   EXPECT_EQ(per_shard.chunk_blocks, global.chunk_blocks);
   EXPECT_EQ(per_shard.segment_chunks, global.segment_chunks);
   EXPECT_EQ(per_shard.free_segment_reserve, global.free_segment_reserve);
   EXPECT_DOUBLE_EQ(per_shard.over_provision, global.over_provision);
+}
+
+TEST(ShardConfigTest, ScalesCoalesceWindowByShardCount) {
+  const LssConfig global = sharded_config();
+  EXPECT_EQ(shard_config(global, 1).coalesce_window_us,
+            global.coalesce_window_us);
+  EXPECT_EQ(shard_config(global, 4).coalesce_window_us,
+            4 * global.coalesce_window_us);
 }
 
 TEST(ShardConfigTest, RejectsBadShardCounts) {
@@ -181,12 +189,37 @@ TEST(ShardedEngineTest, OneShardMatchesDirectEngineBitIdentically) {
 // Span-split routing
 // ---------------------------------------------------------------------------
 
+TEST(ShardedEngineTest, RangeRuleMapsContiguousSpans) {
+  ShardedEngine sharded(sharded_config(), 4, /*base_seed=*/1,
+                        two_group_parts);
+  const std::uint64_t bps = sharded.blocks_per_shard();
+  ASSERT_EQ(bps, 512u);
+  EXPECT_EQ(sharded.shard_of(bps - 1), 0u);
+  EXPECT_EQ(sharded.shard_of(bps), 1u);
+  EXPECT_EQ(sharded.local_of(bps), 0u);
+
+  // A span over the boundary lands as the top of shard 0 and the bottom
+  // of shard 1; no other shard sees it.
+  sharded.write(bps - 2, 4, 0);
+  sharded.flush_all();
+  for (Lba local = 0; local < bps; ++local) {
+    const bool on0 = local >= bps - 2;
+    const bool on1 = local < 2;
+    ASSERT_EQ(sharded.shard(0).locate(local) != kNowhere, on0) << local;
+    ASSERT_EQ(sharded.shard(1).locate(local) != kNowhere, on1) << local;
+    ASSERT_EQ(sharded.shard(2).locate(local), kNowhere) << local;
+    ASSERT_EQ(sharded.shard(3).locate(local), kNowhere) << local;
+  }
+  EXPECT_EQ(sharded.shard(0).metrics().user_blocks, 2u);
+  EXPECT_EQ(sharded.shard(1).metrics().user_blocks, 2u);
+}
+
 TEST(ShardedEngineTest, SpanSplitCoversEveryBlockExactlyOnce) {
   const LssConfig config = sharded_config();
   ShardedEngine sharded(config, 4, /*base_seed=*/1, two_group_parts);
   EXPECT_EQ(sharded.per_shard_config().logical_blocks, 512u);
 
-  // Spans chosen to start on every shard phase and to wrap several times.
+  // Random spans, some of them crossing a shard boundary.
   std::vector<bool> written(config.logical_blocks, false);
   Rng rng(223);
   std::uint64_t blocks_issued = 0;
@@ -199,7 +232,7 @@ TEST(ShardedEngineTest, SpanSplitCoversEveryBlockExactlyOnce) {
   }
   sharded.flush_all();
 
-  // Every written global block is mapped on exactly the shard the modulo
+  // Every written global block is mapped on exactly the shard the range
   // partition assigns it; untouched blocks stay unmapped everywhere.
   for (Lba lba = 0; lba < config.logical_blocks; ++lba) {
     const LssEngine& owner = sharded.shard(sharded.shard_of(lba));
@@ -285,7 +318,16 @@ TEST(ShardedEngineTest, MergedObserversSumShards) {
     sharded.write(rng.below(config.logical_blocks), 1,
                   static_cast<TimeUs>(i) * 20);
   }
+  std::uint64_t expected_pending = 0;
+  for (std::uint32_t s = 0; s < sharded.shard_count(); ++s) {
+    for (GroupId g = 0; g < sharded.shard(s).group_count(); ++g) {
+      expected_pending += sharded.shard(s).pending_blocks(g);
+    }
+  }
+  EXPECT_GT(expected_pending, 0u);
+  EXPECT_EQ(sharded.merged_pending_blocks(), expected_pending);
   sharded.flush_all();
+  EXPECT_EQ(sharded.merged_pending_blocks(), 0u);
 
   LssMetrics expected;
   std::vector<std::uint32_t> expected_segments;
@@ -301,7 +343,7 @@ TEST(ShardedEngineTest, MergedObserversSumShards) {
       expected_segments[g] += counts[g];
     }
     expected_chunks += shard.chunks_flushed();
-    // Every shard saw real traffic: the modulo partition spreads the load.
+    // Every shard saw real traffic: uniform writes reach every range.
     EXPECT_GT(shard.metrics().user_blocks, 0u) << "shard " << s;
   }
   expect_metrics_eq(sharded.merged_metrics(), expected);
@@ -387,6 +429,30 @@ TEST(MergeSeriesTest, AlignsStridesByRedownsampling) {
   EXPECT_EQ(merged.rows[0].user_blocks, 64u + 128u);
   EXPECT_EQ(merged.rows[1].user_blocks, 192u + 256u);
   EXPECT_TRUE(std::isnan(merged.rows[0].threshold));
+}
+
+TEST(MergeSeriesTest, RunsToTheLongestPartHoldingFinishedParts) {
+  // An almost idle shard (one final row) next to a busy one (8 rows): the
+  // merge keeps all 8 rows, and the idle shard contributes its last,
+  // cumulative row to each of them.
+  obs::TimeSeries idle;
+  idle.window_blocks = 64;
+  idle.rows.push_back(make_row(3, 5, 3, 0.5));
+  obs::TimeSeries busy;
+  busy.window_blocks = 64;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    busy.rows.push_back(make_row(64 * i, 10 * i, 64 * i, kNaN));
+  }
+
+  const obs::TimeSeries merged =
+      obs::merge_series({std::move(idle), std::move(busy)});
+  ASSERT_EQ(merged.rows.size(), 8u);
+  for (std::size_t i = 0; i < merged.rows.size(); ++i) {
+    EXPECT_EQ(merged.rows[i].user_blocks, 3u + 64u * (i + 1)) << i;
+    EXPECT_EQ(merged.rows[i].vtime, 3u + 64u * (i + 1)) << i;
+    EXPECT_DOUBLE_EQ(merged.rows[i].threshold, 0.5) << i;
+  }
+  EXPECT_EQ(merged.rows.back().wall_us, 80u);
 }
 
 TEST(MergeSeriesTest, RejectsMisalignedOrCorruptParts) {

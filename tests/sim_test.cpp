@@ -1,7 +1,11 @@
 // End-to-end tests for the trace-driven simulator and the experiment
 // runner.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/zipf.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -20,6 +24,29 @@ trace::Volume small_ycsb_volume() {
   c.mean_interarrival_us = 50;
   c.seed = 17;
   return trace::make_ycsb_volume(c, 3u << 14);
+}
+
+/// bench/micro_shard_scaling's default volume: 90%-write, 1-8-block
+/// requests, scrambled zipf 0.99 over 128Ki blocks, written to fill 3.
+trace::Volume shard_scaling_volume() {
+  constexpr std::uint64_t kCapacity = std::uint64_t{1} << 17;
+  trace::Volume volume;
+  volume.capacity_blocks = kCapacity;
+  ScrambledZipfianGenerator zipf(kCapacity, 0.99);
+  Rng rng(4242);
+  std::uint64_t written = 0;
+  TimeUs ts = 0;
+  while (written < 3 * kCapacity) {
+    trace::Record r;
+    ts += rng.below(50);
+    r.ts_us = ts;
+    r.lba = std::min<Lba>(zipf.next(rng), kCapacity - 8);
+    r.blocks = static_cast<std::uint32_t>(1 + rng.below(8));
+    r.op = rng.below(100) < 90 ? trace::OpType::kWrite : trace::OpType::kRead;
+    if (r.op == trace::OpType::kWrite) written += r.blocks;
+    volume.records.push_back(r);
+  }
+  return volume;
 }
 
 class PolicyRunTest : public ::testing::TestWithParam<std::string_view> {};
@@ -162,6 +189,19 @@ TEST(SimulatorTest, PolicyMemoryReported) {
   EXPECT_GT(adapt.policy_memory_bytes, 0u);
   EXPECT_GT(sepbit.policy_memory_bytes, 0u);
   EXPECT_GT(adapt.policy_memory_bytes, sepbit.policy_memory_bytes);
+}
+
+TEST(SimulatorTest, ShardedReplayKeepsOneShardWa) {
+  // Range partitioning keeps each request on one shard and the scaled
+  // coalesce window keeps each shard's open chunks as dense as the single
+  // engine's, so sharding must not cost WA.
+  const trace::Volume volume = shard_scaling_volume();
+  SimConfig config;
+  config.seed = 42;
+  const double one_shard = run_volume(volume, "adapt", config).wa();
+  config.shards = 4;
+  const double four_shards = run_volume(volume, "adapt", config).wa();
+  EXPECT_NEAR(four_shards, one_shard, 0.02 * one_shard);
 }
 
 // ---------------------------------------------------------------------------
