@@ -3,7 +3,9 @@
 // Emits BENCH_engine_hotpath.json (adapt-bench-v1) with an end-to-end
 // replay throughput plus a ns/op breakdown per component (map lookup and
 // update, shadow-table churn, append/flush, GC migration, victim
-// selection). Everything runs at a fixed seed and fixed op counts, so the
+// selection) and per call of ADAPT's placement structures (Bloom-filter
+// lookup, 4-filter cascade score, reuse-distance access, ghost-set
+// write). Everything runs at a fixed seed and fixed op counts, so the
 // deterministic rows (block counters, WA, allocation counts) gate exactly
 // under tools/adapt_compare against ci/baselines/BENCH_engine_hotpath.json;
 // timing rows carry host-dependent units ("ns", "1/s") that the gate
@@ -28,6 +30,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "adapt/bloom.h"
+#include "adapt/ghost_set.h"
+#include "adapt/reuse_distance.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -320,6 +325,68 @@ int run() {
                "count");
     std::printf("append/flush  %10.2f ns/block  (%" PRIu64 " allocs)\n",
                 append_ns, append_allocs);
+  }
+
+  // -- ADAPT placement structures -------------------------------------------
+  // Per-call cost of what ADAPT consults or feeds on a placement: a Bloom
+  // filter lookup and a 4-filter cascade score (the §3.4 "nanoseconds"
+  // claim), a sampled reuse-distance access (§3.2) and a ghost-set write
+  // (threshold scoring). Inputs are drawn up front so the loops time the
+  // structures, not the generator.
+  {
+    constexpr std::uint64_t kLookups = 1u << 20;
+    constexpr std::uint64_t kUpdates = 1u << 18;
+    const auto ns_per = [](Clock::time_point start, std::uint64_t ops) {
+      return seconds_since(start) * 1e9 / static_cast<double>(ops);
+    };
+    std::uint64_t checksum = 0;
+
+    core::BloomFilter filter(1u << 16);
+    for (Lba lba = 0; lba < (1u << 16); ++lba) filter.insert(lba);
+    auto start = Clock::now();
+    for (Lba lba = 0; lba < kLookups; ++lba) {
+      checksum += filter.maybe_contains(lba) ? 1 : 0;
+    }
+    const double bloom_ns = ns_per(start, kLookups);
+
+    core::CascadeDiscriminator cascade(4, 4096);
+    for (Lba lba = 0; lba < 16384; ++lba) cascade.insert(lba);
+    start = Clock::now();
+    for (Lba lba = 0; lba < kLookups; ++lba) checksum += cascade.score(lba);
+    const double cascade_ns = ns_per(start, kLookups);
+
+    Rng adapt_rng(5);
+    std::vector<Lba> lbas(kUpdates);
+    std::vector<std::uint64_t> intervals(kUpdates);
+    for (std::uint64_t i = 0; i < kUpdates; ++i) {
+      lbas[i] = adapt_rng.below(1u << 14);
+      intervals[i] = adapt_rng.below(4096);
+    }
+    core::ReuseDistanceTracker tracker;
+    start = Clock::now();
+    for (std::uint64_t i = 0; i < kUpdates; ++i) {
+      checksum += tracker.access(lbas[i], i).raw_interval;
+    }
+    const double reuse_ns = ns_per(start, kUpdates);
+
+    core::GhostSet ghost(
+        core::GhostConfig{.segment_blocks = 16, .capacity_segments = 256},
+        1024);
+    start = Clock::now();
+    for (std::uint64_t i = 0; i < kUpdates; ++i) {
+      ghost.write(lbas[i] & 8191, intervals[i]);
+    }
+    const double ghost_ns = ns_per(start, kUpdates);
+    keep(checksum + ghost.written());
+
+    report.add("adapt.bloom_lookup_ns", {}, bloom_ns, "ns");
+    report.add("adapt.cascade_score_ns", {{"filters", "4"}}, cascade_ns,
+               "ns");
+    report.add("adapt.reuse_access_ns", {}, reuse_ns, "ns");
+    report.add("adapt.ghost_write_ns", {}, ghost_ns, "ns");
+    std::printf("bloom lookup  %10.2f ns/op\ncascade (4)   %10.2f ns/op\n"
+                "reuse access  %10.2f ns/op\nghost write   %10.2f ns/op\n",
+                bloom_ns, cascade_ns, reuse_ns, ghost_ns);
   }
 
   engine.check_invariants(audit::Level::kFull);

@@ -8,11 +8,17 @@
 // The optional 4th argument writes the run's adapt-manifest-v1 record
 // (including the latency_breakdown phase histograms) to the given path —
 // this is what CI's manifest teeth-check consumes.
+//
+// ADAPT_LIVE_STATS=<seconds> prints a "live:" line (throughput, p99 and
+// phase shares) to stderr every <seconds> while the run goes, and one
+// when it ends.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "obs/export.h"
+#include "obs/runtime_stats.h"
 #include "proto/prototype.h"
 
 int main(int argc, char** argv) {
@@ -35,7 +41,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.writes_per_client),
               config.array_bandwidth_mb_per_s, config.io_depth);
 
+  obs::RuntimeStats live_stats;
+  std::optional<obs::LiveStatsPrinter> live_printer;
+  if (const char* env = std::getenv("ADAPT_LIVE_STATS"); env != nullptr) {
+    if (const double interval_s = std::atof(env); interval_s > 0.0) {
+      config.live_stats = &live_stats;
+      live_printer.emplace(live_stats, interval_s);
+    }
+  }
   const proto::PrototypeResult r = proto::run_prototype(config);
+  if (live_printer) live_printer->stop();
 
   std::printf("elapsed            : %.2f s\n", r.elapsed_seconds);
   std::printf("user throughput    : %.1f MiB/s (%.1f kIOPS of 4 KiB)\n",

@@ -1,12 +1,12 @@
 #include "array/ssd_array.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace adapt::array {
 
 SsdArray::SsdArray(const SsdArrayConfig& config)
     : config_(config),
+      device_bytes_(config.num_devices, 0),
       stream_stats_(config.num_streams),
       stripe_cursor_(config.num_streams, 0),
       stripe_index_(config.num_streams, 0) {
@@ -16,16 +16,12 @@ SsdArray::SsdArray(const SsdArrayConfig& config)
   if (config.chunk_bytes == 0) {
     throw std::invalid_argument("chunk size must be positive");
   }
-  devices_.reserve(config.num_devices);
-  for (std::uint32_t i = 0; i < config.num_devices; ++i) {
-    devices_.push_back(std::make_unique<SsdDevice>(SsdDeviceConfig{
-        .num_streams = config.num_streams,
-        .bandwidth_mb_per_s = config.device_bandwidth_mb_per_s,
-    }));
+  if (config.num_streams == 0) {
+    throw std::invalid_argument("array needs at least one stream");
   }
 }
 
-TimeUs SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
+void SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
   if (stream >= config_.num_streams) {
     throw std::out_of_range("stream index out of range");
   }
@@ -49,7 +45,7 @@ TimeUs SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
   std::uint32_t dev = col;
   if (dev >= parity_dev) dev += 1;  // skip the parity device
 
-  TimeUs latency = devices_[dev]->write(stream, config_.chunk_bytes);
+  device_bytes_[dev] += config_.chunk_bytes;
 
   stripe_cursor_[stream] = col + 1;
   if (stripe_cursor_[stream] == columns) {
@@ -57,13 +53,11 @@ TimeUs SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
     stripe_cursor_[stream] = 0;
     stripe_index_[stream] += 1;
     stats.parity_bytes += config_.chunk_bytes;
-    latency = std::max(latency,
-                       devices_[parity_dev]->write(stream, config_.chunk_bytes));
+    device_bytes_[parity_dev] += config_.chunk_bytes;
   }
-  return latency;
 }
 
-TimeUs SsdArray::write_partial(std::uint32_t stream,
+void SsdArray::write_partial(std::uint32_t stream,
                                std::uint64_t data_bytes) {
   if (stream >= config_.num_streams) {
     throw std::out_of_range("stream index out of range");
@@ -81,7 +75,7 @@ TimeUs SsdArray::write_partial(std::uint32_t stream,
   const std::uint32_t dev = static_cast<std::uint32_t>(
       (stripe_index_[stream] + stripe_cursor_[stream]) %
       config_.num_devices);
-  return devices_[dev]->write(stream, data_bytes + config_.chunk_bytes);
+  device_bytes_[dev] += data_bytes + config_.chunk_bytes;
 }
 
 const StreamStats& SsdArray::stream_stats(std::uint32_t stream) const {
@@ -108,7 +102,7 @@ std::uint64_t SsdArray::device_bytes(std::uint32_t device) const {
   if (device >= config_.num_devices) {
     throw std::out_of_range("device index out of range");
   }
-  return devices_[device]->bytes_written();
+  return device_bytes_[device];
 }
 
 }  // namespace adapt::array

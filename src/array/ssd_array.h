@@ -7,17 +7,15 @@
 // maps each placement group to one array stream so multi-stream SSDs keep
 // group data physically separated.
 //
-// The model tracks, per stream and per device:
-//   * valid data bytes, zero-padding bytes (partial chunks flushed under
-//     SLA pressure), and parity bytes.
-// Completion timing lives in lss::DeviceLanes, the one device-timing model.
+// The model tracks valid data bytes, zero-padding bytes (partial chunks
+// flushed under SLA pressure) and parity bytes per stream, and the bytes
+// each device received. Completion timing lives in lss::DeviceLanes, the
+// one device-timing model.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "array/ssd_device.h"
 #include "common/types.h"
 
 namespace adapt::array {
@@ -26,7 +24,6 @@ struct SsdArrayConfig {
   std::uint32_t num_devices = 4;      ///< RAID-5: 3 data + 1 parity/stripe
   std::uint32_t chunk_bytes = kDefaultChunkSize;
   std::uint32_t num_streams = 8;
-  double device_bandwidth_mb_per_s = 2000.0;
 };
 
 /// Accounting for one stream (== one placement group).
@@ -47,14 +44,13 @@ class SsdArray {
 
   /// Persists one chunk on stream `stream` containing `data_bytes` of real
   /// payload; the rest of the chunk (chunk_bytes - data_bytes) is zero
-  /// padding. Completes the stripe parity when the stripe fills. Returns
-  /// the modelled service latency (max over devices touched).
-  TimeUs write_chunk(std::uint32_t stream, std::uint64_t data_bytes);
+  /// padding. Completes the stripe parity when the stripe fills.
+  void write_chunk(std::uint32_t stream, std::uint64_t data_bytes);
 
   /// Sub-chunk write under RMW semantics: persists `data_bytes` of payload
   /// and rewrites the stripe's parity chunk in place, charging the
   /// old-data + old-parity reads to rmw_read_bytes.
-  TimeUs write_partial(std::uint32_t stream, std::uint64_t data_bytes);
+  void write_partial(std::uint32_t stream, std::uint64_t data_bytes);
 
   const StreamStats& stream_stats(std::uint32_t stream) const;
   StreamStats totals() const;
@@ -66,7 +62,7 @@ class SsdArray {
 
  private:
   SsdArrayConfig config_;
-  std::vector<std::unique_ptr<SsdDevice>> devices_;
+  std::vector<std::uint64_t> device_bytes_;  ///< bytes written per device
   std::vector<StreamStats> stream_stats_;
   /// Per-stream rotation cursor: which data column the next chunk lands on.
   std::vector<std::uint32_t> stripe_cursor_;

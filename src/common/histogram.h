@@ -99,23 +99,6 @@ class Log2Histogram {
     max_ = std::max(max_, other.max_);
   }
 
-  /// Reconstructs a histogram from externally stored parts — the inverse
-  /// of reading bucket()/count()/sum()/max_value() out, used by seqlock
-  /// snapshot readers (obs::RuntimeStats) that mirror the fields in
-  /// atomics. The caller vouches for consistency (buckets summing to
-  /// count); percentile() tolerates any values but only means something
-  /// when the parts came from one coherent histogram.
-  static Log2Histogram from_parts(
-      const std::array<std::uint64_t, kBuckets>& buckets,
-      std::uint64_t count, std::uint64_t sum, std::uint64_t max) noexcept {
-    Log2Histogram h;
-    h.buckets_ = buckets;
-    h.count_ = count;
-    h.sum_ = sum;
-    h.max_ = max;
-    return h;
-  }
-
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;

@@ -143,8 +143,8 @@ inline unsigned hardware_concurrency() noexcept {
   return n == 0 ? 1 : n;
 }
 
-/// Scheduler yield for short retry loops (seqlock readers that caught a
-/// write in progress).
+/// Scheduler yield for short spin-wait loops (test threads waiting on a
+/// flag another thread sets).
 inline void yield_now() noexcept { std::this_thread::yield(); }
 
 /// Blocking sleep for polling loops that model think time or idle GC

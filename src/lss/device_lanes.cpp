@@ -59,8 +59,8 @@ LaneCompletion DeviceLanes::submit(std::uint32_t lane, std::uint64_t bytes,
     ++l.stats.stalled_submits;
   }
 
-  const TimeUs service = array::SsdDevice::service_time_us(
-      config_.lane_bandwidth_mb_per_s, bytes);
+  const TimeUs service =
+      service_time_us(config_.lane_bandwidth_mb_per_s, bytes);
   const TimeUs start = std::max(admit_us, l.busy_until_us);
   const TimeUs complete_us = start + service;
   l.busy_until_us = complete_us;

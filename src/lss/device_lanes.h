@@ -1,6 +1,5 @@
-// DeviceLanes: submission/completion queues over the bandwidth-modeled
-// device layer — the async replacement for the prototype's single blocking
-// busy-until timeline.
+// DeviceLanes: submission/completion queues over a bandwidth-modeled device
+// — the one device-timing model of the repo.
 //
 // Each lane models one device: an io_uring-style bounded submission queue
 // (queue_depth entries in flight) in front of a serial service timeline.
@@ -12,8 +11,7 @@
 //               the oldest outstanding completion (modeled backpressure; the
 //               submission queue is bounded, never the host thread).
 //   * service:  the lane serves admitted submissions in order at its
-//               configured bandwidth, using the device layer's one timing
-//               formula (array::SsdDevice::service_time_us).
+//               configured bandwidth (DeviceLanes::service_time_us).
 //   * complete: complete_us = max(admit_us, lane busy_until) + service.
 //               The caller decides what "waiting for durability" means —
 //               the prototype sleeps the submitting thread until
@@ -37,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "array/ssd_device.h"
 #include "common/annotations.h"
 #include "common/histogram.h"
 #include "common/sync.h"
@@ -122,6 +119,15 @@ class DeviceLanes {
 
   DeviceLanes(const DeviceLanes&) = delete;
   DeviceLanes& operator=(const DeviceLanes&) = delete;
+
+  /// The bandwidth law: time to serve `bytes` at `bandwidth_mb_per_s`,
+  /// rounded to the nearest microsecond (1 MB at 100 MB/s is 10,000 us).
+  static TimeUs service_time_us(double bandwidth_mb_per_s,
+                                std::uint64_t bytes) noexcept {
+    const double us =
+        static_cast<double>(bytes) / (bandwidth_mb_per_s * 1e6) * 1e6;
+    return static_cast<TimeUs>(us + 0.5);
+  }
 
   const DeviceLanesConfig& config() const noexcept { return config_; }
   std::uint32_t lane_count() const noexcept {

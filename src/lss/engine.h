@@ -109,7 +109,6 @@ class LssEngine {
   /// Attaches a trace sink (nullptr detaches) and forwards it to every
   /// component hook point. Like observers, tracing is passive: engine
   /// behaviour and metrics are bit-identical with and without a sink.
-  /// No-op in builds configured with -DADAPT_TRACING=OFF.
   void set_trace_sink(TraceSink* sink) noexcept {
     trace_ = sink;
     pool_.set_trace_sink(sink, &wall_us_);

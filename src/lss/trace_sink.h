@@ -3,23 +3,15 @@
 // The engine components (SegmentPool, ChunkWriter, GcController, LssEngine,
 // AdaptPolicy) emit TraceEvents through an optional TraceSink*; the concrete
 // ring buffer lives in src/obs/trace_log.h so the hot path only depends on
-// this header. Tracing is compiled out by default: configure with
-// -DADAPT_TRACING=ON (which defines ADAPT_TRACING_COMPILED=1) to enable the
-// emit path; otherwise emit() is an empty constexpr-if branch and the
-// instrumentation costs nothing.
+// this header. Tracing is always compiled in and inert until a sink is
+// attached: with no sink, every emit site costs one null check.
 #pragma once
 
 #include <cstdint>
 
 #include "common/types.h"
 
-#ifndef ADAPT_TRACING_COMPILED
-#define ADAPT_TRACING_COMPILED 1
-#endif
-
 namespace adapt::lss {
-
-inline constexpr bool kTracingCompiled = ADAPT_TRACING_COMPILED != 0;
 
 enum class TraceEventKind : std::uint8_t {
   kUserWrite,       ///< a = lba
@@ -68,16 +60,11 @@ class TraceSink {
   virtual void record(const TraceEvent& event) = 0;
 };
 
-/// Single emission point: compiles to nothing when tracing is off, and to a
-/// null check + virtual call when on. Callers pass a possibly-null sink.
+/// Single emission point: a null check, plus a virtual call when a sink
+/// is attached. Callers pass a possibly-null sink.
 inline void emit(TraceSink* sink, const TraceEvent& event) {
-  if constexpr (kTracingCompiled) {
-    if (sink != nullptr) {
-      sink->record(event);
-    }
-  } else {
-    (void)sink;
-    (void)event;
+  if (sink != nullptr) {
+    sink->record(event);
   }
 }
 

@@ -1,96 +1,40 @@
 #include "obs/runtime_stats.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 namespace adapt::obs {
 
-void RuntimeStats::begin_write() noexcept {
-  // Writer holds write_mu_, so the relaxed read-modify-write of seq_ is
-  // single-threaded. Fence-free protocol: ordering of this odd bump before
-  // the payload mutations comes from the payload stores being RELEASE —
-  // each one carries the bump with it for any reader that acquires it.
-  const std::uint64_t s0 = seq_.load(std::memory_order_relaxed);
-  seq_.store(s0 + 1, std::memory_order_relaxed);
-}
-
-void RuntimeStats::end_write() noexcept {
-  const std::uint64_t s1 = seq_.load(std::memory_order_relaxed);
-  seq_.store(s1 + 1, std::memory_order_release);
-}
-
 void RuntimeStats::publish(const lss::BatchSample& sample) {
-  const Log2Histogram& total = sample.breakdown.total_us;
-  LockGuard g(write_mu_);
-  begin_write();
-  batches_.fetch_add(1, std::memory_order_release);
-  ops_.fetch_add(sample.ops, std::memory_order_release);
-  blocks_.fetch_add(sample.blocks, std::memory_order_release);
-  intake_us_.fetch_add(sample.breakdown.intake_wait_us.sum(),
-                       std::memory_order_release);
-  apply_us_.fetch_add(sample.breakdown.batch_apply_us.sum(),
-                      std::memory_order_release);
-  queue_us_.fetch_add(sample.breakdown.lane_queue_us.sum(),
-                      std::memory_order_release);
-  service_us_.fetch_add(sample.breakdown.device_service_us.sum(),
-                        std::memory_order_release);
-  total_count_.fetch_add(total.count(), std::memory_order_release);
-  total_sum_.fetch_add(total.sum(), std::memory_order_release);
-  if (total.max_value() > total_max_.load(std::memory_order_relaxed)) {
-    total_max_.store(total.max_value(), std::memory_order_release);
-  }
-  for (std::size_t b = 0; b < Log2Histogram::kBuckets; ++b) {
-    const std::uint64_t n = total.bucket(b);
-    if (n != 0) total_buckets_[b].fetch_add(n, std::memory_order_release);
-  }
-  end_write();
+  LockGuard g(mu_);
+  ++snap_.batches;
+  snap_.ops += sample.ops;
+  snap_.blocks += sample.blocks;
+  snap_.intake_wait_us += sample.breakdown.intake_wait_us.sum();
+  snap_.batch_apply_us += sample.breakdown.batch_apply_us.sum();
+  snap_.lane_queue_us += sample.breakdown.lane_queue_us.sum();
+  snap_.device_service_us += sample.breakdown.device_service_us.sum();
+  snap_.total_us.merge_from(sample.breakdown.total_us);
 }
 
 void RuntimeStats::publish_progress(std::uint64_t ops, std::uint64_t blocks) {
-  LockGuard g(write_mu_);
-  begin_write();
-  ops_.fetch_add(ops, std::memory_order_release);
-  blocks_.fetch_add(blocks, std::memory_order_release);
-  end_write();
+  LockGuard g(mu_);
+  snap_.ops += ops;
+  snap_.blocks += blocks;
 }
 
 RuntimeSnapshot RuntimeStats::snapshot() const {
-  for (;;) {
-    const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
-    if ((s1 & 1) != 0) {
-      yield_now();
-      continue;
-    }
-    RuntimeSnapshot out;
-    // Acquire payload loads: the final seq_ re-read below cannot hoist
-    // above them, and a load that observes a mid-write value synchronises
-    // with its release store, making the writer's odd seq_ bump visible to
-    // that re-read (fence-free seqlock — see runtime_stats.h).
-    out.batches = batches_.load(std::memory_order_acquire);
-    out.ops = ops_.load(std::memory_order_acquire);
-    out.blocks = blocks_.load(std::memory_order_acquire);
-    out.intake_wait_us = intake_us_.load(std::memory_order_acquire);
-    out.batch_apply_us = apply_us_.load(std::memory_order_acquire);
-    out.lane_queue_us = queue_us_.load(std::memory_order_acquire);
-    out.device_service_us = service_us_.load(std::memory_order_acquire);
-    const std::uint64_t count = total_count_.load(std::memory_order_acquire);
-    const std::uint64_t sum = total_sum_.load(std::memory_order_acquire);
-    const std::uint64_t max = total_max_.load(std::memory_order_acquire);
-    std::array<std::uint64_t, Log2Histogram::kBuckets> buckets;
-    for (std::size_t b = 0; b < Log2Histogram::kBuckets; ++b) {
-      buckets[b] = total_buckets_[b].load(std::memory_order_acquire);
-    }
-    if (seq_.load(std::memory_order_relaxed) != s1) continue;
-    out.total_us = Log2Histogram::from_parts(buckets, count, sum, max);
-    return out;
-  }
+  LockGuard g(mu_);
+  return snap_;
 }
 
 std::string format_live_line(const RuntimeSnapshot& prev,
-                             const RuntimeSnapshot& cur, double interval_s) {
+                             const RuntimeSnapshot& cur, double elapsed_s) {
   const std::uint64_t d_ops = cur.ops - prev.ops;
   const std::uint64_t d_blocks = cur.blocks - prev.blocks;
   const double rate =
-      interval_s > 0.0 ? static_cast<double>(d_ops) / interval_s : 0.0;
+      elapsed_s > 0.0 ? static_cast<double>(d_ops) / elapsed_s : 0.0;
   const std::uint64_t d_intake = cur.intake_wait_us - prev.intake_wait_us;
   const std::uint64_t d_apply = cur.batch_apply_us - prev.batch_apply_us;
   const std::uint64_t d_queue = cur.lane_queue_us - prev.lane_queue_us;
@@ -120,6 +64,53 @@ std::string format_live_line(const RuntimeSnapshot& prev,
                   static_cast<unsigned long long>(d_blocks), rate);
   }
   return std::string(buf);
+}
+
+LiveStatsPrinter::LiveStatsPrinter(const RuntimeStats& stats,
+                                   double interval_s, std::FILE* out)
+    : stats_(stats),
+      interval_s_(interval_s),
+      out_(out),
+      thread_([this] { run(); }) {}
+
+void LiveStatsPrinter::stop() {
+  {
+    LockGuard g(mu_);
+    stop_ = true;
+  }
+  wake_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+void LiveStatsPrinter::run() {
+  using Clock = std::chrono::steady_clock;
+  using Seconds = std::chrono::duration<double>;
+  RuntimeSnapshot prev;
+  Clock::time_point prev_at = Clock::now();
+  for (bool stopping = false; !stopping;) {
+    {
+      LockGuard g(mu_);
+      while (!stop_) {
+        const double left_s =
+            interval_s_ - Seconds(Clock::now() - prev_at).count();
+        if (left_s <= 0.0) break;
+        // At most an hour per wait, so no interval overflows the
+        // microsecond count; stop() cuts any wait short.
+        wake_.wait_for_us(mu_, g,
+                          static_cast<std::uint64_t>(
+                              std::min(3600.0, left_s) * 1e6) + 1);
+      }
+      stopping = stop_;
+    }
+    const RuntimeSnapshot cur = stats_.snapshot();
+    const Clock::time_point now = Clock::now();
+    const std::string line =
+        format_live_line(prev, cur, Seconds(now - prev_at).count());
+    std::fprintf(out_, "%s\n", line.c_str());
+    std::fflush(out_);
+    prev = cur;
+    prev_at = now;
+  }
 }
 
 }  // namespace adapt::obs

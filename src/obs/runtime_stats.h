@@ -1,32 +1,20 @@
-// Live runtime snapshot: a seqlock-published view of the concurrent write
-// path that a monitoring thread can read WITHOUT ever blocking a writer.
+// Live runtime stats: one cumulative RuntimeSnapshot under one Mutex, plus
+// the printer that turns it into periodic stderr lines.
 //
 // Batch leaders call publish() with their BatchSample (group_commit's
-// set_batch_hook), the serial sim path calls publish_progress() through
-// LiveStatsObserver; both sides touch only std::atomic fields, so readers
-// and writers are race-free by construction (TSan-clean) and a stalled or
-// absent reader costs writers nothing.
-//
-// The snapshot protocol is the fence-free seqlock variant (Boehm, "Can
-// seqlocks get along with programming language memory models?", §4 —
-// GCC's TSan rejects atomic_thread_fence, so the fenced form is not an
-// option here): the writer bumps `seq_` to odd, mutates the payload with
-// RELEASE ops (each release store orders the odd bump before the new
-// value), then release-stores `seq_` back to even; the reader
-// acquire-loads `seq_`, ACQUIRE-loads the payload (later loads cannot
-// hoist above them), and re-reads `seq_` — a torn read (odd or changed
-// seq) is retried. Torn snapshots are therefore impossible; every
-// RuntimeSnapshot is a state some writer actually published.
-//
-// Writers serialise on a Mutex (publication is batch-granular — far off the
-// per-op hot path), so payload mutation needs no RMW beyond fetch_add.
+// set_batch_hook), the sim path calls publish_progress() through
+// LiveStatsObserver, and a LiveStatsPrinter thread calls snapshot() once
+// per interval. All three take the same mutex, so every snapshot is a
+// state some writer actually published. Publication is batch- or
+// stride-granular, far off the per-op hot path, and the reader takes the
+// lock once per interval, so the lock costs writers nothing measurable.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
+#include "common/annotations.h"
 #include "common/histogram.h"
 #include "common/sync.h"
 #include "lss/engine.h"
@@ -63,42 +51,22 @@ class RuntimeStats {
   void publish(const lss::BatchSample& sample);
 
   /// Accumulates bare progress (ops/blocks only) for producers without
-  /// phase data — the serial sim path via LiveStatsObserver.
+  /// phase data — the sim path via LiveStatsObserver.
   void publish_progress(std::uint64_t ops, std::uint64_t blocks);
 
-  /// Lock-free consistent read; retries while a writer is mid-publish.
-  /// Safe from any thread, any number of concurrent readers.
+  /// Copy of the cumulative state. Safe from any thread.
   RuntimeSnapshot snapshot() const;
 
  private:
-  void begin_write() noexcept;
-  void end_write() noexcept;
-
-  /// Writer-side serialisation only; readers never touch it.
-  Mutex write_mu_;
-  std::atomic<std::uint64_t> seq_{0};
-
-  // Payload: every field atomic so reader loads are race-free; coherence
-  // across fields comes from the seqlock protocol, not from the atomics.
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> ops_{0};
-  std::atomic<std::uint64_t> blocks_{0};
-  std::atomic<std::uint64_t> intake_us_{0};
-  std::atomic<std::uint64_t> apply_us_{0};
-  std::atomic<std::uint64_t> queue_us_{0};
-  std::atomic<std::uint64_t> service_us_{0};
-  std::atomic<std::uint64_t> total_count_{0};
-  std::atomic<std::uint64_t> total_sum_{0};
-  std::atomic<std::uint64_t> total_max_{0};
-  std::array<std::atomic<std::uint64_t>, Log2Histogram::kBuckets>
-      total_buckets_{};
+  mutable Mutex mu_;
+  RuntimeSnapshot snap_ ADAPT_GUARDED_BY(mu_);
 };
 
-/// EngineObserver adapter for the serial sim path: counts user blocks and
-/// publishes them into a RuntimeStats every `stride` blocks (publication
-/// has seqlock cost, so per-block publishing would be wasteful). Forwards
-/// every callback to an optional inner observer first, so it stacks on top
-/// of the existing EngineSampler without a second observer slot.
+/// EngineObserver adapter for the sim path: counts user blocks and
+/// publishes them into a RuntimeStats every `stride` blocks, so the shared
+/// mutex is taken once per stride, not once per block. Forwards every
+/// callback to an optional inner observer first, so it stacks on top of
+/// the existing EngineSampler without a second observer slot.
 class LiveStatsObserver final : public lss::EngineObserver {
  public:
   explicit LiveStatsObserver(RuntimeStats& stats,
@@ -125,12 +93,41 @@ class LiveStatsObserver final : public lss::EngineObserver {
   std::uint64_t pending_ = 0;
 };
 
-/// Renders one periodic live-stats line from two snapshots `interval_s`
-/// apart. Pure function of its inputs (deterministic, unit-testable):
+/// Renders one live-stats line from two snapshots `elapsed_s` apart. Pure
+/// function of its inputs (deterministic, unit-testable):
 ///   live: ops=N (+dN) blocks=M thpt=R ops/s p99=Pus
 ///         phase% intake=A apply=B queue=C service=D
 /// The phase%% tail is omitted while no phase data has been published.
 std::string format_live_line(const RuntimeSnapshot& prev,
-                             const RuntimeSnapshot& cur, double interval_s);
+                             const RuntimeSnapshot& cur, double elapsed_s);
+
+/// Prints `stats` as format_live_line rows to `out` from its own thread:
+/// one line every `interval_s` seconds, then one final line when stopped.
+/// Each line spans from the previous line's snapshot to its own, over the
+/// host time that really passed between them, so the `(+N)` deltas sum to
+/// the final total and a short last interval is not divided by the full
+/// one. stop() (or the destructor) wakes the thread at once.
+class LiveStatsPrinter {
+ public:
+  LiveStatsPrinter(const RuntimeStats& stats, double interval_s,
+                   std::FILE* out = stderr);
+  ~LiveStatsPrinter() { stop(); }
+  LiveStatsPrinter(const LiveStatsPrinter&) = delete;
+  LiveStatsPrinter& operator=(const LiveStatsPrinter&) = delete;
+
+  /// Prints the final line and joins the thread; idempotent.
+  void stop();
+
+ private:
+  void run();
+
+  const RuntimeStats& stats_;
+  const double interval_s_;
+  std::FILE* const out_;
+  Mutex mu_;
+  CondVar wake_;
+  bool stop_ ADAPT_GUARDED_BY(mu_) = false;
+  Thread thread_;  // last: starts after every field above is initialised
+};
 
 }  // namespace adapt::obs

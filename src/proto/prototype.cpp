@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -18,7 +16,6 @@
 #include "common/sync.h"
 #include "common/thread_pool.h"
 #include "obs/provenance.h"
-#include "obs/runtime_stats.h"
 #include "placement/factory.h"
 
 namespace adapt::proto {
@@ -188,41 +185,9 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   // out its own share on its own thread.
   engine.set_device_model(submit_flushes,
                           [&](TimeUs durable_us) { wait_until(durable_us); });
-  // Live runtime snapshot (ADAPT_LIVE_STATS=<seconds>): batch leaders
-  // publish their BatchSample into a seqlock-readable RuntimeStats; a
-  // poller thread prints periodic throughput/p99/phase lines to stderr
-  // without ever blocking a writer.
-  obs::RuntimeStats live_stats;
-  std::atomic<bool> live_stop{false};
-  Thread live_poller;
-  double live_interval = 0.0;
-  if (const char* env = std::getenv("ADAPT_LIVE_STATS");
-      env != nullptr && *env != '\0') {
-    live_interval = std::atof(env);
-  }
-  if (live_interval > 0.0) {
+  if (obs::RuntimeStats* live = config.live_stats; live != nullptr) {
     engine.set_batch_hook(
-        [&live_stats](const lss::BatchSample& s) { live_stats.publish(s); });
-    live_poller = Thread([&live_stats, &live_stop, live_interval] {
-      obs::RuntimeSnapshot prev;
-      double slept = 0.0;
-      while (!live_stop.load(std::memory_order_relaxed)) {
-        // Sleep in 50 ms slices so shutdown never waits out a long
-        // interval.
-        sleep_for_us(50'000);
-        slept += 0.05;
-        if (slept + 1e-9 < live_interval) continue;
-        slept = 0.0;
-        const obs::RuntimeSnapshot cur = live_stats.snapshot();
-        std::fprintf(stderr, "%s\n",
-                     obs::format_live_line(prev, cur, live_interval).c_str());
-        prev = cur;
-      }
-      // Final summary line so even sub-interval runs report once.
-      const obs::RuntimeSnapshot cur = live_stats.snapshot();
-      std::fprintf(stderr, "%s\n",
-                   obs::format_live_line(prev, cur, live_interval).c_str());
-    });
+        [live](const lss::BatchSample& s) { live->publish(s); });
   }
   const std::uint32_t watermark =
       lss_config.free_segment_reserve +
@@ -289,8 +254,6 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   done.store(true, std::memory_order_relaxed);
   gc_signal.bump();
   if (gc_pool != nullptr) gc_pool->shutdown();
-  live_stop.store(true, std::memory_order_relaxed);
-  if (live_poller.joinable()) live_poller.join();
 
   result.metrics = engine.merged_metrics();
   result.group_commit = engine.merged_stats();

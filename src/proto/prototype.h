@@ -32,6 +32,7 @@
 #include "lss/group_commit.h"
 #include "lss/metrics.h"
 #include "obs/export.h"
+#include "obs/runtime_stats.h"
 #include "trace/synthetic.h"
 
 namespace adapt::proto {
@@ -68,6 +69,11 @@ struct PrototypeConfig {
   /// value is used as-is and may throw from LssConfig::validate when the
   /// per-shard geometry gets too small.
   std::uint32_t shards = 0;
+  /// Live runtime stats: when set, every batch leader publishes its
+  /// BatchSample into this sink, so an obs::LiveStatsPrinter can report
+  /// the run while it goes (mirrors sim::SimConfig::live_stats). Not owned;
+  /// must outlive run_prototype. Null (off) by default.
+  obs::RuntimeStats* live_stats = nullptr;
 };
 
 struct PrototypeResult {

@@ -1,8 +1,6 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/annotations.h"
 #include "common/sync.h"
@@ -95,23 +93,6 @@ std::map<CellKey, CellResult> run_experiment(
     std::exception_ptr first ADAPT_GUARDED_BY(mu);
   } errors;
 
-  std::function<void(const std::string&)> progress = spec.progress;
-  if (!progress && std::getenv("ADAPT_PROGRESS") != nullptr) {
-    progress = [](const std::string& line) {
-      std::fprintf(stderr, "%s\n", line.c_str());
-    };
-  }
-  struct ProgressState {
-    Mutex mu;
-    std::map<CellKey, std::size_t> remaining ADAPT_GUARDED_BY(mu);
-  } prog;
-  {
-    LockGuard lock(prog.mu);
-    for (const auto& [key, cell] : results) {
-      prog.remaining[key] = volumes.size();
-    }
-  }
-
   for (const auto& policy : spec.policies) {
     for (const auto& victim : spec.victims) {
       CellResult& cell = results[CellKey{policy, victim}];
@@ -124,20 +105,6 @@ std::map<CellKey, CellResult> run_experiment(
           } catch (...) {
             LockGuard lock(errors.mu);
             if (!errors.first) errors.first = std::current_exception();
-          }
-          if (progress) {
-            LockGuard lock(prog.mu);
-            if (--prog.remaining[cell.key] == 0) {
-              const obs::RunManifest m = cell.aggregate_manifest();
-              char buf[256];
-              std::snprintf(buf, sizeof(buf),
-                            "cell %s/%s done: %zu volumes, %.2fs worker "
-                            "wall, %.0f records/s",
-                            cell.key.policy.c_str(), cell.key.victim.c_str(),
-                            cell.volumes.size(), m.wall_seconds,
-                            m.records_per_sec);
-              progress(buf);
-            }
           }
         });
       }

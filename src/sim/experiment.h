@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,11 +43,6 @@ struct ExperimentSpec {
   std::vector<std::string> victims = {"greedy"};
   SimConfig base;  ///< victim_policy field is overridden per cell
   std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// Optional progress sink: receives one human-readable line as each
-  /// (policy, victim) cell completes — volume count, summed worker wall
-  /// seconds, records/s. When unset, lines go to stderr if the
-  /// ADAPT_PROGRESS environment variable is set; otherwise silent.
-  std::function<void(const std::string&)> progress;
 };
 
 /// Runs the full matrix; results keyed by (policy, victim).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -141,7 +142,7 @@ VolumeResult run_volume(const trace::Volume& volume,
   }
   // Live runtime stats stack ON TOP of sampling: each shard's observer
   // slot gets a LiveStatsObserver that forwards to the sampler (if any)
-  // and publishes block progress into the shared seqlock sink.
+  // and publishes block progress into the shared sink.
   std::vector<std::unique_ptr<obs::LiveStatsObserver>> live_observers;
   if (config.live_stats != nullptr) {
     live_observers.reserve(shards);
@@ -160,14 +161,9 @@ VolumeResult run_volume(const trace::Volume& volume,
                     lss_config.logical_blocks);
   const auto total_records =
       static_cast<std::uint64_t>(volume.records.size());
-  std::uint64_t done = 0;
   TimeUs last_ts = 0;
   engine.reserve_queues(volume.records.size());
   for (const trace::Record& r : volume.records) {
-    ++done;
-    if (config.progress && done % 65536 == 0) {
-      config.progress(done, total_records);
-    }
     last_ts = r.ts_us;
     const Lba end = std::min<Lba>(r.lba + r.blocks, addressable);
     if (r.lba >= end) continue;
@@ -188,7 +184,6 @@ VolumeResult run_volume(const trace::Volume& volume,
     samplers[i]->finalize(engine.shard(i), last_ts);
   }
   for (const auto& live : live_observers) live->flush();
-  if (config.progress) config.progress(total_records, total_records);
 
   VolumeResult result;
   result.volume_id = volume.id;

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -53,13 +52,10 @@ struct SimConfig {
   /// ring writes are not free, so it stays opt-in.
   bool tracing_enabled = false;
   obs::TraceLogConfig tracing;
-  /// Optional replay-progress callback (records done, records total);
-  /// invoked every ~64k records and once at completion.
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
-  /// Live runtime stats: when set, replay progress (ops/blocks) is
-  /// published into this seqlock-readable sink so a poller thread (e.g.
-  /// adapt_run --live-stats) can print periodic lines without touching the
-  /// replay. Not owned; must outlive run_volume. Null (off) by default.
+  /// Live runtime stats: when set, every shard publishes its replayed user
+  /// blocks into this sink (one publish per 256 blocks, the remainder after
+  /// the drain), so an obs::LiveStatsPrinter can report the replay while
+  /// it runs. Not owned; must outlive run_volume. Null (off) by default.
   obs::RuntimeStats* live_stats = nullptr;
 };
 

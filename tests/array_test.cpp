@@ -1,56 +1,18 @@
-// Tests for src/array: the SSD device model and the RAID-5 array.
+// Tests for src/array: the RAID-5 array's byte accounting.
 #include <gtest/gtest.h>
 
 #include "array/ssd_array.h"
-#include "array/ssd_device.h"
 
 namespace adapt::array {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SsdDevice
-// ---------------------------------------------------------------------------
-
-TEST(SsdDeviceTest, AccountsBytesPerStream) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 4, .bandwidth_mb_per_s = 1000});
-  dev.write(0, 4096);
-  dev.write(1, 8192);
-  dev.write(0, 4096);
-  EXPECT_EQ(dev.bytes_written(), 16384u);
-  EXPECT_EQ(dev.stream_bytes(0), 8192u);
-  EXPECT_EQ(dev.stream_bytes(1), 8192u);
-  EXPECT_EQ(dev.stream_bytes(2), 0u);
-}
-
-TEST(SsdDeviceTest, LatencyFollowsBandwidth) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 1, .bandwidth_mb_per_s = 100});
-  // 100 MB/s -> 1 MB takes 10,000 us.
-  EXPECT_NEAR(static_cast<double>(dev.write(0, 1000000)), 10000.0, 1.0);
-}
-
-TEST(SsdDeviceTest, InvalidStreamThrows) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 2, .bandwidth_mb_per_s = 100});
-  EXPECT_THROW(dev.write(2, 4096), std::out_of_range);
-  EXPECT_THROW(dev.stream_bytes(5), std::out_of_range);
-}
-
-TEST(SsdDeviceTest, InvalidConfigThrows) {
-  EXPECT_THROW(SsdDevice(SsdDeviceConfig{.num_streams = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      SsdDevice(SsdDeviceConfig{.num_streams = 1, .bandwidth_mb_per_s = 0}),
-      std::invalid_argument);
-}
 
 // ---------------------------------------------------------------------------
 // SsdArray
 // ---------------------------------------------------------------------------
 
 SsdArrayConfig small_array() {
-  return SsdArrayConfig{.num_devices = 4,
-                        .chunk_bytes = 64 * 1024,
-                        .num_streams = 2,
-                        .device_bandwidth_mb_per_s = 1000};
+  return SsdArrayConfig{
+      .num_devices = 4, .chunk_bytes = 64 * 1024, .num_streams = 2};
 }
 
 TEST(SsdArrayTest, FullChunkNoPadding) {
@@ -160,14 +122,14 @@ TEST(SsdArrayTest, InvalidConfigThrows) {
                std::invalid_argument);
   EXPECT_THROW(SsdArray(SsdArrayConfig{.num_devices = 4, .chunk_bytes = 0}),
                std::invalid_argument);
+  EXPECT_THROW(SsdArray(SsdArrayConfig{.num_devices = 4, .num_streams = 0}),
+               std::invalid_argument);
 }
 
 TEST(SsdArrayTest, TwoDeviceArrayIsMirrorLike) {
   // RAID-5 over 2 devices degenerates to 1 data column + parity.
-  SsdArray arr(SsdArrayConfig{.num_devices = 2,
-                              .chunk_bytes = 4096,
-                              .num_streams = 1,
-                              .device_bandwidth_mb_per_s = 100});
+  SsdArray arr(SsdArrayConfig{
+      .num_devices = 2, .chunk_bytes = 4096, .num_streams = 1});
   arr.write_chunk(0, 4096);
   EXPECT_EQ(arr.stream_stats(0).parity_bytes, 4096u);
 }

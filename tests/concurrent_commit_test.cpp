@@ -664,7 +664,6 @@ class CollectSink final : public TraceSink {
 // and the per-op kOpDurable records. Single-threaded, so batches are size
 // one and the per-shard ids are exactly 1..N.
 TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
-  if (!kTracingCompiled) GTEST_SKIP() << "tracing compiled out";
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
   proto::PrototypeConfig pc;

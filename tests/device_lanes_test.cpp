@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "array/ssd_device.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "lss/device_lanes.h"
@@ -45,20 +44,21 @@ TEST(DeviceLanesConfigTest, ValidateRejectsDegenerateDimensions) {
 }
 
 TEST(DeviceLanesTest, ServiceTimeMatchesTheDeviceFormula) {
-  // The lane timing law IS SsdDevice's: a lane submission costs the
-  // device layer's service time for its payload.
-  const DeviceLanesConfig cfg = small_config();
+  // The bandwidth law: 100 MB/s -> 1 MB takes 10,000 us, and a lane
+  // submission at that bandwidth is served in exactly that time.
+  EXPECT_EQ(DeviceLanes::service_time_us(100.0, 1'000'000), 10'000u);
+  DeviceLanesConfig cfg = small_config();
+  cfg.lane_bandwidth_mb_per_s = 100.0;
   DeviceLanes lanes(cfg);
-  const TimeUs service = array::SsdDevice::service_time_us(
-      cfg.lane_bandwidth_mb_per_s, kChunkBytes);
-  const LaneCompletion c = lanes.submit(0, kChunkBytes, 0);
-  EXPECT_EQ(c.complete_us - c.admit_us, service);
+  const LaneCompletion c = lanes.submit(0, 1'000'000, 0);
+  EXPECT_EQ(c.complete_us - c.admit_us, 10'000u);
+  EXPECT_EQ(c.service_us, 10'000u);
 }
 
 TEST(DeviceLanesTest, BoundedQueueDelaysAdmissionToOldestCompletion) {
   const DeviceLanesConfig cfg = small_config();  // depth 2
   DeviceLanes lanes(cfg);
-  const TimeUs service = array::SsdDevice::service_time_us(
+  const TimeUs service = DeviceLanes::service_time_us(
       cfg.lane_bandwidth_mb_per_s, kChunkBytes);
   ASSERT_GT(service, 0u);
 
@@ -264,7 +264,7 @@ LaneCompletion naive_submit(NaiveLane& lane, std::uint32_t depth,
     lane.outstanding.erase(oldest);
   }
   const TimeUs service =
-      array::SsdDevice::service_time_us(bandwidth_mb_per_s, bytes);
+      DeviceLanes::service_time_us(bandwidth_mb_per_s, bytes);
   LaneCompletion c;
   c.submit_us = now_us;
   c.admit_us = admit;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -202,22 +201,6 @@ TEST(Log2HistogramMergeTest, MergedPercentileBracketedByParts) {
     EXPECT_GE(m, std::min(lo_est, hi_est)) << "p=" << p;
     EXPECT_LE(m, std::max(lo_est, hi_est)) << "p=" << p;
   }
-}
-
-TEST(Log2HistogramMergeTest, FromPartsRoundTrips) {
-  Log2Histogram h;
-  for (std::uint64_t v = 0; v < 300; ++v) h.add(v * v);
-  std::array<std::uint64_t, Log2Histogram::kBuckets> buckets{};
-  for (std::size_t b = 0; b < Log2Histogram::kBuckets; ++b) {
-    buckets[b] = h.bucket(b);
-  }
-  const Log2Histogram copy = Log2Histogram::from_parts(
-      buckets, h.count(), h.sum(), h.max_value());
-  EXPECT_EQ(copy.count(), h.count());
-  EXPECT_EQ(copy.sum(), h.sum());
-  EXPECT_EQ(copy.max_value(), h.max_value());
-  EXPECT_DOUBLE_EQ(copy.percentile(99.0), h.percentile(99.0));
-  EXPECT_DOUBLE_EQ(copy.percentile(50.0), h.percentile(50.0));
 }
 
 }  // namespace

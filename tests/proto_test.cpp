@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/export.h"
+#include "obs/runtime_stats.h"
 #include "proto/prototype.h"
 
 namespace adapt::proto {
@@ -154,6 +155,22 @@ TEST(PrototypeTest, ShardAutoRuleRespectsPerShardFloor) {
   EXPECT_EQ(resolve_shards(c), 4u);
   c.shards = 2;  // explicit request wins
   EXPECT_EQ(resolve_shards(c), 2u);
+}
+
+// Every batch leader publishes its BatchSample into the live stats, so at
+// the end they hold exactly what the run committed.
+TEST(PrototypeTest, LiveStatsSeeEveryCommittedOp) {
+  PrototypeConfig c = tiny_proto();
+  c.writes_per_client = 2000;
+  obs::RuntimeStats live;
+  c.live_stats = &live;
+  const PrototypeResult r = run_prototype(c);
+  const obs::RuntimeSnapshot snap = live.snapshot();
+  EXPECT_GT(snap.batches, 0u);
+  EXPECT_EQ(snap.batches, r.group_commit.groups);
+  EXPECT_EQ(snap.ops, r.group_commit.ops);
+  EXPECT_EQ(snap.blocks, r.user_blocks);
+  EXPECT_EQ(snap.total_us.count(), r.breakdown.total_us.count());
 }
 
 TEST(PrototypeTest, ManifestValidatesAgainstSchema) {

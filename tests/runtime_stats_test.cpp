@@ -1,10 +1,16 @@
-// Tests for the live runtime snapshot (obs/runtime_stats.h): seqlock
+// Tests for the live runtime snapshot (obs/runtime_stats.h): snapshot
 // coherence under concurrent writers/readers (the TSan tier runs this too),
-// the LiveStatsObserver stride adapter, and the format_live_line renderer.
+// the LiveStatsObserver stride adapter, the format_live_line renderer and
+// the LiveStatsPrinter thread.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,7 +67,7 @@ TEST(RuntimeStatsTest, ProgressPublishesOpsAndBlocksOnly) {
   EXPECT_EQ(snap.p99_us(), 0.0);  // empty distribution must not throw
 }
 
-// Seqlock coherence: writers maintain blocks == 2 * ops at every publish,
+// Snapshot coherence: writers maintain blocks == 2 * ops at every publish,
 // so ANY snapshot a reader accepts must satisfy the invariant exactly — a
 // torn read (payload from two different publishes) would break it. This is
 // the test the TSan tier runs to prove reader/writer race-freedom.
@@ -165,6 +171,104 @@ TEST(FormatLiveLineTest, PhasePercentagesCoverTheBreakdown) {
   EXPECT_NE(line.find("queue=30"), std::string::npos) << line;
   EXPECT_NE(line.find("service=40"), std::string::npos) << line;
   EXPECT_NE(line.find("p99="), std::string::npos) << line;
+}
+
+// ---------------------------------------------------------------------------
+// LiveStatsPrinter
+// ---------------------------------------------------------------------------
+
+struct LiveLine {
+  unsigned long long ops = 0;
+  unsigned long long delta = 0;
+  double thpt = -1.0;
+};
+
+/// Anonymous temp file a printer writes to; read back once it stopped.
+class PrinterOutput {
+ public:
+  PrinterOutput() : file_(std::tmpfile()), fd_(fileno(file_)) {}
+  ~PrinterOutput() { std::fclose(file_); }
+  PrinterOutput(const PrinterOutput&) = delete;
+  PrinterOutput& operator=(const PrinterOutput&) = delete;
+
+  std::FILE* file() const { return file_; }
+
+  /// Bytes the printer has flushed so far; safe while it runs (fstat on
+  /// the descriptor, never the shared FILE).
+  long long flushed_bytes() const {
+    struct stat st {};
+    return fstat(fd_, &st) == 0 ? static_cast<long long>(st.st_size) : 0;
+  }
+
+  std::vector<LiveLine> lines() const {
+    std::rewind(file_);
+    std::vector<LiveLine> out;
+    char buf[512];
+    while (std::fgets(buf, sizeof buf, file_) != nullptr) {
+      LiveLine l;
+      EXPECT_EQ(std::sscanf(buf, "live: ops=%llu (+%llu)", &l.ops, &l.delta),
+                2)
+          << buf;
+      if (const char* t = std::strstr(buf, "thpt="); t != nullptr) {
+        l.thpt = std::strtod(t + 5, nullptr);
+      }
+      out.push_back(l);
+    }
+    return out;
+  }
+
+ private:
+  std::FILE* file_;
+  int fd_;
+};
+
+// A run shorter than the interval prints exactly one line, on stop, and
+// at once: its delta is everything published and its rate divides by the
+// time that passed, not by the interval (1000 ops / 10 s would read 100).
+TEST(LiveStatsPrinterTest, ShortRunPrintsOneLineOverTheElapsedTime) {
+  RuntimeStats stats;
+  PrinterOutput out;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    LiveStatsPrinter printer(stats, /*interval_s=*/10.0, out.file());
+    stats.publish_progress(1000, 1000);
+    sleep_for_us(10'000);
+  }
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(waited_s, 5.0) << "stop must not wait out the interval";
+  const std::vector<LiveLine> lines = out.lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].ops, 1000u);
+  EXPECT_EQ(lines[0].delta, 1000u);
+  EXPECT_GT(lines[0].thpt, 1000.0);
+}
+
+// Every line spans from the previous line's snapshot: the deltas sum to
+// the total, and the last line carries only what came after the line
+// before it.
+TEST(LiveStatsPrinterTest, LastLineCoversOnlyTheRestOfTheRun) {
+  RuntimeStats stats;
+  PrinterOutput out;
+  LiveStatsPrinter printer(stats, /*interval_s=*/0.01, out.file());
+  stats.publish_progress(100, 100);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (out.flushed_bytes() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    sleep_for_us(1000);
+  }
+  stats.publish_progress(50, 50);
+  printer.stop();
+
+  const std::vector<LiveLine> lines = out.lines();
+  ASSERT_GE(lines.size(), 2u);
+  unsigned long long sum = 0;
+  for (const LiveLine& l : lines) sum += l.delta;
+  EXPECT_EQ(sum, 150u);
+  EXPECT_EQ(lines.back().ops, 150u);
+  EXPECT_EQ(lines.back().delta, lines.back().ops - lines[lines.size() - 2].ops);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "common/zipf.h"
+#include "obs/runtime_stats.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -202,6 +203,23 @@ TEST(SimulatorTest, ShardedReplayKeepsOneShardWa) {
   config.shards = 4;
   const double four_shards = run_volume(volume, "adapt", config).wa();
   EXPECT_NEAR(four_shards, one_shard, 0.02 * one_shard);
+}
+
+// Live stats count every replayed user block, also when a sharded replay's
+// pool threads publish into the one sink concurrently.
+TEST(SimulatorTest, LiveStatsCountEveryUserBlock) {
+  const trace::Volume volume = shard_scaling_volume();
+  for (const std::uint32_t shards : {1u, 4u}) {
+    obs::RuntimeStats live;
+    SimConfig config;
+    config.seed = 42;
+    config.shards = shards;
+    config.live_stats = &live;
+    const VolumeResult r = run_volume(volume, "adapt", config);
+    const obs::RuntimeSnapshot snap = live.snapshot();
+    EXPECT_GT(snap.blocks, 0u) << shards << " shards";
+    EXPECT_EQ(snap.blocks, r.metrics.user_blocks) << shards << " shards";
+  }
 }
 
 // ---------------------------------------------------------------------------

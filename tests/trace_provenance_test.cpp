@@ -225,14 +225,8 @@ TEST(TraceExportTest, TracedRunProducesValidChromeTraceJson) {
   const trace::Volume volume = small_volume();
   const sim::VolumeResult r = run_traced(volume, true);
   ASSERT_NE(r.trace, nullptr);
-  if (lss::kTracingCompiled) {
-    EXPECT_GT(r.trace->recorded, 0u);
-    EXPECT_FALSE(r.trace->entries.empty());
-  } else {
-    // -DADAPT_TRACING=OFF: the emit path compiles away, the rings stay
-    // empty, and the exporter still produces a valid (empty) document.
-    EXPECT_EQ(r.trace->recorded, 0u);
-  }
+  EXPECT_GT(r.trace->recorded, 0u);
+  EXPECT_FALSE(r.trace->entries.empty());
 
   obs::TraceMeta meta;
   meta.policy = r.policy;
@@ -325,8 +319,7 @@ TEST(TraceDeterminismTest, TracingOnVsOffIsBitIdentical) {
 }
 
 // The PR-1 pinned fixed-seed replay must reproduce bit-identically with
-// trace sinks attached (the counterpart of the -DADAPT_TRACING=OFF
-// configure covered by CI: both directions leave the metrics untouched).
+// trace sinks attached: tracing leaves the metrics untouched.
 TEST(TraceDeterminismTest, PinnedFixedSeedMetricsUnchangedWithTracing) {
   trace::CloudVolumeModel model(trace::alibaba_profile(), /*seed=*/42);
   const trace::Volume volume = model.make_volume(/*volume_id=*/0,
@@ -340,9 +333,7 @@ TEST(TraceDeterminismTest, PinnedFixedSeedMetricsUnchangedWithTracing) {
   EXPECT_EQ(r.metrics.gc_runs, 1370u);
   EXPECT_EQ(r.metrics.forced_lazy_flushes, 13u);
   ASSERT_NE(r.trace, nullptr);
-  if (lss::kTracingCompiled) {
-    EXPECT_GT(r.trace->recorded, 0u);
-  }
+  EXPECT_GT(r.trace->recorded, 0u);
 }
 
 // ---------------------------------------------------------------------------

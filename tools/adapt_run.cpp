@@ -15,18 +15,17 @@
 // "selfcheck FAILED: <artifact>: <reason>" and exits non-zero.
 //
 // Exit codes: 0 success, 1 runtime/selfcheck failure, 2 usage error.
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "common/sync.h"
 #include "lss/sharded_engine.h"
 #include "obs/export.h"
 #include "obs/runtime_stats.h"
@@ -57,7 +56,6 @@ struct Options {
   bool trace_events = false;
   bool registry_dump = false;
   bool selfcheck = false;
-  bool quiet = false;
 };
 
 void usage(std::FILE* to) {
@@ -83,8 +81,8 @@ void usage(std::FILE* to) {
                "  --out DIR          output directory (default "
                "adapt_run_out)\n"
                "  --live-stats SECS  print a live throughput line to stderr\n"
-               "                     every SECS seconds plus one final "
-               "summary\n"
+               "                     every SECS seconds and one when the "
+               "replay ends\n"
                "  --rmw              read-modify-write partial flushes\n"
                "  --no-array         skip the SSD-array model\n"
                "  --no-per-group     drop per-group series columns\n"
@@ -92,8 +90,7 @@ void usage(std::FILE* to) {
                "                     adapt_run_trace.json (Chrome/Perfetto)\n"
                "  --registry-dump    print the merged counter registry as\n"
                "                     sorted 'name value' lines on stdout\n"
-               "  --selfcheck        re-validate the written artifacts\n"
-               "  --quiet            no replay progress on stderr\n");
+               "  --selfcheck        re-validate the written artifacts\n");
 }
 
 Options parse_args(int argc, char** argv) {
@@ -151,8 +148,6 @@ Options parse_args(int argc, char** argv) {
       opt.registry_dump = true;
     } else if (arg == "--selfcheck") {
       opt.selfcheck = true;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
     } else {
       throw std::invalid_argument("unknown option: " + std::string(arg));
     }
@@ -237,53 +232,19 @@ int run(const Options& opt) {
   config.sampling.max_rows = static_cast<std::size_t>(opt.max_rows);
   config.sampling.per_group = !opt.no_per_group;
   config.tracing_enabled = opt.trace_events;
-  if (!opt.quiet) {
-    config.progress = [](std::uint64_t done, std::uint64_t total) {
-      std::fprintf(stderr, "\rreplayed %llu/%llu records",
-                   static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total));
-      if (done == total) std::fputc('\n', stderr);
-    };
-  }
 
-  // Live stats: the replay publishes block progress into a seqlock sink; a
-  // poller prints periodic "live:" lines to stderr plus one guaranteed
-  // final summary after the replay (deterministic: the final line always
-  // appears, even for runs shorter than the interval).
+  // Live stats: the replay publishes block progress into `live_stats`; the
+  // printer writes a "live:" line to stderr every interval and a final one
+  // when the replay returns, so even a run shorter than the interval
+  // reports once.
   obs::RuntimeStats live_stats;
-  std::atomic<bool> live_stop{false};
-  adapt::Thread live_poller;
+  std::optional<obs::LiveStatsPrinter> live_printer;
   if (opt.live_stats > 0.0) {
     config.live_stats = &live_stats;
-    live_poller = adapt::Thread([&live_stats, &live_stop,
-                                 interval = opt.live_stats] {
-      obs::RuntimeSnapshot prev;
-      double slept = 0.0;
-      while (!live_stop.load(std::memory_order_relaxed)) {
-        // 50 ms slices so shutdown never waits out a long interval.
-        adapt::sleep_for_us(50'000);
-        slept += 0.05;
-        if (slept + 1e-9 < interval) continue;
-        slept = 0.0;
-        const obs::RuntimeSnapshot cur = live_stats.snapshot();
-        std::fprintf(stderr, "%s\n",
-                     obs::format_live_line(prev, cur, interval).c_str());
-        prev = cur;
-      }
-    });
+    live_printer.emplace(live_stats, opt.live_stats);
   }
-
   sim::VolumeResult result = sim::run_volume(volume, opt.policy, config);
-  live_stop.store(true, std::memory_order_relaxed);
-  if (live_poller.joinable()) live_poller.join();
-  if (opt.live_stats > 0.0) {
-    const obs::RuntimeSnapshot final_snap = live_stats.snapshot();
-    std::fprintf(
-        stderr, "%s\n",
-        obs::format_live_line(obs::RuntimeSnapshot{}, final_snap,
-                              opt.live_stats)
-            .c_str());
-  }
+  if (live_printer) live_printer->stop();
   result.manifest.tool = "adapt_run";
   result.manifest.workload = workload;
 
