@@ -13,9 +13,9 @@
 //
 // The bench also proves the "zero steady-state allocations per op" claim:
 // a global operator new/delete interposer counts every heap allocation, and
-// the measured replay region must allocate nothing or the bench exits
-// non-zero (and the gated steady_state_allocs row would flag it in CI
-// regardless).
+// the measured replay region and the Bloom cascade's steady state (ring
+// rotations plus scores) must allocate nothing or the bench exits non-zero
+// (and the gated steady_state_allocs rows would flag it in CI regardless).
 //
 // Scaling: ADAPT_HOTPATH_OPS / ADAPT_HOTPATH_WARMUP override the measured
 // and warmup op counts (changing them changes the gated counter rows, so
@@ -333,6 +333,7 @@ int run() {
   // claim), a sampled reuse-distance access (§3.2) and a ghost-set write
   // (threshold scoring). Inputs are drawn up front so the loops time the
   // structures, not the generator.
+  std::uint64_t cascade_allocs = 0;
   {
     constexpr std::uint64_t kLookups = 1u << 20;
     constexpr std::uint64_t kUpdates = 1u << 18;
@@ -349,11 +350,22 @@ int run() {
     }
     const double bloom_ns = ns_per(start, kLookups);
 
-    core::CascadeDiscriminator cascade(4, 4096);
-    for (Lba lba = 0; lba < 16384; ++lba) cascade.insert(lba);
+    // Once the ring has filled, 16 rotations refill it with the same LBAs,
+    // so the timed scores see the same filters; neither may allocate.
+    constexpr std::uint32_t kFilterCapacity = 4096;
+    constexpr Lba kRingLbas = 4 * kFilterCapacity;
+    core::CascadeDiscriminator cascade(4, kFilterCapacity);
+    for (Lba lba = 0; lba < kRingLbas; ++lba) cascade.insert(lba);
+    const std::uint64_t cascade_allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    for (Lba i = 0; i < 16 * kFilterCapacity; ++i) {
+      cascade.insert(i % kRingLbas);
+    }
     start = Clock::now();
     for (Lba lba = 0; lba < kLookups; ++lba) checksum += cascade.score(lba);
     const double cascade_ns = ns_per(start, kLookups);
+    cascade_allocs = g_alloc_count.load(std::memory_order_relaxed) -
+                     cascade_allocs_before;
 
     Rng adapt_rng(5);
     std::vector<Lba> lbas(kUpdates);
@@ -384,9 +396,12 @@ int run() {
                "ns");
     report.add("adapt.reuse_access_ns", {}, reuse_ns, "ns");
     report.add("adapt.ghost_write_ns", {}, ghost_ns, "ns");
-    std::printf("bloom lookup  %10.2f ns/op\ncascade (4)   %10.2f ns/op\n"
+    report.add("adapt.cascade.steady_state_allocs", {},
+               static_cast<double>(cascade_allocs), "count");
+    std::printf("bloom lookup  %10.2f ns/op\ncascade (4)   %10.2f ns/op"
+                "  (%" PRIu64 " allocs)\n"
                 "reuse access  %10.2f ns/op\nghost write   %10.2f ns/op\n",
-                bloom_ns, cascade_ns, reuse_ns, ghost_ns);
+                bloom_ns, cascade_ns, cascade_allocs, reuse_ns, ghost_ns);
   }
 
   engine.check_invariants(audit::Level::kFull);
@@ -397,6 +412,13 @@ int run() {
                  "FAIL: steady-state replay allocated %" PRIu64
                  " times (expected 0)\n",
                  steady_allocs);
+    return 1;
+  }
+  if (cascade_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: steady-state cascade allocated %" PRIu64
+                 " times (expected 0)\n",
+                 cascade_allocs);
     return 1;
   }
   return 0;

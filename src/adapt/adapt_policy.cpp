@@ -1,6 +1,7 @@
 #include "adapt/adapt_policy.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace adapt::core {
 
@@ -19,6 +20,15 @@ AdaptPolicy::AdaptPolicy(const AdaptConfig& config)
     adapter_ = std::make_unique<ThresholdAdapter>(ac);
   }
   if (config_.enable_proactive_demotion) {
+    // A threshold of 0 would "demote" unscored writes to no group, and one
+    // above the cascade length could never be met. (The cascades reject a
+    // zero filter capacity themselves.)
+    if (config_.demotion_score_threshold == 0 ||
+        config_.demotion_score_threshold > config_.bloom_filters_per_group) {
+      throw std::invalid_argument(
+          "AdaptPolicy: proactive demotion needs 1 <= "
+          "demotion_score_threshold <= bloom_filters_per_group");
+    }
     discriminators_.reserve(kGcGroups);
     for (GroupId g = 0; g < kGcGroups; ++g) {
       discriminators_.emplace_back(config_.bloom_filters_per_group,
@@ -57,19 +67,12 @@ GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
         prior != kNeverWritten &&
         static_cast<double>(now - prior) >= 4.0 * threshold();
     if (long_lived) {
-      GroupId best_group = kInvalidGroup;
-      std::uint32_t best_score = 0;
-      for (GroupId g = 0; g < kGcGroups; ++g) {
-        const std::uint32_t s = discriminators_[g].score(lba);
-        if (s > best_score) {
-          best_score = s;
-          best_group = kFirstGcGroup + g;
-        }
-      }
-      if (best_score >= config_.demotion_score_threshold) {
+      const std::size_t g = pick_cascade(
+          discriminators_, lba, config_.demotion_score_threshold);
+      if (g < discriminators_.size()) {
         ++demotions_;
         last_write_[lba] = now;
-        return best_group;
+        return kFirstGcGroup + static_cast<GroupId>(g);
       }
     }
   }

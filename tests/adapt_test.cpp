@@ -2,8 +2,10 @@
 // reuse-distance tracking, ghost sets, threshold adaptation, and the
 // AdaptPolicy placement/aggregation logic (including engine integration of
 // shadow append / lazy append).
+#include <deque>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -44,7 +46,9 @@ TEST(BloomTest, FalsePositiveRateIsBounded) {
   for (int i = 0; i < probes; ++i) {
     if (f.maybe_contains(1'000'000 + i)) ++fp;
   }
-  EXPECT_LT(static_cast<double>(fp) / probes, 0.05);
+  // Analytical rate: (1 - e^(-7·1000/10048))^7 ≈ 0.80%. A position
+  // derivation that clusters bits overshoots this bound.
+  EXPECT_LT(static_cast<double>(fp) / probes, 0.015);
 }
 
 TEST(BloomTest, TracksInsertedCount) {
@@ -62,6 +66,43 @@ TEST(BloomTest, EmptyContainsNothing) {
     if (f.maybe_contains(lba)) ++hits;
   }
   EXPECT_EQ(hits, 0);
+}
+
+// The shared probe is the exact (h1 + i·h2) mod bit_count that a per-filter
+// `%` gives, including when h1 + i·h2 wraps past 2^64.
+TEST(BloomTest, SharedProbeMatchesModulo) {
+  for (const std::uint32_t capacity : {1u, 7u, 100u, 1000u, 1024u, 4096u,
+                                       65536u}) {
+    const BloomGeometry geometry(capacity);
+    const std::uint64_t bits = geometry.bit_count();
+    ASSERT_EQ(bits, (std::uint64_t{capacity} * 10 + 63) / 64 * 64);
+    Rng rng(capacity);
+    std::uint64_t wrapped = 0;
+    for (std::uint64_t n = 0; n < 100'000; ++n) {
+      // Small, large and random LBAs.
+      const Lba lba = n < 1000 ? n : n < 2000 ? ~Lba{0} - n : rng();
+      const std::uint64_t h1 = mix64(lba);
+      const std::uint64_t h2 = mix64(lba ^ 0x9e3779b97f4a7c15ULL) | 1;
+      const BloomProbe probe = geometry.probe(lba);
+      for (std::uint32_t i = 0; i < kBloomHashes; ++i) {
+        const std::uint64_t x = h1 + i * h2;
+        if (static_cast<unsigned __int128>(h1) +
+                static_cast<unsigned __int128>(i) * h2 >
+            ~std::uint64_t{0}) {
+          ++wrapped;
+        }
+        ASSERT_EQ(probe.bit[i], x % bits)
+            << "capacity " << capacity << " lba " << lba << " i " << i;
+      }
+    }
+    EXPECT_GT(wrapped, 100'000u) << "capacity " << capacity;
+  }
+}
+
+TEST(BloomTest, ZeroCapacityIsRejected) {
+  EXPECT_THROW(BloomFilter(0), std::invalid_argument);
+  EXPECT_THROW(CascadeDiscriminator(4, 0), std::invalid_argument);
+  EXPECT_THROW(CascadeDiscriminator(0, 4), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +151,100 @@ TEST(CascadeTest, MemoryIsBounded) {
   EXPECT_LE(d.memory_usage_bytes(), 2u * 100 * 10 / 8 + 64);
   EXPECT_EQ(d.total_inserted(), 10000u);
   d.check_invariants(audit::Level::kFull);
+}
+
+// The ring answers exactly like a FIFO of freshly constructed filters: a
+// deque that opens a new filter when its newest is full and drops the
+// oldest beyond the cap, fed the same inserts.
+TEST(CascadeTest, RingMatchesFreshFilterFifo) {
+  constexpr std::uint32_t kFilters = 4;
+  constexpr std::uint32_t kCapacity = 50;
+  CascadeDiscriminator ring(kFilters, kCapacity);
+  std::deque<BloomFilter> fifo;
+  Rng rng(17);
+  std::uint64_t rotations = 0;
+  for (std::uint64_t n = 0; n < 60 * kCapacity; ++n) {
+    const Lba lba = rng.below(400);
+    ring.insert(lba);
+    if (fifo.empty() || fifo.back().full()) {
+      fifo.emplace_back(kCapacity);
+      if (fifo.size() > kFilters) {
+        fifo.pop_front();
+        ++rotations;
+      }
+    }
+    fifo.back().insert(lba);
+    if (n % 97 != 0) continue;
+    ring.check_invariants(audit::Level::kFull);
+    for (Lba probe_lba = 0; probe_lba < 500; ++probe_lba) {
+      std::uint32_t expected = 0;
+      for (const BloomFilter& f : fifo) {
+        if (f.maybe_contains(probe_lba)) ++expected;
+      }
+      ASSERT_EQ(ring.score(probe_lba), expected) << "insert " << n;
+      const BloomProbe probe = ring.probe(probe_lba);
+      for (std::uint32_t need = 0; need <= kFilters + 1; ++need) {
+        ASSERT_EQ(ring.score_at_least(probe, need),
+                  expected >= need ? expected : 0);
+      }
+    }
+  }
+  EXPECT_GE(rotations, 10u);
+  EXPECT_EQ(ring.filter_count(), fifo.size());
+}
+
+// The bounded scan picks what scoring every cascade in full and taking the
+// first strict maximum picks, on rings of 0-4 filters, some rotated many
+// times, at every threshold.
+TEST(CascadeTest, PickCascadeMatchesFullScoring) {
+  constexpr std::uint32_t kFilters = 4;
+  constexpr std::uint32_t kCapacity = 8;
+  constexpr Lba kUniverse = 24;  // small, so scores and ties are common
+  Rng rng(23);
+  std::uint64_t demoted[kFilters + 1] = {};
+  std::uint64_t partial_rings = 0;
+  std::uint64_t ties = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    std::vector<CascadeDiscriminator> cascades;
+    for (int g = 0; g < 4; ++g) {
+      cascades.emplace_back(kFilters, kCapacity);
+      const std::uint64_t filters = rng.below(kFilters + 1);
+      const std::uint64_t inserts =
+          filters == 0 ? 0
+          : filters < kFilters
+              ? (filters - 1) * kCapacity + 1 + rng.below(kCapacity)
+              : kFilters * kCapacity * (1 + rng.below(20));
+      for (std::uint64_t i = 0; i < inserts; ++i) {
+        cascades.back().insert(rng.below(kUniverse));
+      }
+      ASSERT_EQ(cascades.back().filter_count(), filters);
+      if (filters > 0 && filters < kFilters) ++partial_rings;
+    }
+    for (Lba lba = 0; lba < kUniverse + 16; ++lba) {
+      std::uint32_t scores[4];
+      std::size_t first_max = 0;
+      for (std::size_t g = 0; g < 4; ++g) {
+        scores[g] = cascades[g].score(lba);
+        if (scores[g] > scores[first_max]) first_max = g;
+      }
+      for (std::size_t g = first_max + 1; g < 4; ++g) {
+        if (scores[g] == scores[first_max] && scores[g] > 0) ++ties;
+      }
+      for (std::uint32_t threshold = 1; threshold <= kFilters; ++threshold) {
+        const bool demote = scores[first_max] >= threshold;
+        const std::size_t expected = demote ? first_max : cascades.size();
+        ASSERT_EQ(pick_cascade(cascades, lba, threshold), expected)
+            << "trial " << trial << " lba " << lba << " threshold "
+            << threshold;
+        if (demote) ++demoted[threshold];
+      }
+    }
+  }
+  for (std::uint32_t threshold = 1; threshold <= kFilters; ++threshold) {
+    EXPECT_GT(demoted[threshold], 100u) << "threshold " << threshold;
+  }
+  EXPECT_GT(partial_rings, 100u);
+  EXPECT_GT(ties, 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -490,6 +625,31 @@ TEST(AdaptPolicyTest, DemotionRequiresScoreAndLifespan) {
   // A short prior lifespan must NOT demote, whatever the score.
   EXPECT_EQ(p.place_user_write(lba, far + 3), AdaptPolicy::kHotUser);
   EXPECT_EQ(p.demotions(), 1u);
+}
+
+// A threshold of 0 "demoted" unscored writes to kInvalidGroup, and one
+// above the cascade length silently disabled demotion; zero-sized cascades
+// were clamped to 1. All are rejected while demotion is on.
+TEST(AdaptPolicyTest, RejectsUnreachableDemotionThreshold) {
+  const auto with = [](std::uint32_t filters, std::uint32_t capacity,
+                       std::uint32_t threshold) {
+    AdaptConfig c = small_policy();
+    c.bloom_filters_per_group = filters;
+    c.bloom_filter_capacity = capacity;
+    c.demotion_score_threshold = threshold;
+    return c;
+  };
+  EXPECT_THROW(AdaptPolicy(with(4, 1024, 0)), std::invalid_argument);
+  EXPECT_THROW(AdaptPolicy(with(4, 1024, 5)), std::invalid_argument);
+  EXPECT_THROW(AdaptPolicy(with(0, 1024, 1)), std::invalid_argument);
+  EXPECT_THROW(AdaptPolicy(with(4, 0, 3)), std::invalid_argument);
+  EXPECT_NO_THROW(AdaptPolicy(with(4, 1024, 1)));
+  EXPECT_NO_THROW(AdaptPolicy(with(4, 1024, 4)));
+  EXPECT_NO_THROW(AdaptPolicy(with(1, 1, 1)));
+  // With demotion off the cascade settings are unused.
+  AdaptConfig off = with(4, 0, 0);
+  off.enable_proactive_demotion = false;
+  EXPECT_NO_THROW(AdaptPolicy{off});
 }
 
 TEST(AdaptPolicyTest, DemotionDisabledByConfig) {
