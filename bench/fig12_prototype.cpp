@@ -7,7 +7,8 @@
 // not saturated) and SepGC is slightly ahead; at 4 and 8 clients ADAPT is
 // 1.1-1.58x the other schemes because lower WA frees device bandwidth;
 // ADAPT's memory overhead is ~4.6% above SepBIT (sampler ~44 B per sampled
-// block, ghost sets ~20 B per simulated block).
+// block, ghost sets ~20 B per simulated block). Here the sampler's state is
+// one last-write entry per sampled block, modelled at 40 B.
 #include "bench_util.h"
 #include "proto/prototype.h"
 

@@ -4,12 +4,11 @@
 // replay throughput plus a ns/op breakdown per component (map lookup and
 // update, shadow-table churn, append/flush, GC migration, victim
 // selection) and per call of ADAPT's placement structures (Bloom-filter
-// lookup, 4-filter cascade score, reuse-distance access, ghost-set
-// write). Everything runs at a fixed seed and fixed op counts, so the
-// deterministic rows (block counters, WA, allocation counts) gate exactly
-// under tools/adapt_compare against ci/baselines/BENCH_engine_hotpath.json;
-// timing rows carry host-dependent units ("ns", "1/s") that the gate
-// skips by design.
+// lookup, 4-filter cascade score, ghost-set write). Everything runs at a
+// fixed seed and fixed op counts, so the deterministic rows (block
+// counters, WA, allocation counts) gate exactly under tools/adapt_compare
+// against ci/baselines/BENCH_engine_hotpath.json; timing rows carry
+// host-dependent units ("ns", "1/s") that the gate skips by design.
 //
 // The bench also proves the "zero steady-state allocations per op" claim:
 // a global operator new/delete interposer counts every heap allocation, and
@@ -32,7 +31,6 @@
 
 #include "adapt/bloom.h"
 #include "adapt/ghost_set.h"
-#include "adapt/reuse_distance.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -330,9 +328,8 @@ int run() {
   // -- ADAPT placement structures -------------------------------------------
   // Per-call cost of what ADAPT consults or feeds on a placement: a Bloom
   // filter lookup and a 4-filter cascade score (the §3.4 "nanoseconds"
-  // claim), a sampled reuse-distance access (§3.2) and a ghost-set write
-  // (threshold scoring). Inputs are drawn up front so the loops time the
-  // structures, not the generator.
+  // claim) and a ghost-set write (§3.2 threshold scoring). Inputs are
+  // drawn up front so the loops time the structures, not the generator.
   std::uint64_t cascade_allocs = 0;
   {
     constexpr std::uint64_t kLookups = 1u << 20;
@@ -374,13 +371,6 @@ int run() {
       lbas[i] = adapt_rng.below(1u << 14);
       intervals[i] = adapt_rng.below(4096);
     }
-    core::ReuseDistanceTracker tracker;
-    start = Clock::now();
-    for (std::uint64_t i = 0; i < kUpdates; ++i) {
-      checksum += tracker.access(lbas[i], i).raw_interval;
-    }
-    const double reuse_ns = ns_per(start, kUpdates);
-
     core::GhostSet ghost(
         core::GhostConfig{.segment_blocks = 16, .capacity_segments = 256},
         1024);
@@ -394,14 +384,13 @@ int run() {
     report.add("adapt.bloom_lookup_ns", {}, bloom_ns, "ns");
     report.add("adapt.cascade_score_ns", {{"filters", "4"}}, cascade_ns,
                "ns");
-    report.add("adapt.reuse_access_ns", {}, reuse_ns, "ns");
     report.add("adapt.ghost_write_ns", {}, ghost_ns, "ns");
     report.add("adapt.cascade.steady_state_allocs", {},
                static_cast<double>(cascade_allocs), "count");
     std::printf("bloom lookup  %10.2f ns/op\ncascade (4)   %10.2f ns/op"
                 "  (%" PRIu64 " allocs)\n"
-                "reuse access  %10.2f ns/op\nghost write   %10.2f ns/op\n",
-                bloom_ns, cascade_ns, cascade_allocs, reuse_ns, ghost_ns);
+                "ghost write   %10.2f ns/op\n",
+                bloom_ns, cascade_ns, cascade_allocs, ghost_ns);
   }
 
   engine.check_invariants(audit::Level::kFull);

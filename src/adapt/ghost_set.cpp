@@ -129,7 +129,6 @@ std::size_t GhostSet::memory_usage_bytes() const noexcept {
   // slot), the 8 B key and the hash-node overhead; per mapped LBA, key +
   // Location + node overhead. Modelled constants rather than sizeof() of
   // implementation types, so tests can pin exact byte counts.
-  constexpr std::size_t kHashNodeBytes = 24;  // next ptr + cached hash
   constexpr std::size_t kLocationBytes = 16;  // segment_key + padded slot
   std::size_t total = 0;
   for (const auto& [key, seg] : segments_) {

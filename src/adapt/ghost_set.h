@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +28,13 @@ struct GhostConfig {
 
 class GhostSet {
  public:
+  /// Interval of a block's first write: no history, so it places cold.
+  static constexpr std::uint64_t kNoHistory =
+      std::numeric_limits<std::uint64_t>::max();
+  /// Modelled overhead of one hash-map node (next ptr + cached hash), used
+  /// by the memory models of these maps and the adapter's last-write map.
+  static constexpr std::size_t kHashNodeBytes = 24;
+
   GhostSet(const GhostConfig& config, std::uint64_t threshold);
 
   std::uint64_t threshold() const noexcept { return threshold_; }
@@ -44,8 +52,7 @@ class GhostSet {
     gc_runs_ = 0;
   }
 
-  /// Feeds one sampled user write with its (scaled) access interval;
-  /// kFirstAccess (all-ones) means no history -> cold.
+  /// Feeds one sampled user write with its write interval, or kNoHistory.
   void write(Lba lba, std::uint64_t interval);
 
   std::uint64_t written() const noexcept { return written_; }

@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace adapt::core {
 namespace {
+
+/// Share of (scaled) capacity budgeted to the simulated user groups. The
+/// real system's GC-rewritten groups hold most of the capacity (paper
+/// Observation 4), so the user groups see much higher GC pressure than a
+/// whole-device simulation would suggest.
+constexpr double kUserCapacityFraction = 0.20;
 
 GhostConfig ghost_geometry(const AdapterConfig& cfg) {
   GhostConfig g;
@@ -16,13 +23,22 @@ GhostConfig ghost_geometry(const AdapterConfig& cfg) {
   const double scaled_capacity = static_cast<double>(cfg.logical_blocks) *
                                  cfg.sample_rate *
                                  (1.0 + cfg.over_provision) *
-                                 cfg.user_capacity_fraction;
+                                 kUserCapacityFraction;
   g.capacity_segments = std::max<std::uint32_t>(
       8, static_cast<std::uint32_t>(scaled_capacity / g.segment_blocks));
   return g;
 }
 
 }  // namespace
+
+SpatialSampler::SpatialSampler(double rate)
+    : rate_(std::clamp(rate, 0.0, 1.0)) {
+  if (rate_ >= 1.0) {
+    cutoff_ = std::numeric_limits<std::uint64_t>::max();
+  } else {
+    cutoff_ = static_cast<std::uint64_t>(rate_ * std::pow(2.0, 64.0));
+  }
+}
 
 ThresholdAdapter::ThresholdAdapter(const AdapterConfig& config)
     : config_(config),
@@ -79,16 +95,10 @@ bool ThresholdAdapter::on_user_write(Lba lba, VTime now) {
   ++writes_since_adoption_;
   if (sampler_.sampled(lba)) {
     ++sampled_writes_;
-    const auto measured = tracker_.access(lba, now);
-    std::uint64_t interval = ReuseDistanceTracker::kFirstAccess;
-    if (config_.use_unique_distance) {
-      if (measured.unique_distance != ReuseDistanceTracker::kFirstAccess) {
-        interval = static_cast<std::uint64_t>(
-            static_cast<double>(measured.unique_distance) /
-            config_.sample_rate);
-      }
-    } else {
-      interval = measured.raw_interval;
+    std::uint64_t interval = GhostSet::kNoHistory;
+    if (const auto [it, first] = last_write_.try_emplace(lba, now); !first) {
+      interval = now - it->second;
+      it->second = now;
     }
     for (GhostSet& g : ghosts_) g.write(lba, interval);
     ++sampled_since_reconfigure_;
@@ -156,6 +166,9 @@ void ThresholdAdapter::check_invariants(audit::Level level) const {
   if (sampled_since_reconfigure_ > sampled_writes_) {
     fail("reconfigure counter ahead of total sampled writes");
   }
+  if (last_write_.size() > sampled_writes_) {
+    fail("more last-write entries than sampled writes");
+  }
   if (phase_ == Phase::kLinear && adoptions_ == 0) {
     fail("linear phase before any adoption");
   }
@@ -171,7 +184,8 @@ std::vector<std::uint64_t> ThresholdAdapter::ghost_thresholds() const {
 }
 
 std::size_t ThresholdAdapter::memory_usage_bytes() const noexcept {
-  std::size_t total = tracker_.memory_usage_bytes();
+  std::size_t total = last_write_.size() * (sizeof(Lba) + sizeof(VTime) +
+                                            GhostSet::kHashNodeBytes);
   for (const GhostSet& g : ghosts_) total += g.memory_usage_bytes();
   return total;
 }

@@ -1,26 +1,48 @@
 // Density-Aware Threshold Adaptation (paper §3.2).
 //
-// Sampled user writes feed a reuse-distance tracker whose scaled intervals
-// drive a bank of ghost sets, each simulating the user-written groups under
-// a different hot/cold threshold. Thresholds start on an exponentially
-// growing window (segment_size * 2^i); after the first adoption the window
-// switches to linear steps (granularity = one segment) spanning the
-// neighbours of the previous winner, and falls back to the exponential
-// window when the winner sits on the window edge (monotone WA). A new
-// configuration is adopted when the write volume since the last adoption
-// exceeds 10% of capacity and the ghosts are stable.
+// Blocks are sampled by a uniform hash of their LBA, after SHARDS
+// [Waldspurger et al., FAST'15]. For each sampled write the adapter keeps
+// the block's last-write time and feeds a bank of ghost sets the raw
+// interval since that write — user blocks written, the unit SepBIT measures
+// lifespans in and the placement threshold is applied in. Each ghost set
+// simulates the user-written groups under a different hot/cold threshold.
+// Thresholds start on an exponentially growing window (segment_size * 2^i);
+// after the first adoption the window switches to linear steps
+// (granularity = one segment) spanning the neighbours of the previous
+// winner, and falls back to the exponential window when the winner sits on
+// the window edge (monotone WA). A new configuration is adopted when the
+// write volume since the last adoption exceeds 10% of capacity and the
+// ghosts are stable.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "adapt/ghost_set.h"
-#include "adapt/reuse_distance.h"
 #include "audit/audit.h"
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace adapt::core {
+
+/// Uniform spatial sampler: an LBA is in-sample iff hash(lba) < rate * 2^64.
+class SpatialSampler {
+ public:
+  explicit SpatialSampler(double rate);
+
+  double rate() const noexcept { return rate_; }
+  bool sampled(Lba lba) const noexcept {
+    return mix64(lba ^ kSalt) < cutoff_;
+  }
+
+ private:
+  static constexpr std::uint64_t kSalt = 0x5bd1e995u;
+
+  double rate_;
+  std::uint64_t cutoff_;
+};
 
 struct AdapterConfig {
   /// Spatial sampling rate; <= 0 auto-sizes so that roughly 4096 blocks of
@@ -34,16 +56,6 @@ struct AdapterConfig {
   double over_provision = 0.25;
   /// Adoption cadence: paper uses 10% of storage capacity.
   double update_fraction = 0.10;
-  /// Share of (scaled) capacity budgeted to the simulated user groups.
-  /// The real system's GC-rewritten groups hold most of the capacity
-  /// (paper Observation 4), so the user groups see much higher GC pressure
-  /// than a whole-device simulation would suggest.
-  double user_capacity_fraction = 0.20;
-  /// Interval metric fed to the ghosts: raw write-volume intervals match
-  /// the unit the placement threshold is applied in; unique reuse
-  /// distances (scaled by 1/rate) follow the paper's distance-tree text
-  /// but live in a compressed unit space.
-  bool use_unique_distance = false;
 };
 
 class ThresholdAdapter {
@@ -55,8 +67,7 @@ class ThresholdAdapter {
   /// Feeds one user write. Returns true if the adopted threshold changed.
   bool on_user_write(Lba lba, VTime now);
 
-  /// Currently adopted hot/cold threshold, in (estimated) blocks of access
-  /// interval.
+  /// Currently adopted hot/cold threshold, in blocks of write interval.
   std::uint64_t threshold() const noexcept { return current_threshold_; }
 
   /// True once at least one adoption happened (before that, callers should
@@ -69,6 +80,8 @@ class ThresholdAdapter {
   const std::vector<GhostSet>& ghosts() const noexcept { return ghosts_; }
   std::uint64_t sampled_writes() const noexcept { return sampled_writes_; }
 
+  /// Modelled like GhostSet's maps: 40 B per sampled block for the
+  /// last-write map (paper §4.4: ≈44 B) plus every ghost's footprint.
   std::size_t memory_usage_bytes() const noexcept;
 
   /// Self-audit; throws std::logic_error on violation. kCounters checks
@@ -83,7 +96,7 @@ class ThresholdAdapter {
 
   AdapterConfig config_;
   SpatialSampler sampler_;
-  ReuseDistanceTracker tracker_;
+  std::unordered_map<Lba, VTime> last_write_;  // per sampled block
   std::vector<GhostSet> ghosts_;
   Phase phase_ = Phase::kExponential;
   std::uint64_t current_threshold_;

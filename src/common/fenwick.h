@@ -1,8 +1,6 @@
-// Fenwick (binary indexed) tree over a dynamically growing index range.
-// Used by the reuse-distance tracker (positions in the sampled access
-// sequence are marked/unmarked and suffix counts give the number of
-// distinct blocks touched since a given position) and by the GC victim
-// index (occupancy counts with order-statistic queries).
+// Fenwick (binary indexed) tree over a fixed index range, sized at
+// construction. Used by the GC victim index (occupancy counts with
+// order-statistic queries).
 #pragma once
 
 #include <bit>
@@ -22,29 +20,9 @@ class FenwickTree {
     return tree_.empty() ? 0 : tree_.size() - 1;
   }
 
-  /// Grows the index range to cover `n` positions. A freshly appended node
-  /// at (1-indexed) position j spans [j - lowbit(j) + 1, j], so it must
-  /// absorb the already-present child nodes of that range — otherwise
-  /// growth after writes would lose counts.
-  void resize(std::size_t n) {
-    const std::size_t old = size();
-    if (n <= old) return;
-    tree_.resize(n + 1, 0);
-    for (std::size_t j = old + 1; j <= n; ++j) {
-      const std::size_t low = j & (~j + 1);
-      if (low > 1) {
-        std::int64_t sum = 0;
-        for (std::size_t k = j - 1; k > j - low; k -= k & (~k + 1)) {
-          sum += tree_[k];
-        }
-        tree_[j] = sum;
-      }
-    }
-  }
-
-  /// Adds `delta` at position `i` (0-indexed), growing as needed.
+  /// Adds `delta` at position `i` (0-indexed); requires i < size().
   void add(std::size_t i, std::int64_t delta) {
-    resize(i + 1);
+    assert(i < size());
     for (std::size_t x = i + 1; x < tree_.size(); x += x & (~x + 1)) {
       tree_[x] += delta;
     }
@@ -62,11 +40,6 @@ class FenwickTree {
   /// Sum of all positions.
   std::int64_t total() const noexcept {
     return size() == 0 ? 0 : prefix_sum(size() - 1);
-  }
-
-  /// Sum of positions in (i, size) — i.e. strictly after position i.
-  std::int64_t suffix_sum_after(std::size_t i) const noexcept {
-    return total() - prefix_sum(i);
   }
 
   /// Order statistic: the smallest 0-indexed position p such that

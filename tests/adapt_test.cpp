@@ -1,10 +1,8 @@
-// Tests for the ADAPT core: Bloom cascade, spatial sampling,
-// reuse-distance tracking, ghost sets, threshold adaptation, and the
-// AdaptPolicy placement/aggregation logic (including engine integration of
-// shadow append / lazy append).
+// Tests for the ADAPT core: Bloom cascade, spatial sampling, ghost sets,
+// threshold adaptation, and the AdaptPolicy placement/aggregation logic
+// (including engine integration of shadow append / lazy append).
 #include <deque>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -16,7 +14,6 @@
 #include "placement/sep_gc.h"
 #include "placement/sepbit.h"
 #include "adapt/ghost_set.h"
-#include "adapt/reuse_distance.h"
 #include "adapt/threshold_adapter.h"
 #include "audit/audit.h"
 #include "common/rng.h"
@@ -279,66 +276,6 @@ TEST(SamplerTest, DecisionIsStablePerLba) {
 }
 
 // ---------------------------------------------------------------------------
-// ReuseDistanceTracker
-// ---------------------------------------------------------------------------
-
-TEST(ReuseDistanceTest, FirstAccessHasNoHistory) {
-  ReuseDistanceTracker t;
-  const auto i = t.access(5, 100);
-  EXPECT_EQ(i.unique_distance, ReuseDistanceTracker::kFirstAccess);
-  EXPECT_EQ(i.raw_interval, ReuseDistanceTracker::kFirstAccess);
-}
-
-TEST(ReuseDistanceTest, ImmediateReuseIsZeroDistance) {
-  ReuseDistanceTracker t;
-  t.access(5, 0);
-  const auto i = t.access(5, 3);
-  EXPECT_EQ(i.unique_distance, 0u);
-  EXPECT_EQ(i.raw_interval, 3u);
-}
-
-TEST(ReuseDistanceTest, CountsDistinctIntervening) {
-  ReuseDistanceTracker t;
-  t.access(1, 0);
-  t.access(2, 1);
-  t.access(3, 2);
-  t.access(2, 3);  // 2 again: only {3} since -> distance 1
-  EXPECT_EQ(t.access(2, 4).unique_distance, 0u);
-  EXPECT_EQ(t.access(1, 5).unique_distance, 2u);  // {2,3} since t=0
-}
-
-TEST(ReuseDistanceTest, RepeatsDontInflateDistance) {
-  ReuseDistanceTracker t;
-  t.access(1, 0);
-  for (int i = 1; i <= 10; ++i) t.access(2, i);  // one distinct block
-  EXPECT_EQ(t.access(1, 11).unique_distance, 1u);
-}
-
-TEST(ReuseDistanceTest, MatchesNaiveOnRandomSequence) {
-  ReuseDistanceTracker t;
-  Rng rng(107);
-  std::unordered_map<Lba, std::size_t> last_pos;
-  std::vector<Lba> sequence;
-  for (int i = 0; i < 3000; ++i) {
-    const Lba lba = rng.below(64);
-    const auto measured = t.access(lba, i);
-    if (last_pos.contains(lba)) {
-      std::set<Lba> seen;
-      for (std::size_t p = last_pos[lba] + 1; p < sequence.size(); ++p) {
-        seen.insert(sequence[p]);
-      }
-      ASSERT_EQ(measured.unique_distance, seen.size()) << "at step " << i;
-    } else {
-      ASSERT_EQ(measured.unique_distance,
-                ReuseDistanceTracker::kFirstAccess);
-    }
-    last_pos[lba] = sequence.size();
-    sequence.push_back(lba);
-  }
-  EXPECT_EQ(t.tracked_blocks(), last_pos.size());
-}
-
-// ---------------------------------------------------------------------------
 // GhostSet
 // ---------------------------------------------------------------------------
 
@@ -538,6 +475,63 @@ TEST(ThresholdAdapterTest, MemoryGrowsWithTracking) {
   const std::size_t before = a.memory_usage_bytes();
   for (Lba lba = 0; lba < 1000; ++lba) a.on_user_write(lba, lba);
   EXPECT_GT(a.memory_usage_bytes(), before);
+  a.check_invariants(audit::Level::kFull);
+}
+
+TEST(ThresholdAdapterTest, GhostsSeeIntervalSincePreviousWrite) {
+  // Reference bank: ghosts of the adapter's geometry fed the user blocks
+  // written since each block's previous write (kNoHistory on its first),
+  // re-thresholded after every adoption like the adapter's own bank.
+  ThresholdAdapter a(small_adapter());
+  // Rate 1: 64-block segments; 20% of 4096 * 1.25 blocks is 16 segments.
+  const GhostConfig geom{.segment_blocks = 64, .capacity_segments = 16};
+  std::vector<GhostSet> ref;
+  for (const std::uint64_t t : a.ghost_thresholds()) ref.emplace_back(geom, t);
+  std::unordered_map<Lba, VTime> last_write;
+  Rng rng(131);
+  std::uint64_t adoptions = 0;
+  for (VTime now = 0; now < 50000; ++now) {
+    const Lba lba = rng.chance(0.6) ? rng.below(32) : 100 + rng.below(4000);
+    const auto it = last_write.find(lba);
+    const std::uint64_t interval =
+        it == last_write.end() ? GhostSet::kNoHistory : now - it->second;
+    last_write[lba] = now;
+    for (GhostSet& g : ref) g.write(lba, interval);
+    a.on_user_write(lba, now);
+    if (a.adoptions() != adoptions) {
+      adoptions = a.adoptions();
+      const auto thresholds = a.ghost_thresholds();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ref[i].set_threshold(thresholds[i]);
+      }
+    }
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const GhostSet& g = a.ghosts()[i];
+      ASSERT_EQ(g.written(), ref[i].written()) << "ghost " << i << " @" << now;
+      ASSERT_EQ(g.discarded(), ref[i].discarded())
+          << "ghost " << i << " @" << now;
+    }
+  }
+  EXPECT_GT(adoptions, 1u);
+}
+
+TEST(ThresholdAdapterTest, MemoryBoundedBySampledBlocks) {
+  // The adapter's own state (memory minus the ghosts') holds one entry per
+  // sampled block, however often each block is rewritten.
+  ThresholdAdapter a(small_adapter());
+  const auto own_bytes = [&a] {
+    std::size_t ghost_bytes = 0;
+    for (const GhostSet& g : a.ghosts()) ghost_bytes += g.memory_usage_bytes();
+    return a.memory_usage_bytes() - ghost_bytes;
+  };
+  VTime now = 0;
+  for (Lba lba = 0; lba < 1000; ++lba) a.on_user_write(lba, now++);
+  const std::size_t after_one_pass = own_bytes();
+  EXPECT_EQ(after_one_pass, 1000u * 40u);
+  for (int pass = 0; pass < 50; ++pass) {
+    for (Lba lba = 0; lba < 1000; ++lba) a.on_user_write(lba, now++);
+  }
+  EXPECT_EQ(own_bytes(), after_one_pass);
   a.check_invariants(audit::Level::kFull);
 }
 
