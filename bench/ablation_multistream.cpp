@@ -3,10 +3,10 @@
 // capability to reduce in-device WA by mapping groups to streams
 // one-to-one").
 //
-// The LSS runs on the address-mapped RAID-5 array whose devices are
+// The LSS runs on the flash-backed RAID-5 array, whose devices are
 // page-mapped FTLs; we compare group->stream one-to-one mapping against
 // funnelling every group into a single device stream, with TRIM on/off.
-#include "array/addressed_array.h"
+#include "array/ssd_array.h"
 #include "bench_util.h"
 #include "lss/engine.h"
 #include "lss/victim_policy.h"
@@ -30,19 +30,19 @@ Outcome run(const trace::Volume& volume, bool multi_stream, bool trim) {
   pc.segment_blocks = lc.segment_blocks();
   auto policy = placement::make_baseline_policy("sepbit", pc);
   auto victim = lss::make_greedy();
-  lss::LssEngine engine(lc, *policy, *victim, nullptr, 1);
 
-  array::AddressedArrayConfig ac;
+  array::SsdArrayConfig ac;
   ac.chunk_bytes = lc.chunk_blocks * lc.block_bytes;
-  ac.page_bytes = lc.block_bytes;
-  ac.num_streams = policy->group_count() + 1;  // +1 parity stream
-  ac.data_chunks = static_cast<std::uint64_t>(lc.total_segments()) *
-                   lc.segment_chunks;
-  ac.multi_stream = multi_stream;
-  ac.trim_enabled = trim;
-  ac.device_over_provision = 0.15;
-  array::AddressedArray addressed(ac);
-  engine.attach_addressed_array(&addressed);
+  ac.num_streams = policy->group_count();
+  ac.flash = array::FlashBacking{
+      .page_bytes = lc.block_bytes,
+      .data_chunks = static_cast<std::uint64_t>(lc.total_segments()) *
+                     lc.segment_chunks,
+      .device_over_provision = 0.15,
+      .trim_enabled = trim,
+      .multi_stream = multi_stream};
+  array::SsdArray ssd_array(ac);
+  lss::LssEngine engine(lc, *policy, *victim, &ssd_array, 1);
 
   for (const auto& r : volume.records) {
     if (r.op != trace::OpType::kWrite) continue;
@@ -53,13 +53,13 @@ Outcome run(const trace::Volume& volume, bool multi_stream, bool trim) {
   engine.flush_all();
   double worst_spread = 0.0;
   for (std::uint32_t d = 0; d < ac.num_devices; ++d) {
-    const auto w = addressed.device(d).wear();
+    const auto w = ssd_array.device(d).wear();
     if (w.mean_erases > 0) {
       worst_spread = std::max(
           worst_spread, static_cast<double>(w.max_erases) / w.mean_erases);
     }
   }
-  return Outcome{engine.metrics().wa(), addressed.device_internal_wa(),
+  return Outcome{engine.metrics().wa(), ssd_array.device_internal_wa(),
                  worst_spread};
 }
 

@@ -126,9 +126,8 @@ void ChunkWriter::seal_group_segment(GroupId g) {
 }
 
 void ChunkWriter::trim_segment(SegmentId id) {
-  if (addressed_array_ != nullptr) {
-    addressed_array_->trim_chunks(global_chunk_index(id, 0),
-                                  config_.segment_chunks);
+  if (array_ != nullptr) {
+    array_->trim_chunks(global_chunk_index(id, 0), config_.segment_chunks);
   }
 }
 
@@ -193,12 +192,9 @@ ADAPT_HOT void ChunkWriter::flush_chunk(GroupId g, std::uint32_t fill_blocks,
                             flow_id_});
   }
   if (array_ != nullptr) {
-    array_->write_chunk(g, static_cast<std::uint64_t>(fill_blocks) *
-                               config_.block_bytes);
-  }
-  if (addressed_array_ != nullptr) {
-    addressed_array_->write_chunk(global_chunk_index(seg_id, chunk_begin),
-                                  g);
+    array_->write_chunk(global_chunk_index(seg_id, chunk_begin), g,
+                        static_cast<std::uint64_t>(fill_blocks) *
+                            config_.block_bytes);
   }
   if (seg.write_ptr == config_.segment_blocks()) {
     seal_group_segment(g);
@@ -237,13 +233,10 @@ void ChunkWriter::rmw_flush(GroupId g) {
                     flow_id_});
   }
   if (array_ != nullptr) {
-    array_->write_partial(g, static_cast<std::uint64_t>(pending) *
-                                 config_.block_bytes);
-  }
-  if (addressed_array_ != nullptr) {
-    addressed_array_->write_partial(
-        global_chunk_index(gs.open_seg, chunk_begin_slot), offset_in_chunk,
-        pending, g);
+    array_->write_partial(
+        global_chunk_index(gs.open_seg, chunk_begin_slot), g,
+        static_cast<std::uint64_t>(offset_in_chunk) * config_.block_bytes,
+        static_cast<std::uint64_t>(pending) * config_.block_bytes);
   }
   gs.flushed_slots = seg.write_ptr;
   if (seg.write_ptr == config_.segment_blocks()) {

@@ -4,14 +4,13 @@
 // deadline) and turns appends into chunk-granularity media writes: full
 // flushes at chunk boundaries, zero-padded flushes when a deadline forces a
 // partial chunk out, RMW sub-chunk flushes in read-modify-write mode, and
-// shadow appends for cross-group aggregation. Every flush is mirrored to
-// the attached arrays and accounted in LssMetrics.
+// shadow appends for cross-group aggregation. Every flush is written to
+// the attached array at its chunk address and accounted in LssMetrics.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "array/addressed_array.h"
 #include "array/ssd_array.h"
 #include "common/types.h"
 #include "lss/block_map.h"
@@ -52,8 +51,8 @@ class ChunkWriter {
  public:
   /// All references must outlive the writer. `vtime` is the engine's
   /// virtual clock, read at segment open/seal; `wall_us` its simulated
-  /// wall clock, read when stamping trace events. `array` is optional
-  /// (bandwidth mirroring); an addressed array attaches later.
+  /// wall clock, read when stamping trace events. `array` is optional:
+  /// every flush is written to it at its chunk address (stream = group).
   ChunkWriter(const LssConfig& config, GroupId group_count, SegmentPool& pool,
               BlockMap& map, PlacementPolicy& policy, LssMetrics& metrics,
               const VTime& vtime, const TimeUs& wall_us,
@@ -61,10 +60,6 @@ class ChunkWriter {
 
   ChunkWriter(const ChunkWriter&) = delete;
   ChunkWriter& operator=(const ChunkWriter&) = delete;
-
-  void set_addressed_array(array::AddressedArray* addressed) noexcept {
-    addressed_array_ = addressed;
-  }
 
   /// Attaches a trace sink for flush/shadow events (nullptr detaches).
   void set_trace_sink(TraceSink* sink) noexcept { trace_ = sink; }
@@ -104,7 +99,7 @@ class ChunkWriter {
   /// `host`'s open chunk (cross-group aggregation, §3.3).
   void shadow_append(GroupId g, GroupId host, TimeUs now_us);
 
-  /// TRIMs a reclaimed segment's range on the addressed array, if attached.
+  /// TRIMs a reclaimed segment's range on the array, if attached.
   void trim_segment(SegmentId id);
 
   GroupId group_count() const noexcept {
@@ -194,7 +189,6 @@ class ChunkWriter {
   std::vector<PendingFlush>* flush_collector_ = nullptr;
   std::uint64_t flow_id_ = 0;
   array::SsdArray* array_;
-  array::AddressedArray* addressed_array_ = nullptr;
 
   std::vector<GroupState> groups_;
   /// Recycled shadow_append scratch (reserved once to segment_blocks), so

@@ -44,7 +44,7 @@
 namespace adapt::lss {
 
 struct DeviceLanesConfig {
-  std::uint32_t lanes = 4;        ///< one per device, as in SsdArray
+  std::uint32_t lanes = 4;  ///< one per device (SsdArrayConfig::num_devices)
   std::uint32_t queue_depth = 8;  ///< outstanding submissions per lane
   /// Per-lane sustained bandwidth (aggregate bandwidth / lanes).
   double lane_bandwidth_mb_per_s = 500.0;

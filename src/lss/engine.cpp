@@ -9,21 +9,34 @@
 namespace adapt::lss {
 namespace {
 
-LssConfig validated(LssConfig config, GroupId group_count) {
-  config.validate(group_count);
-  return config;
-}
-
-array::SsdArray* checked_array(array::SsdArray* array, const LssConfig& config,
-                               GroupId group_count) {
-  if (array != nullptr && array->config().num_streams < group_count) {
+void check_array(const array::SsdArray* array, const LssConfig& config,
+                 GroupId group_count) {
+  if (array == nullptr) return;
+  const array::SsdArrayConfig& ac = array->config();
+  if (ac.num_streams < group_count) {
     throw std::invalid_argument("array has fewer streams than groups");
   }
-  if (array != nullptr &&
-      array->config().chunk_bytes != config.chunk_blocks * config.block_bytes) {
+  if (ac.chunk_bytes != config.chunk_blocks * config.block_bytes) {
     throw std::invalid_argument("array chunk size mismatch");
   }
-  return array;
+  if (ac.flash && ac.flash->page_bytes != config.block_bytes) {
+    throw std::invalid_argument("array page size != LSS block size");
+  }
+  if (ac.flash && ac.flash->data_chunks <
+                      static_cast<std::uint64_t>(config.total_segments()) *
+                          config.segment_chunks) {
+    throw std::invalid_argument(
+        "flash-backed array smaller than the LSS physical space");
+  }
+}
+
+/// Validates the config, and the array against it, before any component
+/// is built (the pool re-binds the victim index on construction).
+LssConfig validated(LssConfig config, GroupId group_count,
+                    const array::SsdArray* array) {
+  config.validate(group_count);
+  check_array(array, config, group_count);
+  return config;
 }
 
 }  // namespace
@@ -31,10 +44,9 @@ array::SsdArray* checked_array(array::SsdArray* array, const LssConfig& config,
 LssEngine::LssEngine(const LssConfig& config, PlacementPolicy& policy,
                      VictimPolicy& victim, array::SsdArray* array,
                      std::uint64_t seed)
-    : config_(validated(config, policy.group_count())),
+    : config_(validated(config, policy.group_count(), array)),
       policy_(policy),
       victim_(victim),
-      array_(checked_array(array, config_, policy.group_count())),
       rng_(seed),
       audit_level_(audit::level_from_env(config.audit_level)),
       pool_(config_, policy.group_count(), victim),
@@ -45,30 +57,11 @@ LssEngine::LssEngine(const LssConfig& config, PlacementPolicy& policy,
            static_cast<std::size_t>(policy.group_count()) *
                config_.chunk_blocks),
       writer_(config_, policy.group_count(), pool_, map_, policy, metrics_,
-              vtime_, wall_us_, array_),
+              vtime_, wall_us_, array),
       gc_(config_, pool_, map_, writer_, policy, victim, metrics_, rng_,
           vtime_) {
   metrics_.groups.resize(policy.group_count());
   map_.bind_lifetime(vtime_, &metrics_.block_lifetime);
-}
-
-void LssEngine::attach_addressed_array(array::AddressedArray* addressed) {
-  if (addressed != nullptr) {
-    const auto& ac = addressed->config();
-    if (ac.chunk_bytes != config_.chunk_blocks * config_.block_bytes ||
-        ac.page_bytes != config_.block_bytes) {
-      throw std::invalid_argument(
-          "addressed array geometry does not match the LSS");
-    }
-    const std::uint64_t needed_chunks =
-        static_cast<std::uint64_t>(config_.total_segments()) *
-        config_.segment_chunks;
-    if (ac.data_chunks < needed_chunks) {
-      throw std::invalid_argument(
-          "addressed array smaller than the LSS physical space");
-    }
-  }
-  writer_.set_addressed_array(addressed);
 }
 
 void LssEngine::write(Lba lba, std::uint32_t blocks, TimeUs now_us) {

@@ -10,7 +10,7 @@
 //     window: a group's partial chunk is zero-padded and flushed when the
 //     window since its first pending *user* block expires (GC appends are
 //     bulk and carry no deadline, matching the paper's Observation 2);
-//     RMW sub-chunk flushes; array mirroring; shadow appends;
+//     RMW sub-chunk flushes; array writes and TRIMs; shadow appends;
 //   * GcController — watermark logic, victim selection through the
 //     incremental index, live-block migration.
 // The engine itself keeps the clocks (virtual time = user blocks written,
@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "array/addressed_array.h"
 #include "array/ssd_array.h"
 #include "audit/audit.h"
 #include "common/rng.h"
@@ -86,7 +85,11 @@ class EngineObserver {
 class LssEngine {
  public:
   /// `policy` and `victim` must outlive the engine. `array` is optional;
-  /// when given, every flushed chunk is mirrored to it (stream = group).
+  /// when given, every flushed chunk is written to it at its array address
+  /// (stream = group) and reclaimed segments are TRIMmed. It needs a
+  /// stream per group and the LSS chunk size; a flash-backed array also
+  /// needs the LSS block size as its page size and room for
+  /// total_segments · segment_chunks chunks.
   /// The constructor re-binds `victim`'s index to this engine's pool and
   /// then drives its on_seal / on_valid_delta / on_free notifications, so
   /// a victim policy cannot be shared by two live engines.
@@ -126,13 +129,6 @@ class LssEngine {
   /// Sets the causal-flow id the chunk writer stamps into flush events and
   /// collected PendingFlush records (see ChunkWriter::set_flow_id).
   void set_flow_id(std::uint64_t id) noexcept { writer_.set_flow_id(id); }
-
-  /// Attaches an address-mapped array with flash-backed devices: every
-  /// chunk flush writes through at its real array address, segment
-  /// reclamation TRIMs the range, and device-internal WA becomes
-  /// measurable. The array must cover total_segments * segment_chunks
-  /// chunks of matching geometry.
-  void attach_addressed_array(array::AddressedArray* addressed);
 
   /// Applies a user write of `blocks` consecutive blocks at `lba`,
   /// arriving at wall time `now_us`.
@@ -261,7 +257,6 @@ class LssEngine {
   LssConfig config_;
   PlacementPolicy& policy_;
   VictimPolicy& victim_;
-  array::SsdArray* array_;
   AggregationHook* hook_ = nullptr;
   EngineObserver* observer_ = nullptr;
   TraceSink* trace_ = nullptr;

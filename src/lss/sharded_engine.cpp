@@ -192,13 +192,11 @@ array::StreamStats ShardedEngine::merged_array_totals() const {
   array::StreamStats merged;
   for (const Shard& shard : shards_) {
     if (shard.parts.array == nullptr) continue;
-    const array::StreamStats t = shard.parts.array->totals();
+    const array::StreamStats& t = shard.parts.array->totals();
     merged.chunks_written += t.chunks_written;
     merged.data_bytes += t.data_bytes;
     merged.padding_bytes += t.padding_bytes;
     merged.parity_bytes += t.parity_bytes;
-    merged.rmw_writes += t.rmw_writes;
-    merged.rmw_read_bytes += t.rmw_read_bytes;
   }
   return merged;
 }

@@ -1,8 +1,7 @@
-// Tests for the flash substrate: the page-mapped multi-stream FTL and the
-// address-mapped RAID-5 array on top of it.
+// Tests for the flash substrate: the page-mapped multi-stream FTL. The
+// flash-backed RAID-5 array on top of it is tested in array_test.cpp.
 #include <gtest/gtest.h>
 
-#include "array/addressed_array.h"
 #include "common/rng.h"
 #include "flash/ftl.h"
 
@@ -146,108 +145,3 @@ TEST(FtlTest, TrimReducesInternalWa) {
 
 }  // namespace
 }  // namespace adapt::flash
-
-namespace adapt::array {
-namespace {
-
-AddressedArrayConfig small_addressed() {
-  AddressedArrayConfig c;
-  c.num_devices = 4;
-  c.chunk_bytes = 16 * 1024;  // 4 pages
-  c.page_bytes = 4096;
-  c.num_streams = 4;
-  c.data_chunks = 300;
-  c.device_over_provision = 0.3;
-  return c;
-}
-
-TEST(AddressedArrayTest, GeometryChecks) {
-  AddressedArray arr(small_addressed());
-  EXPECT_EQ(arr.chunk_pages(), 4u);
-  EXPECT_EQ(arr.data_columns(), 3u);
-}
-
-TEST(AddressedArrayTest, RejectsBadConfig) {
-  AddressedArrayConfig c = small_addressed();
-  c.num_devices = 1;
-  EXPECT_THROW(AddressedArray a(c), std::invalid_argument);
-  c = small_addressed();
-  c.chunk_bytes = 1000;  // not a multiple of the page size
-  EXPECT_THROW(AddressedArray a(c), std::invalid_argument);
-}
-
-TEST(AddressedArrayTest, WritesTouchDataAndParity) {
-  AddressedArray arr(small_addressed());
-  arr.write_chunk(0, 0);
-  EXPECT_EQ(arr.stats().data_chunk_writes, 1u);
-  EXPECT_EQ(arr.stats().parity_chunk_writes, 1u);
-  std::uint64_t pages = 0;
-  for (std::uint32_t d = 0; d < 4; ++d) {
-    pages += arr.device(d).stats().host_pages;
-  }
-  EXPECT_EQ(pages, 8u);  // one data chunk + one parity chunk
-}
-
-TEST(AddressedArrayTest, ChunkBeyondSpaceThrows) {
-  AddressedArray arr(small_addressed());
-  EXPECT_THROW(arr.write_chunk(300, 0), std::out_of_range);
-}
-
-TEST(AddressedArrayTest, ParityRotatesAcrossDevices) {
-  AddressedArray arr(small_addressed());
-  // Write one chunk in each of the first 8 stripes; parity must land on
-  // different devices over time (left-symmetric rotation).
-  for (std::uint64_t stripe = 0; stripe < 8; ++stripe) {
-    arr.write_chunk(stripe * arr.data_columns(), 0);
-  }
-  std::uint32_t devices_touched = 0;
-  for (std::uint32_t d = 0; d < 4; ++d) {
-    if (arr.device(d).stats().host_pages > 0) ++devices_touched;
-  }
-  EXPECT_EQ(devices_touched, 4u);
-}
-
-TEST(AddressedArrayTest, PartialWriteSmallerThanChunk) {
-  AddressedArray arr(small_addressed());
-  arr.write_partial(0, 1, 2, 0);
-  std::uint64_t pages = 0;
-  for (std::uint32_t d = 0; d < 4; ++d) {
-    pages += arr.device(d).stats().host_pages;
-  }
-  EXPECT_EQ(pages, 6u);  // 2 data pages + 4 parity pages
-  EXPECT_THROW(arr.write_partial(0, 3, 2, 0), std::invalid_argument);
-}
-
-TEST(AddressedArrayTest, TrimForwardsToDevices) {
-  AddressedArrayConfig c = small_addressed();
-  AddressedArray arr(c);
-  arr.write_chunk(5, 0);
-  arr.trim_chunks(5, 1);
-  EXPECT_EQ(arr.stats().trims, 1u);
-  std::uint64_t trimmed = 0;
-  for (std::uint32_t d = 0; d < 4; ++d) {
-    trimmed += arr.device(d).stats().trimmed_pages;
-  }
-  EXPECT_EQ(trimmed, 4u);
-}
-
-TEST(AddressedArrayTest, TrimDisabledIsNoop) {
-  AddressedArrayConfig c = small_addressed();
-  c.trim_enabled = false;
-  AddressedArray arr(c);
-  arr.write_chunk(5, 0);
-  arr.trim_chunks(5, 1);
-  EXPECT_EQ(arr.stats().trims, 0u);
-}
-
-TEST(AddressedArrayTest, OverwriteChurnRaisesInternalWa) {
-  AddressedArray arr(small_addressed());
-  Rng rng(19);
-  for (int i = 0; i < 12000; ++i) {
-    arr.write_chunk(rng.below(300), 0);
-  }
-  EXPECT_GE(arr.device_internal_wa(), 1.0);
-}
-
-}  // namespace
-}  // namespace adapt::array

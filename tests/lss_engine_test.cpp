@@ -551,29 +551,40 @@ INSTANTIATE_TEST_SUITE_P(Policies, EngineVictimTest,
 // ---------------------------------------------------------------------------
 
 TEST(LssEngineTest, ArrayMirrorsChunkTraffic) {
-  TwoGroupPolicy policy;
-  auto victim = make_greedy();
-  const LssConfig config = small_config();
-  array::SsdArrayConfig ac;
-  ac.chunk_bytes = config.chunk_blocks * config.block_bytes;
-  ac.num_streams = 2;
-  array::SsdArray ssd_array(ac);
-  LssEngine engine(config, policy, *victim, &ssd_array, 1);
+  for (const PartialWriteMode mode :
+       {PartialWriteMode::kZeroPad, PartialWriteMode::kReadModifyWrite}) {
+    SCOPED_TRACE(mode == PartialWriteMode::kZeroPad ? "zero-pad" : "rmw");
+    TwoGroupPolicy policy;
+    auto victim = make_greedy();
+    LssConfig config = small_config();
+    config.partial_write_mode = mode;
+    array::SsdArrayConfig ac;
+    ac.chunk_bytes = config.chunk_blocks * config.block_bytes;
+    ac.num_streams = 2;
+    array::SsdArray ssd_array(ac);
+    LssEngine engine(config, policy, *victim, &ssd_array, 1);
 
-  Rng rng(101);
-  for (int i = 0; i < 3000; ++i) {
-    engine.write_block(rng.below(256), static_cast<TimeUs>(i) * 40);
+    Rng rng(101);
+    for (int i = 0; i < 3000; ++i) {
+      engine.write_block(rng.below(256), static_cast<TimeUs>(i) * 40);
+    }
+    engine.flush_all();
+
+    const LssMetrics& m = engine.metrics();
+    const array::StreamStats& totals = ssd_array.totals();
+    EXPECT_EQ(totals.chunks_written, engine.chunks_flushed());
+    EXPECT_EQ(totals.padding_bytes,
+              m.padding_blocks * config.block_bytes);
+    EXPECT_EQ(totals.data_bytes,
+              (m.user_blocks + m.gc_blocks + m.shadow_blocks) *
+                  config.block_bytes);
+    // One parity chunk per data write: full, padded or sub-chunk RMW.
+    EXPECT_EQ(totals.parity_bytes,
+              (engine.chunks_flushed() + m.rmw_flushes) * ac.chunk_bytes);
+    if (mode == PartialWriteMode::kReadModifyWrite) {
+      EXPECT_GT(m.rmw_flushes, 0u);
+    }
   }
-  engine.flush_all();
-
-  const LssMetrics& m = engine.metrics();
-  const array::StreamStats totals = ssd_array.totals();
-  EXPECT_EQ(totals.chunks_written, engine.chunks_flushed());
-  EXPECT_EQ(totals.padding_bytes,
-            m.padding_blocks * config.block_bytes);
-  EXPECT_EQ(totals.data_bytes,
-            (m.user_blocks + m.gc_blocks + m.shadow_blocks) *
-                config.block_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -695,42 +706,73 @@ TEST(LssEngineRmwTest, RandomWorkloadNoPaddingEver) {
 }
 
 // ---------------------------------------------------------------------------
-// Addressed array integration
+// Flash-backed array integration
 // ---------------------------------------------------------------------------
 
-array::AddressedArrayConfig addressed_for(const LssConfig& c) {
-  array::AddressedArrayConfig ac;
+array::FlashBacking backing_for(const LssConfig& c) {
+  return array::FlashBacking{
+      .page_bytes = c.block_bytes,
+      .data_chunks =
+          static_cast<std::uint64_t>(c.total_segments()) * c.segment_chunks,
+      .device_over_provision = 0.3};
+}
+
+array::SsdArrayConfig flash_array_for(const LssConfig& c) {
+  array::SsdArrayConfig ac;
   ac.chunk_bytes = c.chunk_blocks * c.block_bytes;
-  ac.page_bytes = c.block_bytes;
-  ac.num_streams = 4;
-  ac.data_chunks =
-      static_cast<std::uint64_t>(c.total_segments()) * c.segment_chunks;
-  ac.device_over_provision = 0.3;
+  ac.num_streams = 2;
+  ac.flash = backing_for(c);
   return ac;
 }
 
-TEST(LssEngineAddressedTest, GeometryMismatchThrows) {
+std::uint64_t device_pages(const array::SsdArray& arr, bool trimmed) {
+  std::uint64_t pages = 0;
+  for (std::uint32_t d = 0; d < arr.config().num_devices; ++d) {
+    const flash::FtlStats& s = arr.device(d).stats();
+    pages += trimmed ? s.trimmed_pages : s.host_pages;
+  }
+  return pages;
+}
+
+TEST(LssEngineFlashArrayTest, GeometryMismatchThrows) {
   TwoGroupPolicy policy;
   auto victim = make_greedy();
-  LssEngine engine(small_config(), policy, *victim, nullptr, 1);
-  array::AddressedArrayConfig ac = addressed_for(small_config());
+  const LssConfig config = small_config();
+  array::SsdArrayConfig ac = flash_array_for(config);
   ac.chunk_bytes *= 2;
-  array::AddressedArray wrong_chunk(ac);
-  EXPECT_THROW(engine.attach_addressed_array(&wrong_chunk),
+  array::SsdArray wrong_chunk(ac);
+  EXPECT_THROW(LssEngine(config, policy, *victim, &wrong_chunk, 1),
                std::invalid_argument);
-  ac = addressed_for(small_config());
-  ac.data_chunks /= 2;
-  array::AddressedArray too_small(ac);
-  EXPECT_THROW(engine.attach_addressed_array(&too_small),
+  ac = flash_array_for(config);
+  array::FlashBacking backing = backing_for(config);
+  backing.page_bytes *= 2;
+  ac.flash = backing;
+  array::SsdArray wrong_page(ac);
+  EXPECT_THROW(LssEngine(config, policy, *victim, &wrong_page, 1),
+               std::invalid_argument);
+  backing = backing_for(config);
+  backing.data_chunks /= 2;
+  ac.flash = backing;
+  array::SsdArray too_small(ac);
+  EXPECT_THROW(LssEngine(config, policy, *victim, &too_small, 1),
                std::invalid_argument);
 }
 
-TEST(LssEngineAddressedTest, ChunkWritesReachDevicesAndTrim) {
+TEST(LssEngineFlashArrayTest, FewerStreamsThanGroupsThrows) {
   TwoGroupPolicy policy;
   auto victim = make_greedy();
-  LssEngine engine(small_config(), policy, *victim, nullptr, 1);
-  array::AddressedArray addressed(addressed_for(small_config()));
-  engine.attach_addressed_array(&addressed);
+  array::SsdArrayConfig ac = flash_array_for(small_config());
+  ac.num_streams = 1;  // two groups would share a device stream
+  array::SsdArray ssd_array(ac);
+  EXPECT_THROW(LssEngine(small_config(), policy, *victim, &ssd_array, 1),
+               std::invalid_argument);
+}
+
+TEST(LssEngineFlashArrayTest, ChunkWritesReachDevicesAndTrim) {
+  TwoGroupPolicy policy;
+  auto victim = make_greedy();
+  array::SsdArray ssd_array(flash_array_for(small_config()));
+  LssEngine engine(small_config(), policy, *victim, &ssd_array, 1);
 
   Rng rng(139);
   for (int i = 0; i < 6000; ++i) {
@@ -738,26 +780,30 @@ TEST(LssEngineAddressedTest, ChunkWritesReachDevicesAndTrim) {
   }
   engine.flush_all();
   engine.check_invariants();
-  EXPECT_GT(addressed.stats().data_chunk_writes, 0u);
-  EXPECT_EQ(addressed.stats().parity_chunk_writes,
-            addressed.stats().data_chunk_writes);
+  const array::StreamStats& totals = ssd_array.totals();
+  EXPECT_GT(totals.chunks_written, 0u);
+  EXPECT_EQ(totals.parity_bytes,
+            totals.chunks_written * ssd_array.config().chunk_bytes);
   // GC reclaimed segments -> TRIMs flowed to the devices.
-  EXPECT_GT(addressed.stats().trims, 0u);
-  EXPECT_GE(addressed.device_internal_wa(), 1.0);
+  EXPECT_GT(device_pages(ssd_array, /*trimmed=*/true), 0u);
+  EXPECT_GE(ssd_array.device_internal_wa(), 1.0);
 }
 
-TEST(LssEngineAddressedTest, DataChunkWritesMatchEngineFlushes) {
+TEST(LssEngineFlashArrayTest, DataChunkWritesMatchEngineFlushes) {
   TwoGroupPolicy policy;
   auto victim = make_greedy();
-  LssEngine engine(small_config(), policy, *victim, nullptr, 1);
-  array::AddressedArray addressed(addressed_for(small_config()));
-  engine.attach_addressed_array(&addressed);
+  const LssConfig config = small_config();
+  array::SsdArray ssd_array(flash_array_for(config));
+  LssEngine engine(config, policy, *victim, &ssd_array, 1);
   Rng rng(141);
   for (int i = 0; i < 2000; ++i) {
     engine.write_block(rng.below(256), static_cast<TimeUs>(i) * 20);
   }
   engine.flush_all();
-  EXPECT_EQ(addressed.stats().data_chunk_writes, engine.chunks_flushed());
+  EXPECT_EQ(ssd_array.totals().chunks_written, engine.chunks_flushed());
+  // Each chunk lands once as data and once as its stripe's parity.
+  EXPECT_EQ(device_pages(ssd_array, /*trimmed=*/false),
+            2 * engine.chunks_flushed() * config.chunk_blocks);
 }
 
 TEST(LssEngineTest, ArrayStreamMismatchThrows) {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "adapt/adapt_policy.h"
-#include "array/addressed_array.h"
+#include "array/ssd_array.h"
 #include "audit/oracle.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -57,23 +57,22 @@ void run_engine_stress(std::uint64_t seed, lss::PartialWriteMode mode,
   core::AdaptPolicy policy(stress_adapt_config(cfg));
   const auto victim = lss::make_victim_policy(
       seed % 3 == 0 ? "greedy" : (seed % 3 == 1 ? "cost-benefit" : "d-choice:4"));
-  lss::LssEngine engine(cfg, policy, *victim, nullptr, seed);
-  engine.set_aggregation_hook(&policy);
-
-  array::AddressedArray* addressed = nullptr;
-  std::unique_ptr<array::AddressedArray> flash_array;
+  // ADAPT's six groups each get their own device stream; parity takes
+  // the seventh.
+  std::unique_ptr<array::SsdArray> flash_array;
   if (with_flash_array) {
-    array::AddressedArrayConfig ac;
+    array::SsdArrayConfig ac;
     ac.chunk_bytes = cfg.chunk_blocks * cfg.block_bytes;
-    ac.page_bytes = cfg.block_bytes;
     ac.num_streams = policy.group_count();
-    ac.data_chunks = static_cast<std::uint64_t>(cfg.total_segments()) *
-                     cfg.segment_chunks;
-    ac.device_over_provision = 0.28;
-    flash_array = std::make_unique<array::AddressedArray>(ac);
-    addressed = flash_array.get();
-    engine.attach_addressed_array(addressed);
+    ac.flash = array::FlashBacking{
+        .page_bytes = cfg.block_bytes,
+        .data_chunks = static_cast<std::uint64_t>(cfg.total_segments()) *
+                       cfg.segment_chunks,
+        .device_over_provision = 0.28};
+    flash_array = std::make_unique<array::SsdArray>(ac);
   }
+  lss::LssEngine engine(cfg, policy, *victim, flash_array.get(), seed);
+  engine.set_aggregation_hook(&policy);
 
   audit::OracleModel oracle(cfg);
   Rng rng(seed);
@@ -117,11 +116,11 @@ void run_engine_stress(std::uint64_t seed, lss::PartialWriteMode mode,
   engine.flush_all();
   oracle.verify_drained(engine);
   engine.check_invariants(audit::Level::kFull);
-  if (addressed != nullptr) {
-    for (std::uint32_t d = 0; d < addressed->config().num_devices; ++d) {
-      addressed->device(d).check_invariants(audit::Level::kFull);
+  if (flash_array != nullptr) {
+    for (std::uint32_t d = 0; d < flash_array->config().num_devices; ++d) {
+      flash_array->device(d).check_invariants(audit::Level::kFull);
     }
-    EXPECT_GE(addressed->device_internal_wa(), 1.0);
+    EXPECT_GE(flash_array->device_internal_wa(), 1.0);
   }
   EXPECT_GT(oracle.user_blocks(), kOpsPerSeed / 2);
   EXPECT_GE(engine.metrics().wa(), 1.0);

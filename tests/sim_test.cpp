@@ -126,7 +126,12 @@ TEST(SimulatorTest, ArrayTrafficConsistentWithMetrics) {
             (r.metrics.user_blocks + r.metrics.gc_blocks +
              r.metrics.shadow_blocks) *
                 block_bytes);
-  EXPECT_GT(r.array_totals.parity_bytes, 0u);
+  // Zero-pad mode: every data chunk rewrites its stripe's parity chunk.
+  ASSERT_EQ(config.lss.partial_write_mode, lss::PartialWriteMode::kZeroPad);
+  EXPECT_GT(r.array_totals.chunks_written, 0u);
+  EXPECT_EQ(r.array_totals.parity_bytes,
+            r.array_totals.chunks_written * config.lss.chunk_blocks *
+                block_bytes);
 }
 
 TEST(SimulatorTest, ReadsDoNotTouchTheLog) {
