@@ -8,7 +8,10 @@ namespace adapt::core {
 AdaptPolicy::AdaptPolicy(const AdaptConfig& config)
     : config_(config),
       last_write_(config.logical_blocks, kNeverWritten),
-      fallback_threshold_(static_cast<double>(config.segment_blocks) * 4.0) {
+      fallback_threshold_(static_cast<double>(config.segment_blocks) * 4.0),
+      // AdaptPolicy is final, so the rule's group queries reach this
+      // class's overrides even during construction.
+      rule_(*this, config.chunk_blocks) {
   if (config_.enable_threshold_adaptation) {
     AdapterConfig ac;
     ac.sample_rate = config_.sample_rate;
@@ -114,7 +117,7 @@ GroupId AdaptPolicy::place_gc_rewrite(Lba lba, GroupId victim_group,
 }
 
 void AdaptPolicy::note_segment_sealed(GroupId group, VTime /*now*/) {
-  if (group == kHotUser) shadow_budget_used_ = 0;
+  rule_.note_segment_sealed(group);
 }
 
 void AdaptPolicy::note_segment_reclaimed(GroupId group, VTime create_vtime,
@@ -126,74 +129,8 @@ void AdaptPolicy::note_segment_reclaimed(GroupId group, VTime create_vtime,
 
 lss::AggregationDecision AdaptPolicy::on_chunk_deadline(
     GroupId group, const lss::LssEngine& engine) {
-  // Aggregation merges the two user groups' durability obligations into a
-  // single constructed chunk hosted by the colder group (§3.3): shadows of
-  // the hot pendings ride in the cold chunk's would-be padding space, the
-  // hot chunk keeps filling lazily, and one flush serves both deadlines.
-  if (!config_.enable_cross_group_aggregation) {
-    ++pad_decisions_;
-    return {};
-  }
-  // A GC-rewritten group only faces a deadline when a proactively demoted
-  // user block is sitting in its open chunk. Rather than padding a bulk
-  // chunk for one block, shadow it into the cold user group's chunk; the
-  // GC chunk keeps filling with future GC traffic.
-  if (group >= kFirstGcGroup) {
-    ++shadow_decisions_;
-    return {.donor = group, .host = kColdUser};
-  }
-
-  const std::uint32_t hot_pending =
-      engine.pending_unshadowed_valid(kHotUser);
-  const std::uint32_t cold_pending = engine.pending_blocks(kColdUser);
-  // Without overlap there is nothing to merge: a lone donor would pay the
-  // same padding in the host plus the later lazy rewrite. And if the
-  // merged payload overflows one chunk, the spill would force an extra
-  // (padded) host chunk — worse than padding in place.
-  const bool mergeable = hot_pending > 0 && cold_pending > 0 &&
-                         hot_pending + cold_pending <=
-                             engine.config().chunk_blocks;
-  if (!mergeable) {
-    ++pad_decisions_;
-    return {};
-  }
-
-  // Prediction (§3.3 step 1): aggregate while the hot group's chunks keep
-  // missing the coalescing window — access density is continuous, so an
-  // unfilled chunk predicts the next one unfilled. With too little history
-  // we optimistically aggregate.
-  const lss::GroupTraffic& hot = engine.group_traffic(kHotUser);
-  const std::uint64_t flushes = hot.full_flushes + hot.padded_flushes;
-  if (group == kHotUser && flushes >= 16) {
-    const double unfilled_ratio = static_cast<double>(hot.padded_flushes) /
-                                  static_cast<double>(flushes);
-    if (unfilled_ratio < config_.min_unfilled_ratio) {
-      ++pad_decisions_;
-      return {};
-    }
-  }
-
-  // Stop rule (§3.3 step 2): shadow bytes spent on the hot segment being
-  // written must not exceed the group's average padding volume — beyond
-  // that, aggregation costs more than the padding it avoids. The floor
-  // keeps the rule from strangling itself once aggregation has eliminated
-  // most padding.
-  const std::uint64_t floor =
-      static_cast<std::uint64_t>(config_.chunk_blocks) * 4;
-  const std::uint64_t budget =
-      hot.segments_sealed == 0
-          ? floor
-          : std::max<std::uint64_t>(hot.padding_blocks / hot.segments_sealed,
-                                    floor);
-  if (shadow_budget_used_ + hot_pending > budget) {
-    ++pad_decisions_;
-    return {};
-  }
-
-  shadow_budget_used_ += hot_pending;
-  ++shadow_decisions_;
-  // §3.3 group selection: always the colder user group hosts the shadows.
-  return {.donor = kHotUser, .host = kColdUser};
+  if (!config_.enable_cross_group_aggregation) return rule_.pad();
+  return rule_.decide(group, engine);
 }
 
 std::size_t AdaptPolicy::memory_usage_bytes() const {

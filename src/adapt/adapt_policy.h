@@ -4,12 +4,9 @@
 //     threshold is adopted from ghost-set simulation; until the first
 //     adoption a SepBIT-style segment-lifespan EWMA is the cold-start
 //     threshold.
-//   * Cross-Group Dynamic Aggregation (§3.3): implemented as the engine's
-//     AggregationHook — when the hot group's coalescing deadline fires on a
-//     partial chunk, pending blocks are shadow-appended into the cold
-//     group's open chunk instead of being padded, subject to the
-//     aggregation conditions (sparse-group prediction + per-segment shadow
-//     budget bounded by the group's average padding volume).
+//   * Cross-Group Dynamic Aggregation (§3.3): the engine's AggregationHook,
+//     answered by AggregationRule (adapt/aggregation.h) with the cold user
+//     group hosting the hot group's shadow appends.
 //   * Proactive Demotion Placement (§3.4): per-GC-group cascading Bloom
 //     filters record blocks that GC migrated back into their own group;
 //     user writes scoring high are placed straight into that GC group.
@@ -23,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "adapt/aggregation.h"
 #include "adapt/bloom.h"
 #include "adapt/threshold_adapter.h"
 #include "lss/engine.h"
@@ -45,11 +43,6 @@ struct AdaptConfig {
 
   // §3.3 — cross-group aggregation
   bool enable_cross_group_aggregation = true;
-  /// Aggregate only while the hot group's observed unfilled-chunk ratio is
-  /// at least this (sparse-access prediction). Merging is profitable at any
-  /// density, so the gate only suppresses the machinery when chunks almost
-  /// always fill on their own.
-  double min_unfilled_ratio = 0.02;
 
   // §3.4 — proactive demotion
   bool enable_proactive_demotion = true;
@@ -98,8 +91,10 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   double threshold() const noexcept;
   const ThresholdAdapter* adapter() const noexcept { return adapter_.get(); }
   std::uint64_t demotions() const noexcept { return demotions_; }
-  std::uint64_t shadow_decisions() const noexcept { return shadow_decisions_; }
-  std::uint64_t pad_decisions() const noexcept { return pad_decisions_; }
+  std::uint64_t shadow_decisions() const noexcept {
+    return rule_.shadow_decisions();
+  }
+  std::uint64_t pad_decisions() const noexcept { return rule_.pad_decisions(); }
 
  private:
   static constexpr VTime kNeverWritten = ~VTime{0};
@@ -111,12 +106,9 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   std::vector<VTime> last_write_;
   /// Cold-start threshold: EWMA over hot-group segment lifespans.
   double fallback_threshold_;
-  /// Shadow blocks spent on the current open hot segment (§3.3 stop rule).
-  std::uint64_t shadow_budget_used_ = 0;
+  AggregationRule rule_;
 
   std::uint64_t demotions_ = 0;
-  std::uint64_t shadow_decisions_ = 0;
-  std::uint64_t pad_decisions_ = 0;
 };
 
 /// Convenience factory mirroring make_baseline_policy.

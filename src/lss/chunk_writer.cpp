@@ -31,19 +31,24 @@ std::uint32_t ChunkWriter::pending_blocks(GroupId g) const {
   return pool_.segment(gs.open_seg).write_ptr - gs.flushed_slots;
 }
 
-std::uint32_t ChunkWriter::pending_unshadowed_valid(GroupId g) const {
-  const GroupState& gs = groups_.at(g);
-  if (gs.open_seg == kInvalidSegment) return 0;
+template <typename Fn>
+void ChunkWriter::for_each_pending_unshadowed(const GroupState& gs,
+                                              Fn&& fn) const {
+  if (gs.open_seg == kInvalidSegment) return;
   const Segment& seg = pool_.segment(gs.open_seg);
-  std::uint32_t n = 0;
   for (std::uint32_t slot = gs.flushed_slots; slot < seg.write_ptr; ++slot) {
     if (!seg.slot_valid.test(slot)) continue;
     const Lba lba = pool_.slot_lba(gs.open_seg, slot);
     // Skip shadow copies hosted here and already-shadowed primaries.
     if (!map_.primary_is(lba, BlockLocation{gs.open_seg, slot})) continue;
     if (map_.has_shadow(lba)) continue;
-    ++n;
+    fn(lba);
   }
+}
+
+std::uint32_t ChunkWriter::pending_unshadowed_valid(GroupId g) const {
+  std::uint32_t n = 0;
+  for_each_pending_unshadowed(groups_.at(g), [&n](Lba) { ++n; });
   return n;
 }
 
@@ -268,21 +273,16 @@ ADAPT_HOT void ChunkWriter::shadow_append(GroupId g, GroupId host,
                                           TimeUs now_us) {
   GroupState& gs = groups_[g];
   if (gs.open_seg == kInvalidSegment) return;  // donor has nothing pending
-  const Segment& seg = pool_.segment(gs.open_seg);
 
   // Collect pending primaries of g that are valid and not yet shadowed
   // (recycled scratch — appends below may open segments, so the snapshot
   // keeps the scan stable while the table mutates).
   shadow_scratch_.clear();
-  for (std::uint32_t slot = gs.flushed_slots; slot < seg.write_ptr; ++slot) {
-    if (!seg.slot_valid.test(slot)) continue;
-    const Lba lba = pool_.slot_lba(gs.open_seg, slot);
-    if (!map_.primary_is(lba, BlockLocation{gs.open_seg, slot})) continue;
-    if (map_.has_shadow(lba)) continue;
+  for_each_pending_unshadowed(gs, [this](Lba lba) {
     // Reserved to segment_blocks() in the constructor; pending appends of
     // one open segment can never exceed that, so no growth here.
     shadow_scratch_.push_back(lba);  // ADAPT_LINT_ALLOW(hot-alloc)
-  }
+  });
 
   if (trace_ != nullptr && !shadow_scratch_.empty()) {
     emit(trace_, TraceEvent{TraceEventKind::kShadowAppend, host, vtime_,

@@ -174,6 +174,10 @@ class ChunkWriter {
   /// Called when write_ptr reaches a chunk boundary: full flush, or the
   /// completing RMW partial if earlier sub-chunk flushes happened.
   void flush_boundary(GroupId g);
+  /// Calls `fn(lba)` for each block in the open chunk of `gs` that still
+  /// needs durability: valid, the primary copy, and not yet shadowed.
+  template <typename Fn>
+  void for_each_pending_unshadowed(const GroupState& gs, Fn&& fn) const;
   /// Expires shadows of primaries in slots [begin, end) of g's open seg.
   void expire_shadows_in_range(GroupId g, std::uint32_t begin,
                                std::uint32_t end);

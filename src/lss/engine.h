@@ -59,7 +59,8 @@ struct AggregationDecision {
   bool aggregate() const noexcept { return donor != kInvalidGroup; }
 };
 
-/// Cross-group aggregation decision point (implemented by AdaptPolicy).
+/// Cross-group aggregation decision point. ADAPT's policy and the "+agg"
+/// wrapper implement it with one rule (core::AggregationRule).
 class AggregationHook {
  public:
   virtual ~AggregationHook() = default;

@@ -7,8 +7,9 @@
 // segment lifecycle notifications (on_seal / on_valid_delta / on_free) and
 // the policy keeps its own candidate structure, so select() costs
 // O(log pool) or better instead of rescanning every sealed segment. Greedy
-// and cost-benefit keep valid-count buckets (intrusive lists + a Fenwick
-// tree over bucket occupancy), windowed greedy keeps a seal-order list,
+// keeps valid-count buckets (intrusive lists + an occupancy bitmap whose
+// first set bit is the frontier), cost-benefit per-count ordered sets with
+// a Fenwick tree over bucket occupancy, windowed greedy a seal-order list,
 // and d-choice / random sample id-order statistics from a Fenwick presence
 // tree — which reproduces the seed implementation's candidates[k] exactly.
 #pragma once

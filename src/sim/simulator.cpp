@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "adapt/adapt_policy.h"
-#include "adapt/aggregation_wrapper.h"
+#include "adapt/aggregation.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "lss/sharded_engine.h"
@@ -24,8 +24,8 @@ struct ShardPolicyRefs {
 };
 
 /// Builds one shard's placement policy (plus hook) for `policy_name`. A
-/// "+agg" suffix wraps a baseline with the cross-group aggregation
-/// extension (see adapt/aggregation_wrapper.h).
+/// "+agg" suffix wraps a baseline with ADAPT's cross-group aggregation rule
+/// (see adapt/aggregation.h).
 lss::ShardParts make_shard_parts(std::string_view policy_name,
                                  const SimConfig& config,
                                  const lss::LssConfig& shard_lss,
@@ -41,9 +41,8 @@ lss::ShardParts make_shard_parts(std::string_view policy_name,
     pc.seed = shard_seed;
     auto inner = placement::make_baseline_policy(
         policy_name.substr(0, policy_name.size() - kAggSuffix.size()), pc);
-    core::AggregationWrapperConfig wc;
-    wc.chunk_blocks = shard_lss.chunk_blocks;
-    auto wrapped = core::wrap_with_aggregation(std::move(inner), wc);
+    auto wrapped = std::make_unique<core::AggregatingPolicy>(
+        std::move(inner), shard_lss.chunk_blocks);
     parts.hook = wrapped.get();
     parts.policy = std::move(wrapped);
   } else if (policy_name == "adapt") {

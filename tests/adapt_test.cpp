@@ -1,6 +1,7 @@
 // Tests for the ADAPT core: Bloom cascade, spatial sampling, ghost sets,
-// threshold adaptation, and the AdaptPolicy placement/aggregation logic
-// (including engine integration of shadow append / lazy append).
+// threshold adaptation, the AdaptPolicy placement logic, and the §3.3
+// aggregation rule that AdaptPolicy and the "+agg" wrapper share (driven
+// through the engine's shadow append / lazy append).
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -9,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "adapt/adapt_policy.h"
-#include "adapt/aggregation_wrapper.h"
+#include "adapt/aggregation.h"
 #include "adapt/bloom.h"
+#include "placement/dac.h"
 #include "placement/sep_gc.h"
 #include "placement/sepbit.h"
+#include "placement/warcip.h"
 #include "adapt/ghost_set.h"
 #include "adapt/threshold_adapter.h"
 #include "audit/audit.h"
@@ -827,55 +830,270 @@ TEST(AdaptEngineTest, GcOnSegmentWithLiveShadowForcesLazyFlush) {
   f.engine->check_invariants();
 }
 
+TEST(AdaptEngineTest, DeadlineMergeWhenHostFires) {
+  AdaptEngine f;
+  f.heat(1, 0);
+  f.engine->advance_time(200);
+  f.engine->write_block(500, 1000);  // first write -> cold pending
+  f.engine->write_block(1, 1010);    // hot pending
+  const std::uint64_t shadows = f.policy.shadow_decisions();
+  f.engine->advance_time(1105);  // only the cold (host) deadline fires
+  // The host pulled the hot pending block into its own flush; the hot
+  // original stays pending without a deadline.
+  EXPECT_TRUE(f.engine->has_live_shadow(1));
+  EXPECT_TRUE(f.engine->is_pending(1));
+  EXPECT_EQ(f.policy.shadow_decisions(), shadows + 1);
+  f.engine->check_invariants();
+}
+
 // ---------------------------------------------------------------------------
-// Aggregation wrapper (extension)
+// Aggregation rule (§3.3) through the "+agg" wrapper
 // ---------------------------------------------------------------------------
+
+/// Routes user write `lba` to group lba / 100, so a test decides which
+/// groups hold pending blocks. Groups from `user_groups` on are non-user
+/// groups; LBAs routed there stand in for ADAPT's demoted user blocks. GC
+/// rewrites go to the last group.
+class RangePolicy final : public lss::PlacementPolicy {
+ public:
+  RangePolicy(GroupId groups, GroupId user_groups)
+      : groups_(groups), user_groups_(user_groups) {}
+
+  std::string_view name() const override { return "range"; }
+  GroupId group_count() const override { return groups_; }
+  bool is_user_group(GroupId g) const override { return g < user_groups_; }
+  GroupId place_user_write(Lba lba, VTime /*now*/) override {
+    return static_cast<GroupId>(lba / 100);
+  }
+  GroupId place_gc_rewrite(Lba /*lba*/, GroupId /*victim_group*/,
+                           VTime /*now*/) override {
+    return groups_ - 1;
+  }
+
+ private:
+  GroupId groups_;
+  GroupId user_groups_;
+};
+
+struct WrappedEngine {
+  explicit WrappedEngine(std::unique_ptr<lss::PlacementPolicy> inner,
+                         const lss::LssConfig& config = engine_config())
+      : policy(std::move(inner), config.chunk_blocks),
+        victim(lss::make_greedy()),
+        engine(config, policy, *victim, nullptr, 1) {
+    engine.set_aggregation_hook(&policy);
+  }
+
+  /// Range policy with user groups 0 (donor) and 1 (host) and a GC group 2.
+  static std::unique_ptr<lss::PlacementPolicy> two_user_groups() {
+    return std::make_unique<RangePolicy>(3, 2);
+  }
+
+  /// Writes `n` first-time blocks of `group` at `now`, from LBA group * 100
+  /// + `first` on.
+  void write_range(GroupId group, Lba first, Lba n, TimeUs now) {
+    for (Lba i = 0; i < n; ++i) {
+      engine.write_block(group * 100 + first + i, now);
+    }
+  }
+
+  /// The group hosting lba's live shadow, or kInvalidGroup without one.
+  GroupId group_of_shadow(Lba lba) const {
+    const lss::BlockLocation loc = engine.shadow_location(lba);
+    return loc == lss::kNowhere ? kInvalidGroup
+                                : engine.segments()[loc.segment].group;
+  }
+
+  const AggregationRule& rule() const { return policy.aggregation(); }
+
+  AggregatingPolicy policy;
+  std::unique_ptr<lss::VictimPolicy> victim;
+  lss::LssEngine engine;
+};
+
+TEST(AggregationRuleTest, PadsWhenMergedPayloadOverflowsAChunk) {
+  // Donor and host pendings that fill exactly one chunk merge...
+  WrappedEngine fits(WrappedEngine::two_user_groups());
+  fits.write_range(0, 0, 2, 0);
+  fits.write_range(1, 0, 2, 10);
+  fits.engine.advance_time(105);  // the donor's deadline fires
+  EXPECT_EQ(fits.rule().shadow_decisions(), 1u);
+  EXPECT_TRUE(fits.engine.has_live_shadow(0));
+  EXPECT_EQ(fits.group_of_shadow(0), 1u);
+
+  // ...one block more would spill into a second host chunk: pad in place.
+  WrappedEngine spills(WrappedEngine::two_user_groups());
+  spills.write_range(0, 0, 2, 0);
+  spills.write_range(1, 0, 3, 10);
+  spills.engine.advance_time(105);
+  EXPECT_EQ(spills.rule().shadow_decisions(), 0u);
+  EXPECT_EQ(spills.rule().pad_decisions(), 1u);
+  EXPECT_FALSE(spills.engine.has_live_shadow(0));
+  EXPECT_EQ(spills.engine.group_traffic(0).padded_flushes, 1u);
+  spills.engine.check_invariants();
+}
+
+TEST(AggregationRuleTest, PredictionGatePadsDonorsWhoseChunksFill) {
+  // `full_chunks` full donor flushes, then one donor and one host block.
+  const auto run = [](Lba full_chunks, bool host_fires_first) {
+    auto f = std::make_unique<WrappedEngine>(
+        WrappedEngine::two_user_groups());
+    f->write_range(0, 0, 4 * full_chunks, 0);
+    EXPECT_EQ(f->engine.group_traffic(0).full_flushes, full_chunks);
+    if (host_fires_first) {
+      f->write_range(1, 0, 1, 1000);
+      f->write_range(0, 90, 1, 1010);
+    } else {
+      f->write_range(0, 90, 1, 1000);
+      f->write_range(1, 0, 1, 1010);
+    }
+    f->engine.advance_time(1105);
+    return f;
+  };
+  // 15 flushes are too little history: aggregate optimistically.
+  EXPECT_EQ(run(15, false)->rule().shadow_decisions(), 1u);
+  // 16 flushes, none padded (< 2%): the donor's chunks fill on their own.
+  const auto gated = run(16, false);
+  EXPECT_EQ(gated->rule().shadow_decisions(), 0u);
+  EXPECT_EQ(gated->engine.group_traffic(0).padded_flushes, 1u);
+  // The gate speaks only for a donor whose own deadline fired.
+  EXPECT_EQ(run(16, true)->rule().shadow_decisions(), 1u);
+}
+
+TEST(AggregationRuleTest, StopRuleCapsSpendUntilDonorSeals) {
+  // 32-block segments, so a donor segment can out-spend the 16-block floor.
+  lss::LssConfig config = engine_config();
+  config.segment_chunks = 8;
+  WrappedEngine f(WrappedEngine::two_user_groups(), config);
+  // Each round leaves one unshadowed donor block and one host block
+  // pending, and the donor's deadline fires first.
+  Lba donor_lba = 0;
+  Lba host_lba = 0;
+  const auto round = [&](Lba i) {
+    const TimeUs now = 1000 * (i + 1);
+    f.write_range(0, donor_lba++, 1, now);
+    // That block may have completed the donor's chunk: start a new one.
+    if (f.engine.pending_blocks(0) == 0) f.write_range(0, donor_lba++, 1, now);
+    f.write_range(1, host_lba++, 1, now + 1);
+    f.engine.advance_time(now + 150);
+    f.policy.check_invariants(audit::Level::kCounters);
+  };
+  for (Lba i = 0; i < 16; ++i) round(i);
+  EXPECT_EQ(f.rule().shadow_decisions(), 16u);
+  ASSERT_EQ(f.engine.group_traffic(0).segments_sealed, 0u);
+  // 16 blocks spent: the budget floor (4 chunks) is used up, so the donor
+  // pads until its segment seals.
+  round(16);
+  EXPECT_EQ(f.rule().shadow_decisions(), 16u);
+  EXPECT_EQ(f.engine.group_traffic(0).padded_flushes, 1u);
+  Lba i = 17;
+  while (f.engine.group_traffic(0).segments_sealed == 0) {
+    round(i++);
+    ASSERT_LT(i, 32u) << "donor segment never sealed";
+  }
+  EXPECT_EQ(f.rule().shadow_decisions(), 16u);
+  // The seal restarts the spend.
+  round(i);
+  EXPECT_EQ(f.rule().shadow_decisions(), 17u);
+  f.engine.check_invariants();
+}
+
+TEST(AggregationRuleTest, NonUserDeadlineShadowsIntoHost) {
+  WrappedEngine f(WrappedEngine::two_user_groups());
+  f.engine.write_block(200, 0);  // a user block in GC group 2
+  f.engine.advance_time(150);
+  EXPECT_EQ(f.rule().shadow_decisions(), 1u);
+  ASSERT_TRUE(f.engine.has_live_shadow(200));
+  EXPECT_EQ(f.group_of_shadow(200), 1u);
+  EXPECT_TRUE(f.engine.is_pending(200));  // GC chunk keeps filling
+  EXPECT_EQ(f.engine.group_traffic(2).padded_flushes, 0u);
+  f.engine.check_invariants();
+}
+
+TEST(AggregationWrapperTest, HostPullsTheLowestPendingDonor) {
+  // WARCIP: five user clusters (host = the coldest, 4) and a GC group.
+  // First writes join cluster 4; a rewrite after 1 block joins cluster 0
+  // and one after ~100 blocks joins cluster 1.
+  const auto host_fires = [](bool cluster0_pending) {
+    const lss::LssConfig config = engine_config();
+    auto f = std::make_unique<WrappedEngine>(
+        std::make_unique<placement::WarcipPolicy>(config.logical_blocks,
+                                                  config.segment_blocks()),
+        config);
+    EXPECT_EQ(f->rule().host(), 4u);
+    f->engine.write_block(10, 0);
+    for (Lba lba = 100; lba < 199; ++lba) f->engine.write_block(lba, 0);
+    f->engine.write_block(300, 5);  // host pending; fires at 105
+    f->engine.write_block(10, 10);  // cluster 1
+    if (cluster0_pending) {
+      f->engine.write_block(20, 10);
+      f->engine.write_block(20, 10);  // cluster 0
+    }
+    f->engine.advance_time(105);
+    f->policy.check_invariants(audit::Level::kFull);
+    f->engine.check_invariants();
+    return f;
+  };
+  // Cluster 0 has nothing pending: the donor is cluster 1.
+  const auto only1 = host_fires(false);
+  ASSERT_TRUE(only1->engine.has_live_shadow(10));
+  EXPECT_EQ(only1->group_of_shadow(10), 4u);
+  // Both pending: the lowest-indexed cluster donates.
+  const auto both = host_fires(true);
+  ASSERT_TRUE(both->engine.has_live_shadow(20));
+  EXPECT_EQ(both->group_of_shadow(20), 4u);
+  EXPECT_FALSE(both->engine.has_live_shadow(10));
+  EXPECT_EQ(both->rule().shadow_decisions(), 1u);
+}
 
 TEST(AggregationWrapperTest, DelegatesToInnerPolicy) {
   auto inner = std::make_unique<placement::SepBitPolicy>(4096, 64);
-  AggregatingPolicy wrapped(std::move(inner), AggregationWrapperConfig{});
+  AggregatingPolicy wrapped(std::move(inner), 16);
   EXPECT_EQ(wrapped.name(), "sepbit+agg");
   EXPECT_EQ(wrapped.group_count(), 6u);
   EXPECT_TRUE(wrapped.is_user_group(0));
-  EXPECT_EQ(wrapped.host_group(), 1u);  // SepBIT's cold user group
+  EXPECT_EQ(wrapped.aggregation().host(), 1u);  // SepBIT's cold user group
   EXPECT_EQ(wrapped.place_user_write(1, 0), 1u);  // first write: cold
   wrapped.check_invariants(audit::Level::kFull);
 }
 
+// DAC numbers its regions cold-to-hot, so the rule's host (the highest
+// user group) is DAC's hottest region; E1x measured that to beat hosting
+// in the coldest one.
+TEST(AggregationWrapperTest, DacHostsInItsHottestRegion) {
+  AggregatingPolicy wrapped(std::make_unique<placement::DacPolicy>(4096), 16);
+  EXPECT_EQ(wrapped.aggregation().host(), 4u);
+}
+
 TEST(AggregationWrapperTest, RejectsSingleUserGroupPolicies) {
-  auto inner = std::make_unique<placement::SepGcPolicy>();
   EXPECT_THROW(
-      AggregatingPolicy(std::move(inner), AggregationWrapperConfig{}),
+      AggregatingPolicy(std::make_unique<placement::SepGcPolicy>(), 16),
       std::invalid_argument);
+  EXPECT_THROW(AggregationRule(RangePolicy(3, 1), 16), std::invalid_argument);
+  EXPECT_NO_THROW(AggregationRule(RangePolicy(3, 2), 16));
 }
 
 TEST(AggregationWrapperTest, RejectsNullInner) {
-  EXPECT_THROW(AggregatingPolicy(nullptr, AggregationWrapperConfig{}),
-               std::invalid_argument);
+  EXPECT_THROW(AggregatingPolicy(nullptr, 16), std::invalid_argument);
 }
 
 TEST(AggregationWrapperTest, ShadowsThroughTheEngine) {
-  auto inner = std::make_unique<placement::SepBitPolicy>(
-      engine_config().logical_blocks, engine_config().segment_blocks());
-  AggregationWrapperConfig wc;
-  wc.chunk_blocks = engine_config().chunk_blocks;
-  AggregatingPolicy wrapped(std::move(inner), wc);
-  auto victim = lss::make_greedy();
-  lss::LssEngine engine(engine_config(), wrapped, *victim, nullptr, 1);
-  engine.set_aggregation_hook(&wrapped);
-
+  const lss::LssConfig config = engine_config();
+  WrappedEngine f(std::make_unique<placement::SepBitPolicy>(
+                      config.logical_blocks, config.segment_blocks()),
+                  config);
   // Heat lba 1 (overwrite), then create overlap between hot and cold
   // pendings and let the deadline fire.
-  engine.write_block(1, 0);
-  engine.write_block(1, 0);
-  engine.advance_time(500);
-  engine.write_block(1, 1000);     // hot pending
-  engine.write_block(700, 1010);   // first write -> cold pending
-  engine.advance_time(1200);
-  EXPECT_GT(wrapped.shadow_decisions(), 0u);
-  EXPECT_GT(engine.metrics().shadow_blocks, 0u);
-  wrapped.check_invariants(audit::Level::kCounters);
-  engine.check_invariants();
+  f.engine.write_block(1, 0);
+  f.engine.write_block(1, 0);
+  f.engine.advance_time(500);
+  f.engine.write_block(1, 1000);     // hot pending
+  f.engine.write_block(700, 1010);   // first write -> cold pending
+  f.engine.advance_time(1200);
+  EXPECT_GT(f.rule().shadow_decisions(), 0u);
+  EXPECT_GT(f.engine.metrics().shadow_blocks, 0u);
+  f.policy.check_invariants(audit::Level::kCounters);
+  f.engine.check_invariants();
 }
 
 TEST(AdaptEngineTest, MemoryAccountingCoversComponents) {

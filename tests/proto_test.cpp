@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "obs/export.h"
 #include "obs/runtime_stats.h"
@@ -22,10 +24,13 @@ PrototypeConfig tiny_proto() {
 }
 
 TEST(PrototypeTest, CompletesAndReportsThroughput) {
-  const PrototypeResult r = run_prototype(tiny_proto());
+  const PrototypeConfig c = tiny_proto();
+  const PrototypeResult r = run_prototype(c);
   EXPECT_EQ(r.policy, "sepgc");
   EXPECT_EQ(r.num_clients, 2u);
-  EXPECT_GE(r.user_blocks, 8000u);
+  // Each client replays its own seeded stream of single-block writes, so
+  // the volume is exact whatever the interleave.
+  EXPECT_EQ(r.user_blocks, c.num_clients * c.writes_per_client);
   EXPECT_GT(r.elapsed_seconds, 0.0);
   EXPECT_GT(r.throughput_mib_per_s, 0.0);
   EXPECT_GT(r.throughput_kops, 0.0);
@@ -141,18 +146,21 @@ TEST(PrototypeTest, GroupCommitStatsPopulated) {
   EXPECT_GT(r.group_commit.groups, 0u);
   EXPECT_GE(r.group_commit.ops, r.group_commit.groups);
   EXPECT_GE(r.group_commit.max_batch, 1u);
-  EXPECT_GE(r.shards, 1u);
+  EXPECT_EQ(r.shards, resolve_shards(c));
 }
 
 TEST(PrototypeTest, ShardAutoRuleRespectsPerShardFloor) {
   PrototypeConfig c = tiny_proto();
   // 2^15 blocks can only support one shard at the 2^15 per-shard floor.
   EXPECT_EQ(resolve_shards(c), 1u);
+  // Over 2^17 blocks: one shard per client, capped at 4 by the floor.
   c.workload.working_set_blocks = 1u << 17;
-  c.num_clients = 4;
-  EXPECT_EQ(resolve_shards(c), 4u);
-  c.num_clients = 32;  // auto caps at 4 shards for 2^17 blocks
-  EXPECT_EQ(resolve_shards(c), 4u);
+  const std::pair<std::uint32_t, std::uint32_t> expected[] = {
+      {1, 1}, {2, 2}, {4, 4}, {8, 4}, {16, 4}, {32, 4}};
+  for (const auto& [clients, shards] : expected) {
+    c.num_clients = clients;
+    EXPECT_EQ(resolve_shards(c), shards) << clients << " clients";
+  }
   c.shards = 2;  // explicit request wins
   EXPECT_EQ(resolve_shards(c), 2u);
 }
