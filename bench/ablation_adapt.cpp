@@ -1,7 +1,8 @@
 // Ablation A1 — contribution of each ADAPT mechanism: full ADAPT vs
 // ADAPT minus threshold adaptation / cross-group aggregation / proactive
-// demotion, plus the stripped core (== SepBIT routing), on the
-// Alibaba-profile workload with Greedy selection.
+// demotion, plus the stripped core (all three off, which places exactly as
+// SepBIT, so its row equals E3's sepbit cell), on the Alibaba-profile
+// workload with Greedy selection.
 #include "bench_util.h"
 
 namespace {

@@ -7,8 +7,7 @@ namespace adapt::core {
 
 AdaptPolicy::AdaptPolicy(const AdaptConfig& config)
     : config_(config),
-      last_write_(config.logical_blocks, kNeverWritten),
-      fallback_threshold_(static_cast<double>(config.segment_blocks) * 4.0),
+      sepbit_(config.logical_blocks, config.segment_blocks),
       // AdaptPolicy is final, so the rule's group queries reach this
       // class's overrides even during construction.
       rule_(*this, config.chunk_blocks) {
@@ -44,7 +43,7 @@ double AdaptPolicy::threshold() const noexcept {
   if (adapter_ != nullptr && adapter_->adopted()) {
     return static_cast<double>(adapter_->threshold());
   }
-  return fallback_threshold_;
+  return sepbit_.threshold();
 }
 
 GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
@@ -62,69 +61,47 @@ GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
   // re-access identifier is confident about their destination. Demotion is
   // gated on the block's *prior lifespan* (the correlation the paper
   // builds on): only a version that just demonstrated a cold-group-scale
-  // lifetime is a demotion candidate — that filters out warm blocks that
-  // merely churned through the GC ladder.
-  if (config_.enable_proactive_demotion) {
-    const VTime prior = last_write_[lba];
-    const bool long_lived =
-        prior != kNeverWritten &&
-        static_cast<double>(now - prior) >= 4.0 * threshold();
-    if (long_lived) {
-      const std::size_t g = pick_cascade(
-          discriminators_, lba, config_.demotion_score_threshold);
-      if (g < discriminators_.size()) {
-        ++demotions_;
-        last_write_[lba] = now;
-        return kFirstGcGroup + static_cast<GroupId>(g);
-      }
+  // lifetime, one SepBIT would age past its hottest GC class, is a
+  // demotion candidate — that filters out warm blocks that merely churned
+  // through the GC ladder. Read before user_class records this write.
+  const double l = threshold();
+  const bool long_lived =
+      config_.enable_proactive_demotion &&
+      sepbit_.last_write(lba) != placement::SepBitPolicy::kNeverWritten &&
+      sepbit_.gc_class(lba, now, l) != kFirstGcGroup;
+  const GroupId user = sepbit_.user_class(lba, now, l);
+  if (long_lived) {
+    const std::size_t g =
+        pick_cascade(discriminators_, lba, config_.demotion_score_threshold);
+    if (g < discriminators_.size()) {
+      ++demotions_;
+      return kFirstGcGroup + static_cast<GroupId>(g);
     }
   }
-
-  const VTime last = last_write_[lba];
-  last_write_[lba] = now;
-  if (last == kNeverWritten) return kColdUser;
-  const auto lifespan = static_cast<double>(now - last);
-  return lifespan < threshold() ? kHotUser : kColdUser;
+  return user;
 }
 
 GroupId AdaptPolicy::place_gc_rewrite(Lba lba, GroupId victim_group,
                                       VTime now) {
-  // Residual-lifespan estimate from the age of the current version,
-  // SepBIT-style geometric boundaries in multiples of the threshold.
-  const VTime birth = last_write_[lba];
-  const auto age =
-      static_cast<double>(birth == kNeverWritten ? now : now - birth);
-  const double l = threshold();
-  GroupId target = kFirstGcGroup;
-  if (age >= 4.0 * l) target = kFirstGcGroup + 1;
-  if (age >= 16.0 * l) target = kFirstGcGroup + 2;
-  if (age >= 64.0 * l) target = kFirstGcGroup + 3;
-  // A block never climbs back toward hotter GC groups: its residual
+  GroupId target = sepbit_.gc_class(lba, now, threshold());
+  if (!config_.enable_proactive_demotion) return target;
+  // §3.4: a block never climbs back toward hotter GC groups: its residual
   // lifespan only shrinks. Without this, a proactively demoted block
   // (young version age, cold group) would bounce to the hottest GC group
   // at its first GC and re-pay the whole ladder.
   if (victim_group >= kFirstGcGroup && victim_group < group_count()) {
     target = std::max(target, victim_group);
-  }
-
-  // §3.4: a block GC re-places into its *own* group has demonstrated a
-  // lifetime matching that group — record it in the group's identifier.
-  if (config_.enable_proactive_demotion && victim_group == target &&
-      target >= kFirstGcGroup) {
-    discriminators_[target - kFirstGcGroup].insert(lba);
+    // A block GC re-places into its *own* group has demonstrated a
+    // lifetime matching that group — record it in the group's identifier.
+    if (target == victim_group) {
+      discriminators_[target - kFirstGcGroup].insert(lba);
+    }
   }
   return target;
 }
 
 void AdaptPolicy::note_segment_sealed(GroupId group, VTime /*now*/) {
   rule_.note_segment_sealed(group);
-}
-
-void AdaptPolicy::note_segment_reclaimed(GroupId group, VTime create_vtime,
-                                         VTime now) {
-  if (group != kHotUser) return;
-  const auto lifespan = static_cast<double>(now - create_vtime);
-  fallback_threshold_ = 0.875 * fallback_threshold_ + 0.125 * lifespan;
 }
 
 lss::AggregationDecision AdaptPolicy::on_chunk_deadline(
@@ -134,7 +111,7 @@ lss::AggregationDecision AdaptPolicy::on_chunk_deadline(
 }
 
 std::size_t AdaptPolicy::memory_usage_bytes() const {
-  std::size_t total = last_write_.capacity() * sizeof(VTime);
+  std::size_t total = sepbit_.memory_usage_bytes();
   if (adapter_ != nullptr) total += adapter_->memory_usage_bytes();
   for (const CascadeDiscriminator& d : discriminators_) {
     total += d.memory_usage_bytes();

@@ -1,17 +1,19 @@
-// ADAPT placement policy (paper §3): six groups — hot/cold user-written
-// plus four GC-rewritten — combining:
+// ADAPT placement policy (paper §3): SepBIT's block-invalidation-time
+// inference (placement::SepBitPolicy: hot/cold user groups plus four GC
+// groups by version age) changed in three places:
 //   * Density-Aware Threshold Adaptation (§3.2): the hot/cold separation
 //     threshold is adopted from ghost-set simulation; until the first
-//     adoption a SepBIT-style segment-lifespan EWMA is the cold-start
-//     threshold.
+//     adoption SepBIT's own segment-lifespan EWMA is the threshold.
 //   * Cross-Group Dynamic Aggregation (§3.3): the engine's AggregationHook,
 //     answered by AggregationRule (adapt/aggregation.h) with the cold user
 //     group hosting the hot group's shadow appends.
 //   * Proactive Demotion Placement (§3.4): per-GC-group cascading Bloom
 //     filters record blocks that GC migrated back into their own group;
-//     user writes scoring high are placed straight into that GC group.
+//     user writes scoring high are placed straight into that GC group, and
+//     GC never moves a block back toward hotter GC groups.
 //
-// Every mechanism can be disabled independently for the ablation bench.
+// Every mechanism can be disabled independently for the ablation bench;
+// with all three off the policy places exactly as SepBitPolicy does.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,7 @@
 #include "adapt/threshold_adapter.h"
 #include "lss/engine.h"
 #include "lss/placement_policy.h"
+#include "placement/sepbit.h"
 
 namespace adapt::core {
 
@@ -57,10 +60,11 @@ struct AdaptConfig {
 class AdaptPolicy final : public lss::PlacementPolicy,
                           public lss::AggregationHook {
  public:
-  static constexpr GroupId kHotUser = 0;
-  static constexpr GroupId kColdUser = 1;
-  static constexpr GroupId kFirstGcGroup = 2;
-  static constexpr GroupId kGcGroups = 4;
+  static constexpr GroupId kHotUser = placement::SepBitPolicy::kHotUser;
+  static constexpr GroupId kColdUser = placement::SepBitPolicy::kColdUser;
+  static constexpr GroupId kFirstGcGroup =
+      placement::SepBitPolicy::kFirstGcGroup;
+  static constexpr GroupId kGcGroups = placement::SepBitPolicy::kGcGroups;
 
   explicit AdaptPolicy(const AdaptConfig& config);
 
@@ -72,7 +76,9 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   GroupId place_gc_rewrite(Lba lba, GroupId victim_group, VTime now) override;
   void note_segment_sealed(GroupId group, VTime now) override;
   void note_segment_reclaimed(GroupId group, VTime create_vtime,
-                              VTime now) override;
+                              VTime now) override {
+    sepbit_.note_segment_reclaimed(group, create_vtime, now);
+  }
   std::size_t memory_usage_bytes() const override;
 
   // -- AggregationHook -------------------------------------------------------
@@ -97,15 +103,12 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   std::uint64_t pad_decisions() const noexcept { return rule_.pad_decisions(); }
 
  private:
-  static constexpr VTime kNeverWritten = ~VTime{0};
-
   AdaptConfig config_;
   lss::TraceSink* trace_ = nullptr;
+  /// The inference; its EWMA is the threshold until §3.2 adopts one.
+  placement::SepBitPolicy sepbit_;
   std::unique_ptr<ThresholdAdapter> adapter_;
   std::vector<CascadeDiscriminator> discriminators_;  // one per GC group
-  std::vector<VTime> last_write_;
-  /// Cold-start threshold: EWMA over hot-group segment lifespans.
-  double fallback_threshold_;
   AggregationRule rule_;
 
   std::uint64_t demotions_ = 0;

@@ -59,53 +59,66 @@ ADAPT_HOT void GcController::run_once(TimeUs now_us) {
   const std::uint64_t migrated_before = metrics_.gc_migrated_blocks;
   Segment& v = pool_.segment_mut(victim);
 
-  if (map_.live_shadow_count() == 0) {
-    // Batched remap fast path. With no live shadows anywhere, migration
-    // cannot force lazy flushes and GC appends never create shadows, so
-    // nothing below mutates the victim bitmap behind the scan: collect
-    // the live (slot, lba) set in one cache-friendly sweep, then apply in
-    // a tight loop. Per-block mutating call order matches the interleaved
-    // fallback exactly, keeping fixed-seed runs bit-identical.
-    migrate_scratch_.clear();
-    const std::span<const Lba> lbas = pool_.segment_lbas(victim);
-    for (std::uint32_t slot = 0; slot < v.write_ptr; ++slot) {
-      // Skip fully dead 64-slot words in one comparison.
-      if ((slot % PackedBitmap::kWordBits) == 0 &&
-          v.slot_valid.word(slot / PackedBitmap::kWordBits) == 0) {
-        slot += PackedBitmap::kWordBits - 1;
-        continue;
-      }
-      if (!v.slot_valid.test(slot)) continue;
-      // Warm the primary-map lines now; the apply loop's consistency check
-      // and clear_primary hit them next. The victim's lbas scatter across
-      // the (large) primary array, so without the hint each migration
-      // stalls on a cold load.
-      map_.prefetch_primary(lbas[slot]);
-      // Reserved to segment_blocks() in the constructor; a victim can hold
-      // at most that many live slots, so no growth here.
-      migrate_scratch_.push_back(  // ADAPT_LINT_ALLOW(hot-alloc)
-          MigrateEntry{slot, lbas[slot]});
+  // Collect the live (slot, lba) set in one cache-friendly sweep, then
+  // migrate in slot order. Bits only clear while the victim drains, so the
+  // sweep sees every slot the migration loop can find live.
+  migrate_scratch_.clear();
+  const std::span<const Lba> lbas = pool_.segment_lbas(victim);
+  for (std::uint32_t slot = 0; slot < v.write_ptr; ++slot) {
+    // Skip fully dead 64-slot words in one comparison.
+    if ((slot % PackedBitmap::kWordBits) == 0 &&
+        v.slot_valid.word(slot / PackedBitmap::kWordBits) == 0) {
+      slot += PackedBitmap::kWordBits - 1;
+      continue;
     }
-    for (const MigrateEntry& e : migrate_scratch_) {
-      if (!map_.primary_is(e.lba, BlockLocation{victim, e.slot})) {
-        throw std::logic_error("valid slot not referenced by block map");
+    if (!v.slot_valid.test(slot)) continue;
+    // Warm the primary-map lines now; the migration loop's consistency
+    // check and clear_primary hit them next. The victim's lbas scatter
+    // across the (large) primary array, so without the hint each
+    // migration stalls on a cold load.
+    map_.prefetch_primary(lbas[slot]);
+    // Reserved to segment_blocks() in the constructor; a victim can hold
+    // at most that many live slots, so no growth here.
+    migrate_scratch_.push_back(  // ADAPT_LINT_ALLOW(hot-alloc)
+        MigrateEntry{slot, lbas[slot]});
+  }
+  for (const MigrateEntry& e : migrate_scratch_) {
+    // A forced flush below expires every shadow its chunk left in the
+    // victim, including ones later in the sweep.
+    if (!v.slot_valid.test(e.slot)) continue;
+    const BlockLocation here{victim, e.slot};
+    // GC appends never create shadows, so with none live the probe is
+    // skipped for the whole run.
+    if (map_.live_shadow_count() != 0 && map_.shadow_location(e.lba) == here) {
+      // A live shadow inside a sealed victim: the lazy original is still
+      // pending in some open chunk. Force that chunk out (padded), which
+      // expires this shadow, then skip the now-dead slot.
+      const BlockLocation prim = map_.locate(e.lba);
+      const GroupId prim_group = pool_.segment(prim.segment).group;
+      ++metrics_.forced_lazy_flushes;
+      writer_.pad_flush(prim_group);
+      if (v.slot_valid.test(e.slot)) {
+        throw std::logic_error("forced flush did not expire shadow");
       }
-      const GroupId target = policy_.place_gc_rewrite(e.lba, v.group, vtime_);
-      if (target >= writer_.group_count()) {
-        throw std::logic_error("placement policy returned bad GC group");
-      }
-      // Invalidate the victim copy, then append the migrated one. The
-      // drain variant skips the per-block victim-index notification: no
-      // selection or audit can run before release() reports on_free, and
-      // every index is a pure function of stored state, so the collapsed
-      // updates leave it bit-identical.
-      pool_.invalidate_slot_draining(BlockLocation{victim, e.slot});
-      map_.clear_primary(e.lba);
-      writer_.append(target, e.lba, AppendSource::kGc, now_us, v.group);
-      ++metrics_.gc_migrated_blocks;
+      continue;
     }
-  } else {
-    migrate_interleaved(victim, v, now_us);
+    if (!map_.primary_is(e.lba, here)) {
+      throw std::logic_error("valid slot not referenced by block map");
+    }
+    const GroupId target = policy_.place_gc_rewrite(e.lba, v.group, vtime_);
+    if (target >= writer_.group_count()) {
+      throw std::logic_error("placement policy returned bad GC group");
+    }
+    // Invalidate the victim copy, then append the migrated one. The drain
+    // variant skips the per-block victim-index notification: no selection
+    // or audit can run before release() reports on_free, and every index
+    // is a pure function of stored state, so the collapsed updates leave it
+    // bit-identical. (A forced flush's shadow expiry above still notifies,
+    // with the pool's counts.)
+    pool_.invalidate_slot_draining(here);
+    map_.clear_primary(e.lba);
+    writer_.append(target, e.lba, AppendSource::kGc, now_us, v.group);
+    ++metrics_.gc_migrated_blocks;
   }
 
   if (v.valid_count != 0) {
@@ -124,49 +137,6 @@ ADAPT_HOT void GcController::run_once(TimeUs now_us) {
   const auto pause_us = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - pause_begin);
   metrics_.gc_pause_us.add(static_cast<std::uint64_t>(pause_us.count()));
-}
-
-ADAPT_HOT void GcController::migrate_interleaved(SegmentId victim, Segment& v,
-                                                 TimeUs now_us) {
-  for (std::uint32_t slot = 0; slot < v.write_ptr; ++slot) {
-    // Skip fully dead 64-slot words in one comparison. Re-checked at every
-    // word boundary because forced flushes below can clear later bits.
-    if ((slot % PackedBitmap::kWordBits) == 0 &&
-        v.slot_valid.word(slot / PackedBitmap::kWordBits) == 0) {
-      slot += PackedBitmap::kWordBits - 1;
-      continue;
-    }
-    if (!v.slot_valid.test(slot)) continue;
-    const Lba lba = pool_.slot_lba(victim, slot);
-    const BlockLocation here{victim, slot};
-    if (map_.shadow_location(lba) == here) {
-      // A live shadow inside a sealed victim: the lazy original is still
-      // pending in some open chunk. Force that chunk out (padded), which
-      // expires this shadow, then skip the now-dead slot.
-      const BlockLocation prim = map_.locate(lba);
-      const GroupId prim_group = pool_.segment(prim.segment).group;
-      ++metrics_.forced_lazy_flushes;
-      writer_.pad_flush(prim_group);
-      if (v.slot_valid.test(slot)) {
-        throw std::logic_error("forced flush did not expire shadow");
-      }
-      continue;
-    }
-    if (!map_.primary_is(lba, here)) {
-      throw std::logic_error("valid slot not referenced by block map");
-    }
-    const GroupId target = policy_.place_gc_rewrite(lba, v.group, vtime_);
-    if (target >= writer_.group_count()) {
-      throw std::logic_error("placement policy returned bad GC group");
-    }
-    // Invalidate the victim copy, then append the migrated one. The victim
-    // stays in the index (its buckets track the drain) until release
-    // reports on_free.
-    pool_.invalidate_slot(here);
-    map_.clear_primary(lba);
-    writer_.append(target, lba, AppendSource::kGc, now_us, v.group);
-    ++metrics_.gc_migrated_blocks;
-  }
 }
 
 void GcController::check_counters() const {

@@ -51,16 +51,13 @@ class GcController {
   void check_counters() const;
 
  private:
-  /// One live block queued for batched migration out of a victim.
+  /// One live block queued for migration out of a victim.
   struct MigrateEntry {
     std::uint32_t slot;
     Lba lba;
   };
 
   void run_once(TimeUs now_us);
-  /// Shadow-aware migration loop: per-slot shadow probe plus forced lazy
-  /// flushes, used whenever live shadows exist during a GC run.
-  void migrate_interleaved(SegmentId victim, Segment& v, TimeUs now_us);
 
   const LssConfig& config_;
   SegmentPool& pool_;
@@ -72,8 +69,8 @@ class GcController {
   Rng& rng_;
   const VTime& vtime_;
   TraceSink* trace_ = nullptr;
-  /// Recycled collect-then-apply buffer for the batched remap fast path
-  /// (reserved once to segment_blocks — GC allocates nothing per run).
+  /// Recycled collect-then-migrate buffer (reserved once to
+  /// segment_blocks — GC allocates nothing per run).
   std::vector<MigrateEntry> migrate_scratch_;
 };
 

@@ -8,6 +8,10 @@
 // GC rewrites: residual lifespan is estimated from the block age
 // (now - version birth); classes 3-6 hold progressively older blocks with
 // geometric boundaries in multiples of l.
+//
+// The inference also takes l as a parameter (user_class / gc_class), so
+// ADAPT (adapt/adapt_policy.h) classifies through it under its own
+// threshold.
 #pragma once
 
 #include <cstddef>
@@ -23,34 +27,26 @@ class SepBitPolicy final : public lss::PlacementPolicy {
  public:
   static constexpr GroupId kHotUser = 0;   // Class 1
   static constexpr GroupId kColdUser = 1;  // Class 2
-  // Classes 3-6 -> groups 2-5.
+  static constexpr GroupId kFirstGcGroup = 2;  // Classes 3-6 -> groups 2-5.
+  static constexpr GroupId kGcGroups = 4;
+  /// last_write() of a block no user write has reached yet.
+  static constexpr VTime kNeverWritten = ~VTime{0};
 
   SepBitPolicy(std::uint64_t logical_blocks, std::uint32_t segment_blocks)
       : last_write_(logical_blocks, kNeverWritten),
         threshold_(static_cast<double>(segment_blocks) * 4.0) {}
 
   std::string_view name() const override { return "sepbit"; }
-  GroupId group_count() const override { return 6; }
+  GroupId group_count() const override { return kFirstGcGroup + kGcGroups; }
   bool is_user_group(GroupId g) const override { return g <= kColdUser; }
 
   GroupId place_user_write(Lba lba, VTime now) override {
-    const VTime last = last_write_[lba];
-    last_write_[lba] = now;
-    if (last == kNeverWritten) return kColdUser;
-    const auto lifespan = static_cast<double>(now - last);
-    return lifespan < threshold_ ? kHotUser : kColdUser;
+    return user_class(lba, now, threshold_);
   }
 
   GroupId place_gc_rewrite(Lba lba, GroupId /*victim_group*/,
                            VTime now) override {
-    // Age of the *current version*: time since its user write.
-    const VTime birth = last_write_[lba];
-    const auto age = static_cast<double>(
-        birth == kNeverWritten ? now : now - birth);
-    if (age < 4.0 * threshold_) return 2;
-    if (age < 16.0 * threshold_) return 3;
-    if (age < 64.0 * threshold_) return 4;
-    return 5;
+    return gc_class(lba, now, threshold_);
   }
 
   void note_segment_reclaimed(GroupId group, VTime create_vtime,
@@ -61,6 +57,31 @@ class SepBitPolicy final : public lss::PlacementPolicy {
     threshold_ = (1.0 - kEwma) * threshold_ + kEwma * lifespan;
   }
 
+  /// Records a user write of `lba` at `now` and classifies the new version
+  /// under threshold `l`: hot if the version it overwrites lived less than l.
+  GroupId user_class(Lba lba, VTime now, double l) {
+    const VTime last = last_write_[lba];
+    last_write_[lba] = now;
+    if (last == kNeverWritten) return kColdUser;
+    const auto lifespan = static_cast<double>(now - last);
+    return lifespan < l ? kHotUser : kColdUser;
+  }
+
+  /// GC class of `lba`'s current version under threshold `l`, from the age
+  /// since its user write.
+  GroupId gc_class(Lba lba, VTime now, double l) const {
+    const VTime birth = last_write_[lba];
+    const auto age = static_cast<double>(
+        birth == kNeverWritten ? now : now - birth);
+    if (age < 4.0 * l) return kFirstGcGroup;
+    if (age < 16.0 * l) return kFirstGcGroup + 1;
+    if (age < 64.0 * l) return kFirstGcGroup + 2;
+    return kFirstGcGroup + 3;
+  }
+
+  VTime last_write(Lba lba) const { return last_write_[lba]; }
+
+  /// l: the running average lifespan of Class-1 segments.
   double threshold() const noexcept { return threshold_; }
 
   std::size_t memory_usage_bytes() const override {
@@ -68,7 +89,6 @@ class SepBitPolicy final : public lss::PlacementPolicy {
   }
 
  private:
-  static constexpr VTime kNeverWritten = ~VTime{0};
   static constexpr double kEwma = 0.125;
 
   std::vector<VTime> last_write_;

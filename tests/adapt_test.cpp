@@ -2,10 +2,12 @@
 // threshold adaptation, the AdaptPolicy placement logic, and the §3.3
 // aggregation rule that AdaptPolicy and the "+agg" wrapper share (driven
 // through the engine's shadow append / lazy append).
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -561,33 +563,6 @@ TEST(AdaptPolicyTest, SixGroupsTwoUser) {
   }
 }
 
-TEST(AdaptPolicyTest, FirstWriteIsCold) {
-  AdaptPolicy p(small_policy());
-  EXPECT_EQ(p.place_user_write(1, 0), AdaptPolicy::kColdUser);
-}
-
-TEST(AdaptPolicyTest, ShortLifespanIsHot) {
-  AdaptPolicy p(small_policy());
-  p.place_user_write(1, 0);
-  EXPECT_EQ(p.place_user_write(1, 5), AdaptPolicy::kHotUser);
-}
-
-TEST(AdaptPolicyTest, LongLifespanIsCold) {
-  AdaptPolicy p(small_policy());
-  p.place_user_write(1, 0);
-  EXPECT_EQ(p.place_user_write(1, 1u << 22), AdaptPolicy::kColdUser);
-}
-
-TEST(AdaptPolicyTest, GcBucketsByAge) {
-  AdaptPolicy p(small_policy());
-  const auto l = static_cast<VTime>(p.threshold());
-  p.place_user_write(1, 0);
-  EXPECT_EQ(p.place_gc_rewrite(1, 0, l), 2u);
-  EXPECT_EQ(p.place_gc_rewrite(1, 2, 5 * l), 3u);
-  EXPECT_EQ(p.place_gc_rewrite(1, 3, 20 * l), 4u);
-  EXPECT_EQ(p.place_gc_rewrite(1, 4, 100 * l), 5u);
-}
-
 TEST(AdaptPolicyTest, GcNeverPromotesTowardHotterGroups) {
   AdaptPolicy p(small_policy());
   p.place_user_write(1, 1000);
@@ -595,13 +570,79 @@ TEST(AdaptPolicyTest, GcNeverPromotesTowardHotterGroups) {
   EXPECT_EQ(p.place_gc_rewrite(1, 5, 1001), 5u);
 }
 
-TEST(AdaptPolicyTest, FallbackThresholdTracksHotSegments) {
-  AdaptPolicy p(small_policy());
-  const double before = p.threshold();
-  for (int i = 0; i < 10; ++i) {
-    p.note_segment_reclaimed(AdaptPolicy::kHotUser, 0, 100000);
+// Drives `config`'s AdaptPolicy and a SepBitPolicy of the same geometry
+// with one seeded stream of user writes (mostly to a small hot set), GC
+// rewrites from random victim groups, and segment reclaims whose hot-group
+// lifespans grow SepBIT's EWMA. Every user group and threshold must match
+// SepBIT's; a GC group must be SepBIT's class, raised to the victim's GC
+// group when §3.4 is on.
+void expect_sepbit_placement(const AdaptConfig& config, std::uint64_t seed) {
+  AdaptPolicy adapt(config);
+  placement::SepBitPolicy sepbit(config.logical_blocks, config.segment_blocks);
+  ASSERT_EQ(adapt.group_count(), sepbit.group_count());
+  const double start = sepbit.threshold();
+  std::vector<std::uint64_t> seen(sepbit.group_count(), 0);
+  Rng rng(seed);
+  VTime now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += 1 + rng.below(8);
+    const std::uint64_t op = rng.below(100);
+    if (op < 80) {
+      const Lba lba = rng.below(10) < 8 ? rng.below(64)
+                                        : rng.below(config.logical_blocks);
+      const GroupId want = sepbit.place_user_write(lba, now);
+      ASSERT_EQ(adapt.place_user_write(lba, now), want) << "op " << i;
+      ++seen[want];
+    } else if (op < 95) {
+      const Lba lba = rng.below(config.logical_blocks);
+      const auto victim =
+          static_cast<GroupId>(rng.below(sepbit.group_count()));
+      GroupId want = sepbit.place_gc_rewrite(lba, victim, now);
+      ++seen[want];
+      if (config.enable_proactive_demotion &&
+          victim >= AdaptPolicy::kFirstGcGroup) {
+        want = std::max(want, victim);
+      }
+      ASSERT_EQ(adapt.place_gc_rewrite(lba, victim, now), want)
+          << "op " << i << ", victim group " << victim;
+    } else {
+      const auto group = static_cast<GroupId>(rng.below(3));
+      const VTime lifespan = std::min<VTime>(now, 256 + rng.below(1024));
+      sepbit.note_segment_reclaimed(group, now - lifespan, now);
+      adapt.note_segment_reclaimed(group, now - lifespan, now);
+    }
+    ASSERT_EQ(adapt.threshold(), sepbit.threshold()) << "op " << i;
   }
-  EXPECT_GT(p.threshold(), before);
+  // The stream reaches every SepBIT class and moves the EWMA, and nothing
+  // was demoted.
+  for (GroupId g = 0; g < sepbit.group_count(); ++g) {
+    EXPECT_GT(seen[g], 0u) << "group " << g;
+  }
+  EXPECT_GT(sepbit.threshold(), start);
+  EXPECT_EQ(adapt.demotions(), 0u);
+}
+
+TEST(AdaptPolicyTest, WithoutMechanismsPlacesAsSepBit) {
+  AdaptConfig c = small_policy();
+  c.enable_threshold_adaptation = false;
+  c.enable_cross_group_aggregation = false;
+  c.enable_proactive_demotion = false;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_sepbit_placement(c, seed);
+  }
+}
+
+// With §3.4 on, GC never moves a block back toward hotter GC groups. The
+// filters hold more than the stream's GC inserts, so the cascades never
+// rotate, no LBA scores above 1 and nothing is demoted.
+TEST(AdaptPolicyTest, DemotionWithoutCascadeHitsClampsSepBitGc) {
+  AdaptConfig c = small_policy();
+  c.bloom_filter_capacity = 1u << 16;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_sepbit_placement(c, seed);
+  }
 }
 
 TEST(AdaptPolicyTest, DemotionRequiresScoreAndLifespan) {

@@ -1,7 +1,9 @@
 // Engine-level tests: append/flush mechanics, the SLA coalescing window,
 // padding accounting, segment lifecycle, GC correctness, shadow-append
 // semantics, and randomized invariant checks.
+#include <cmath>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "common/rng.h"
 #include "lss/engine.h"
 #include "lss/victim_policy.h"
+#include "placement/sep_gc.h"
 #include "test_support.h"
 
 namespace adapt::lss {
@@ -307,6 +310,78 @@ TEST(LssEngineTest, ChunksFlushedCounter) {
   f.engine.write_block(9, 0);
   f.engine.flush_all();
   EXPECT_EQ(f.engine.chunks_flushed(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// GC against closed-form theory
+// ---------------------------------------------------------------------------
+
+/// 2^15 blocks, 16-block chunks, 64-block segments, 25% over-provision.
+LssConfig uniform_config() {
+  LssConfig c;
+  c.chunk_blocks = 16;
+  c.segment_chunks = 4;
+  c.logical_blocks = 1u << 15;
+  c.over_provision = 0.25;
+  return c;
+}
+
+/// SepGC over a fully live uniform volume: every block is written once,
+/// then 32 × 2^15 uniformly random one-block writes follow, all at time 0
+/// so no deadline pads. Returns the WA of the random-write phase alone.
+double uniform_sepgc_wa(std::string_view victim_name, std::uint64_t seed) {
+  const LssConfig c = uniform_config();
+  placement::SepGcPolicy policy;
+  const std::unique_ptr<VictimPolicy> victim = make_victim_policy(victim_name);
+  LssEngine engine(c, policy, *victim, nullptr, seed);
+  for (Lba lba = 0; lba < c.logical_blocks; ++lba) engine.write_block(lba, 0);
+  const std::uint64_t user_before = engine.metrics().user_blocks;
+  const std::uint64_t total_before = engine.metrics().total_blocks();
+  Rng rng(seed);
+  for (std::uint64_t i = 0; i < 32 * c.logical_blocks; ++i) {
+    engine.write_block(rng.below(c.logical_blocks), 0);
+  }
+  EXPECT_EQ(engine.metrics().padding_blocks, 0u);
+  return static_cast<double>(engine.metrics().total_blocks() - total_before) /
+         static_cast<double>(engine.metrics().user_blocks - user_before);
+}
+
+/// Mean-field FIFO cleaning WA at α physical segments per live segment:
+/// victims hold a valid fraction u solving u = e^(−α(1−u)), so
+/// WA = 1/(1−u) (Nagel et al.). Iterating from 0 finds the root below 1.
+double fifo_wa(double alpha) {
+  double u = 0.0;
+  for (int i = 0; i < 500; ++i) u = std::exp(-alpha * (1.0 - u));
+  return 1.0 / (1.0 - u);
+}
+
+TEST(GcTheoryTest, UniformWritesMatchMeanFieldWa) {
+  // α spans the usable segments: all physical ones, down to those left
+  // after GC's free reserve and one open segment per group (SepGC: 8 of
+  // 640, over 512 live — α from 632/512 to 640/512).
+  const LssConfig c = uniform_config();
+  const double live =
+      static_cast<double>(c.logical_blocks / c.segment_blocks());
+  const double physical = c.total_segments();
+  const double out_of_service =
+      c.free_segment_reserve + 2.0 * placement::SepGcPolicy{}.group_count();
+  const double alpha_min = (physical - out_of_service) / live;
+  const double alpha_max = physical / live;
+  ASSERT_DOUBLE_EQ(alpha_min, 632.0 / 512.0);
+  ASSERT_DOUBLE_EQ(alpha_max, 640.0 / 512.0);
+
+  // FIFO cleans the oldest segment, and a uniformly random victim cleans
+  // at the mean valid fraction 1/α, so WA = α/(α−1).
+  const double fifo = uniform_sepgc_wa("windowed:1", 7);
+  EXPECT_GE(fifo, fifo_wa(alpha_max));
+  EXPECT_LE(fifo, fifo_wa(alpha_min));
+  const double random = uniform_sepgc_wa("random", 7);
+  EXPECT_GE(random, alpha_max / (alpha_max - 1.0));
+  EXPECT_LE(random, alpha_min / (alpha_min - 1.0));
+  // Greedy and cost-benefit choose by valid count (cost-benefit also by
+  // age); on uniform writes that cleans no worse than age order.
+  EXPECT_LE(uniform_sepgc_wa("greedy", 7), fifo);
+  EXPECT_LE(uniform_sepgc_wa("cost-benefit", 7), fifo);
 }
 
 // ---------------------------------------------------------------------------

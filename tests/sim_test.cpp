@@ -27,8 +27,9 @@ trace::Volume small_ycsb_volume() {
   return trace::make_ycsb_volume(c, 3u << 14);
 }
 
-/// bench/micro_shard_scaling's default volume: 90%-write, 1-8-block
-/// requests, scrambled zipf 0.99 over 128Ki blocks, written to fill 3.
+/// A dense sharding volume (the one DESIGN.md "One partitioning rule"
+/// measures): 90%-write, 1-8-block requests, scrambled zipf 0.99 over
+/// 128Ki blocks, written to fill 3.
 trace::Volume shard_scaling_volume() {
   constexpr std::uint64_t kCapacity = std::uint64_t{1} << 17;
   trace::Volume volume;
