@@ -13,6 +13,7 @@
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/series.h"
+#include "pinned_replay.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -419,25 +420,15 @@ TEST(ObsDeterminismTest, SamplingEnabledVsDisabledIsBitIdentical) {
   EXPECT_EQ(plain.segments_per_group, sampled.segments_per_group);
 }
 
-// The PR-1 pinned fixed-seed replay (victim_index_test) must reproduce
+// The pinned fixed-seed replay (tests/pinned_replay.h) must reproduce
 // bit-identically with the sampler attached: the observer is passive.
 TEST(ObsDeterminismTest, PinnedFixedSeedMetricsUnchangedWithSamplerAttached) {
-  trace::CloudVolumeModel model(trace::alibaba_profile(), /*seed=*/42);
-  const trace::Volume volume = model.make_volume(/*volume_id=*/0,
-                                                 /*fill_factor=*/3.0);
-  ASSERT_EQ(volume.records.size(), 66314u);
+  namespace pinned = testing::pinned_replay;
+  const trace::Volume volume = pinned::volume();
+  ASSERT_EQ(volume.records.size(), pinned::kRecords);
   const sim::VolumeResult r = run_sampled(volume, 4096, 128);
-  const lss::LssMetrics& m = r.metrics;
-  EXPECT_EQ(m.user_blocks, 173331u);
-  EXPECT_EQ(m.gc_blocks, 89754u);
-  EXPECT_EQ(m.shadow_blocks, 10640u);
-  EXPECT_EQ(m.padding_blocks, 146403u);
-  EXPECT_EQ(m.gc_runs, 1370u);
-  EXPECT_EQ(m.forced_lazy_flushes, 13u);
-  EXPECT_EQ(m.read_blocks, 140561u);
-  EXPECT_EQ(m.read_chunk_fetches, 47381u);
-  EXPECT_EQ(m.read_buffer_hits, 449u);
-  EXPECT_EQ(m.read_unmapped, 34479u);
+  pinned::expect_write_counters(r.metrics);
+  pinned::expect_read_counters(r.metrics);
   // And the series the run produced is non-empty and schema-valid.
   ASSERT_NE(r.series, nullptr);
   std::ostringstream jsonl;

@@ -16,6 +16,7 @@
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "obs/trace_log.h"
+#include "pinned_replay.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 
@@ -318,20 +319,15 @@ TEST(TraceDeterminismTest, TracingOnVsOffIsBitIdentical) {
   EXPECT_EQ(off.segments_per_group, on.segments_per_group);
 }
 
-// The PR-1 pinned fixed-seed replay must reproduce bit-identically with
-// trace sinks attached: tracing leaves the metrics untouched.
+// The pinned fixed-seed replay (tests/pinned_replay.h) must reproduce
+// bit-identically with trace sinks attached: tracing leaves the metrics
+// untouched.
 TEST(TraceDeterminismTest, PinnedFixedSeedMetricsUnchangedWithTracing) {
-  trace::CloudVolumeModel model(trace::alibaba_profile(), /*seed=*/42);
-  const trace::Volume volume = model.make_volume(/*volume_id=*/0,
-                                                 /*fill_factor=*/3.0);
-  ASSERT_EQ(volume.records.size(), 66314u);
+  namespace pinned = testing::pinned_replay;
+  const trace::Volume volume = pinned::volume();
+  ASSERT_EQ(volume.records.size(), pinned::kRecords);
   const sim::VolumeResult r = run_traced(volume, true);
-  EXPECT_EQ(r.metrics.user_blocks, 173331u);
-  EXPECT_EQ(r.metrics.gc_blocks, 89754u);
-  EXPECT_EQ(r.metrics.shadow_blocks, 10640u);
-  EXPECT_EQ(r.metrics.padding_blocks, 146403u);
-  EXPECT_EQ(r.metrics.gc_runs, 1370u);
-  EXPECT_EQ(r.metrics.forced_lazy_flushes, 13u);
+  pinned::expect_write_counters(r.metrics);
   ASSERT_NE(r.trace, nullptr);
   EXPECT_GT(r.trace->recorded, 0u);
 }

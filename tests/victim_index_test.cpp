@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "pinned_replay.h"
 #include "lss/victim_policy.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -260,32 +261,23 @@ TEST(VictimIndexDifferentialTest, WindowedMatchesScanWithUniqueSealTimes) {
   }
 }
 
-// Full fixed-seed volume replay with policy=adapt, victim=greedy. The
-// numbers are pinned from the seed scan-based implementation (pre-index);
-// the incremental index must reproduce them bit-identically, proving the
-// refactor is WA-neutral end to end.
+// Full fixed-seed volume replay with policy=adapt, victim=greedy
+// (tests/pinned_replay.h). The incremental victim index must reproduce the
+// scan-based selection's counters bit-identically, proving the index is
+// WA-neutral end to end.
 TEST(VictimIndexRegressionTest, AdaptGreedyFixedSeedMetricsUnchanged) {
-  trace::CloudVolumeModel model(trace::alibaba_profile(), /*seed=*/42);
-  const trace::Volume volume = model.make_volume(/*volume_id=*/0,
-                                                 /*fill_factor=*/3.0);
-  ASSERT_EQ(volume.records.size(), 66314u);
+  namespace pinned = testing::pinned_replay;
+  const trace::Volume volume = pinned::volume();
+  ASSERT_EQ(volume.records.size(), pinned::kRecords);
   sim::SimConfig config;
   config.victim_policy = "greedy";
   config.seed = 42;
   const sim::VolumeResult r = sim::run_volume(volume, "adapt", config);
   const LssMetrics& m = r.metrics;
-  EXPECT_EQ(m.user_blocks, 173331u);
-  EXPECT_EQ(m.gc_blocks, 89754u);
-  EXPECT_EQ(m.shadow_blocks, 10640u);
-  EXPECT_EQ(m.padding_blocks, 146403u);
-  EXPECT_EQ(m.gc_runs, 1370u);
-  EXPECT_EQ(m.gc_migrated_blocks, 89754u);
-  EXPECT_EQ(m.forced_lazy_flushes, 13u);
+  pinned::expect_write_counters(m);
+  pinned::expect_read_counters(m);
+  EXPECT_EQ(m.gc_migrated_blocks, pinned::kGcBlocks);
   EXPECT_EQ(m.rmw_flushes, 0u);
-  EXPECT_EQ(m.read_blocks, 140561u);
-  EXPECT_EQ(m.read_chunk_fetches, 47381u);
-  EXPECT_EQ(m.read_buffer_hits, 449u);
-  EXPECT_EQ(m.read_unmapped, 34479u);
   std::uint64_t sealed = 0, reclaimed = 0, full = 0, padded = 0;
   for (const GroupTraffic& g : m.groups) {
     sealed += g.segments_sealed;
@@ -293,10 +285,10 @@ TEST(VictimIndexRegressionTest, AdaptGreedyFixedSeedMetricsUnchanged) {
     full += g.full_flushes;
     padded += g.padded_flushes;
   }
-  EXPECT_EQ(sealed, 1638u);
-  EXPECT_EQ(reclaimed, 1370u);
-  EXPECT_EQ(full, 12835u);
-  EXPECT_EQ(padded, 13423u);
+  EXPECT_EQ(sealed, pinned::kSegmentsSealed);
+  EXPECT_EQ(reclaimed, pinned::kGcRuns);
+  EXPECT_EQ(full, pinned::kFullFlushes);
+  EXPECT_EQ(padded, pinned::kPaddedFlushes);
 }
 
 }  // namespace
