@@ -12,9 +12,11 @@
 //
 // The bench also proves the "zero steady-state allocations per op" claim:
 // a global operator new/delete interposer counts every heap allocation, and
-// the measured replay region and the Bloom cascade's steady state (ring
-// rotations plus scores) must allocate nothing or the bench exits non-zero
-// (and the gated steady_state_allocs rows would flag it in CI regardless).
+// the measured replay region, the Bloom cascade's steady state (ring
+// rotations plus scores) and the §3.2 threshold adapter's steady state
+// (sampled writes into its ghost sets, their GC and its adoptions) must
+// allocate nothing or the bench exits non-zero (and the gated
+// steady_state_allocs rows would flag it in CI regardless).
 //
 // Scaling: ADAPT_HOTPATH_OPS / ADAPT_HOTPATH_WARMUP override the measured
 // and warmup op counts (changing them changes the gated counter rows, so
@@ -31,6 +33,7 @@
 
 #include "adapt/bloom.h"
 #include "adapt/ghost_set.h"
+#include "adapt/threshold_adapter.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -393,6 +396,40 @@ int run() {
                 bloom_ns, cascade_ns, cascade_allocs, ghost_ns);
   }
 
+  // -- §3.2 threshold adapter steady state ----------------------------------
+  // At the auto sample rate over the engine's LBA range. One pass writes
+  // every LBA, so every sampled block has its id and every ghost a location
+  // for it; after that, sampled writes, ghost GC and adoptions must not
+  // allocate.
+  std::uint64_t adapter_allocs = 0;
+  {
+    constexpr std::uint64_t kSteadyWrites = 1u << 18;
+    core::AdapterConfig ac;
+    ac.logical_blocks = config.logical_blocks;
+    ac.segment_blocks = config.segment_blocks();
+    core::ThresholdAdapter adapter(ac);
+    VTime now = 0;
+    for (Lba lba = 0; lba < config.logical_blocks; ++lba) {
+      adapter.on_user_write(lba, now++);
+    }
+    Rng steady_rng(13);
+    std::vector<Lba> steady(kSteadyWrites);
+    for (Lba& lba : steady) lba = zipf.next(steady_rng);
+    const std::uint64_t sampled_before = adapter.sampled_writes();
+    const std::uint64_t adoptions_before = adapter.adoptions();
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    for (const Lba lba : steady) adapter.on_user_write(lba, now++);
+    adapter_allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    report.add("adapt.adapter.steady_state_allocs", {},
+               static_cast<double>(adapter_allocs), "count");
+    std::printf("adapter       %10" PRIu64 " writes    (%" PRIu64
+                " sampled, %" PRIu64 " adoptions, %" PRIu64 " allocs)\n",
+                kSteadyWrites, adapter.sampled_writes() - sampled_before,
+                adapter.adoptions() - adoptions_before, adapter_allocs);
+  }
+
   engine.check_invariants(audit::Level::kFull);
   bench::write_report(report);
 
@@ -408,6 +445,13 @@ int run() {
                  "FAIL: steady-state cascade allocated %" PRIu64
                  " times (expected 0)\n",
                  cascade_allocs);
+    return 1;
+  }
+  if (adapter_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: steady-state threshold adapter allocated %" PRIu64
+                 " times (expected 0)\n",
+                 adapter_allocs);
     return 1;
   }
   return 0;

@@ -1,10 +1,14 @@
 #include "adapt/threshold_adapter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "common/annotations.h"
 
 namespace adapt::core {
 namespace {
@@ -51,6 +55,17 @@ ThresholdAdapter::ThresholdAdapter(const AdapterConfig& config)
   if (config_.num_ghosts < 3) {
     throw std::invalid_argument("ThresholdAdapter needs >= 3 ghosts");
   }
+  update_volume_ = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(config_.update_fraction *
+                                 static_cast<double>(config_.logical_blocks)),
+      1);
+  // Size the index for the blocks the sampler is expected to pick, at half
+  // load; grow_index() doubles it if more turn up.
+  const auto expected_blocks = static_cast<std::size_t>(
+      config_.sample_rate * static_cast<double>(config_.logical_blocks));
+  index_.resize(std::bit_ceil(std::max<std::size_t>(2 * expected_blocks, 16)));
+  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+  last_write_.reserve(expected_blocks);
   // Cold-start threshold: a few segments' worth of writes (refined by the
   // first adoption).
   current_threshold_ = static_cast<std::uint64_t>(config_.segment_blocks) * 4;
@@ -91,27 +106,59 @@ void ThresholdAdapter::configure_linear(std::uint64_t lo, std::uint64_t hi) {
   sampled_since_reconfigure_ = 0;
 }
 
-bool ThresholdAdapter::on_user_write(Lba lba, VTime now) {
+ADAPT_HOT bool ThresholdAdapter::on_user_write(Lba lba, VTime now) {
   ++writes_since_adoption_;
   if (sampler_.sampled(lba)) {
     ++sampled_writes_;
-    std::uint64_t interval = GhostSet::kNoHistory;
-    if (const auto [it, first] = last_write_.try_emplace(lba, now); !first) {
-      interval = now - it->second;
-      it->second = now;
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home_slot(lba);
+    while (index_[i].lba != kInvalidLba && index_[i].lba != lba) {
+      i = (i + 1) & mask;
     }
-    for (GhostSet& g : ghosts_) g.write(lba, interval);
+    std::uint64_t interval = GhostSet::kNoHistory;
+    std::uint32_t id;
+    if (index_[i].lba == kInvalidLba) {
+      id = add_block(lba, now);
+    } else {
+      id = index_[i].id;
+      interval = now - last_write_[id];
+      last_write_[id] = now;
+    }
+    for (GhostSet& g : ghosts_) g.write(id, interval);
     ++sampled_since_reconfigure_;
   }
 
-  const auto update_volume = static_cast<std::uint64_t>(
-      config_.update_fraction * static_cast<double>(config_.logical_blocks));
-  if (writes_since_adoption_ < std::max<std::uint64_t>(update_volume, 1)) {
-    return false;
-  }
+  if (writes_since_adoption_ < update_volume_) return false;
   const std::uint64_t before = current_threshold_;
   maybe_adopt();
   return current_threshold_ != before;
+}
+
+std::uint32_t ThresholdAdapter::add_block(Lba lba, VTime now) {
+  if (lba == kInvalidLba) {
+    throw std::invalid_argument("ThresholdAdapter: reserved LBA");
+  }
+  if ((last_write_.size() + 1) * 2 > index_.size()) grow_index();
+  const auto id = static_cast<std::uint32_t>(last_write_.size());
+  place(IndexSlot{lba, id});
+  last_write_.push_back(now);
+  return id;
+}
+
+void ThresholdAdapter::grow_index() {
+  const std::vector<IndexSlot> old = std::move(index_);
+  index_.assign(old.size() * 2, IndexSlot{});
+  --index_shift_;
+  for (const IndexSlot& slot : old) {
+    if (slot.lba != kInvalidLba) place(slot);
+  }
+}
+
+void ThresholdAdapter::place(IndexSlot slot) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home_slot(slot.lba);
+  while (index_[i].lba != kInvalidLba) i = (i + 1) & mask;
+  index_[i] = slot;
 }
 
 void ThresholdAdapter::maybe_adopt() {
@@ -169,10 +216,24 @@ void ThresholdAdapter::check_invariants(audit::Level level) const {
   if (last_write_.size() > sampled_writes_) {
     fail("more last-write entries than sampled writes");
   }
+  if (last_write_.size() * 2 > index_.size()) fail("index past half load");
   if (phase_ == Phase::kLinear && adoptions_ == 0) {
     fail("linear phase before any adoption");
   }
   if (level != audit::Level::kFull) return;
+  // Every sampled block sits in the index once, under a distinct id.
+  std::vector<bool> seen(last_write_.size(), false);
+  for (const IndexSlot& slot : index_) {
+    if (slot.lba == kInvalidLba) continue;
+    if (!sampler_.sampled(slot.lba)) fail("index holds an unsampled block");
+    if (slot.id >= seen.size() || seen[slot.id]) {
+      fail("index id out of range or repeated");
+    }
+    seen[slot.id] = true;
+  }
+  if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+    fail("block id missing from the index");
+  }
   for (const GhostSet& g : ghosts_) g.check_invariants(level);
 }
 
@@ -184,6 +245,8 @@ std::vector<std::uint64_t> ThresholdAdapter::ghost_thresholds() const {
 }
 
 std::size_t ThresholdAdapter::memory_usage_bytes() const noexcept {
+  // The paper's §4.4 hash layout: one node (LBA, time, node overhead) per
+  // sampled block, whatever the flat index allocates.
   std::size_t total = last_write_.size() * (sizeof(Lba) + sizeof(VTime) +
                                             GhostSet::kHashNodeBytes);
   for (const GhostSet& g : ghosts_) total += g.memory_usage_bytes();

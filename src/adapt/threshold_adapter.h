@@ -1,10 +1,12 @@
 // Density-Aware Threshold Adaptation (paper §3.2).
 //
 // Blocks are sampled by a uniform hash of their LBA, after SHARDS
-// [Waldspurger et al., FAST'15]. For each sampled write the adapter keeps
-// the block's last-write time and feeds a bank of ghost sets the raw
-// interval since that write — user blocks written, the unit SepBIT measures
-// lifespans in and the placement threshold is applied in. Each ghost set
+// [Waldspurger et al., FAST'15]. The adapter numbers each sampled block
+// densely on its first write (an insert-only open-addressing index), keeps
+// its last-write time in an array by that number, and feeds a bank of
+// ghost sets the number and the raw interval since the previous write —
+// user blocks written, the unit SepBIT measures lifespans in and the
+// placement threshold is applied in. Each ghost set
 // simulates the user-written groups under a different hot/cold threshold.
 // Thresholds start on an exponentially growing window (segment_size * 2^i);
 // after the first adoption the window switches to linear steps
@@ -17,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "adapt/ghost_set.h"
@@ -80,8 +81,9 @@ class ThresholdAdapter {
   const std::vector<GhostSet>& ghosts() const noexcept { return ghosts_; }
   std::uint64_t sampled_writes() const noexcept { return sampled_writes_; }
 
-  /// Modelled like GhostSet's maps: 40 B per sampled block for the
-  /// last-write map (paper §4.4: ≈44 B) plus every ghost's footprint.
+  /// Models the paper's §4.4 hash layout like GhostSet does: 40 B per
+  /// sampled block for a last-write hash map (paper: ≈44 B) plus every
+  /// ghost's modelled footprint. It is not what the flat index allocates.
   std::size_t memory_usage_bytes() const noexcept;
 
   /// Self-audit; throws std::logic_error on violation. kCounters checks
@@ -90,13 +92,31 @@ class ThresholdAdapter {
   void check_invariants(audit::Level level) const;
 
  private:
+  /// One slot of the sampled-block index; lba == kInvalidLba when empty.
+  struct IndexSlot {
+    Lba lba = kInvalidLba;
+    std::uint32_t id = 0;
+  };
+
+  std::size_t home_slot(Lba lba) const noexcept {
+    return static_cast<std::size_t>((lba * 0x9e3779b97f4a7c15ull) >>
+                                    index_shift_);
+  }
+  std::uint32_t add_block(Lba lba, VTime now);
+  void grow_index();
+  void place(IndexSlot slot);  // into the first empty slot of its probe
   void configure_exponential(std::uint64_t center);
   void configure_linear(std::uint64_t lo, std::uint64_t hi);
   void maybe_adopt();
 
   AdapterConfig config_;
   SpatialSampler sampler_;
-  std::unordered_map<Lba, VTime> last_write_;  // per sampled block
+  std::uint64_t update_volume_ = 1;  // user writes per adoption attempt
+  // Sampled LBA -> dense block id: insert-only linear probing over a
+  // power-of-two table kept at most half full, Fibonacci-hashed.
+  std::vector<IndexSlot> index_;
+  unsigned index_shift_ = 64;
+  std::vector<VTime> last_write_;  // by block id
   std::vector<GhostSet> ghosts_;
   Phase phase_ = Phase::kExponential;
   std::uint64_t current_threshold_;
