@@ -1,7 +1,8 @@
 // Microbench: the single-shard engine's per-op hot path.
 //
 // Emits BENCH_engine_hotpath.json (adapt-bench-v1) with an end-to-end
-// replay throughput plus a ns/op breakdown per component (map lookup and
+// replay throughput (a one-shard ShardedEngine::replay, the loop
+// sim::run_volume runs) plus a ns/op breakdown per component (map lookup and
 // update, shadow-table churn, append/flush, GC migration, victim
 // selection) and per call of ADAPT's placement structures (Bloom-filter
 // lookup, 4-filter cascade score, ghost-set write). Everything runs at a
@@ -40,6 +41,7 @@
 #include "lss/block_map.h"
 #include "lss/engine.h"
 #include "lss/flat_shadow_map.h"
+#include "lss/sharded_engine.h"
 #include "placement/factory.h"
 
 // ---------------------------------------------------------------------------
@@ -105,9 +107,19 @@ int run() {
   pc.logical_blocks = config.logical_blocks;
   pc.segment_blocks = config.segment_blocks();
   pc.seed = 42;
-  const auto policy = placement::make_baseline_policy("sepgc", pc);
-  const auto victim = lss::make_greedy();
-  lss::LssEngine engine(config, *policy, *victim, nullptr, /*seed=*/42);
+  // One shard: an exact pass-through to the engine it wraps, so the
+  // measured window runs the replay loop sim::run_volume runs.
+  lss::VictimPolicy* victim = nullptr;
+  lss::ShardedEngine sharded(
+      config, 1, /*base_seed=*/42,
+      [&](std::uint32_t /*shard_index*/, const lss::LssConfig& /*shard*/) {
+        lss::ShardParts parts;
+        parts.policy = placement::make_baseline_policy("sepgc", pc);
+        parts.victim = lss::make_greedy();
+        victim = parts.victim.get();
+        return parts;
+      });
+  lss::LssEngine& engine = sharded.shard(0);
 
   bench::print_header("micro_engine_hotpath",
                       "single-shard per-op hot path breakdown");
@@ -135,11 +147,17 @@ int run() {
   const std::uint64_t chunks_before = engine.chunks_flushed();
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
+  const TimeUs replay_base_us = now_us;
   const auto replay_start = Clock::now();
-  for (std::uint64_t i = 0; i < measured_ops; ++i) {
-    engine.write_block(workload[warmup_ops + i], ++now_us);
-  }
+  sharded.replay(
+      measured_ops,
+      [&](std::size_t i) {
+        return lss::ReplayOp{workload[warmup_ops + i], 1,
+                             replay_base_us + i + 1, /*is_write=*/true};
+      },
+      /*pool=*/nullptr);
   const double replay_seconds = seconds_since(replay_start);
+  now_us += measured_ops;
   const std::uint64_t steady_allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   const std::uint64_t user_delta = m.user_blocks - user_before;

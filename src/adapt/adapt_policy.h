@@ -25,6 +25,7 @@
 #include "adapt/aggregation.h"
 #include "adapt/bloom.h"
 #include "adapt/threshold_adapter.h"
+#include "common/annotations.h"
 #include "lss/engine.h"
 #include "lss/placement_policy.h"
 #include "placement/sepbit.h"
@@ -73,6 +74,9 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   GroupId group_count() const override { return kFirstGcGroup + kGcGroups; }
   bool is_user_group(GroupId g) const override { return g <= kColdUser; }
   GroupId place_user_write(Lba lba, VTime now) override;
+  ADAPT_HOT void prefetch_user_write(Lba lba) const noexcept override {
+    sepbit_.prefetch_user_write(lba);
+  }
   GroupId place_gc_rewrite(Lba lba, GroupId victim_group, VTime now) override;
   void note_segment_sealed(GroupId group, VTime now) override;
   void note_segment_reclaimed(GroupId group, VTime create_vtime,

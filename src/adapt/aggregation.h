@@ -20,6 +20,7 @@
 #include <string_view>
 
 #include "audit/audit.h"
+#include "common/annotations.h"
 #include "lss/engine.h"
 #include "lss/placement_policy.h"
 
@@ -101,6 +102,9 @@ class AggregatingPolicy final : public lss::PlacementPolicy,
   }
   GroupId place_user_write(Lba lba, VTime now) override {
     return inner_->place_user_write(lba, now);
+  }
+  ADAPT_HOT void prefetch_user_write(Lba lba) const noexcept override {
+    inner_->prefetch_user_write(lba);
   }
   GroupId place_gc_rewrite(Lba lba, GroupId victim_group,
                            VTime now) override {

@@ -14,7 +14,8 @@ namespace {
 }  // namespace
 
 void OracleModel::on_write(Lba lba, std::uint32_t blocks) {
-  if (lba + blocks > config_.logical_blocks) {
+  if (lba >= config_.logical_blocks ||
+      blocks > config_.logical_blocks - lba) {
     fail("mirrored write beyond logical capacity");
   }
   for (std::uint32_t i = 0; i < blocks; ++i) {

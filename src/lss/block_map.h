@@ -23,6 +23,7 @@
 
 #include "common/annotations.h"
 #include "common/histogram.h"
+#include "common/prefetch.h"
 #include "common/types.h"
 #include "lss/flat_shadow_map.h"
 #include "lss/segment.h"
@@ -72,11 +73,7 @@ class BlockMap {
   /// work hides most of the per-op miss latency. No architectural effect.
   /// Precondition: lba < logical_blocks().
   ADAPT_HOT void prefetch_primary(Lba lba) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(primary_.data() + lba, 1);
-#else
-    (void)lba;
-#endif
+    prefetch_for_write(primary_.data() + lba);
   }
 
   /// Where lba currently lives (primary copy), or kNowhere. Tolerant of

@@ -65,7 +65,8 @@ LssEngine::LssEngine(const LssConfig& config, PlacementPolicy& policy,
 }
 
 void LssEngine::write(Lba lba, std::uint32_t blocks, TimeUs now_us) {
-  if (lba + blocks > config_.logical_blocks) {
+  if (lba >= config_.logical_blocks ||
+      blocks > config_.logical_blocks - lba) {
     throw std::out_of_range("write beyond logical capacity");
   }
   for (std::uint32_t i = 0; i < blocks; ++i) {
@@ -101,7 +102,8 @@ ADAPT_HOT void LssEngine::write_block(Lba lba, TimeUs now_us) {
 }
 
 ADAPT_HOT void LssEngine::read(Lba lba, std::uint32_t blocks, TimeUs now_us) {
-  if (lba + blocks > config_.logical_blocks) {
+  if (lba >= config_.logical_blocks ||
+      blocks > config_.logical_blocks - lba) {
     throw std::out_of_range("read beyond logical capacity");
   }
   advance_time(now_us);

@@ -30,6 +30,7 @@
 
 #include "array/ssd_array.h"
 #include "audit/audit.h"
+#include "common/annotations.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "lss/block_map.h"
@@ -143,6 +144,16 @@ class LssEngine {
   /// covers every requested block residing in the same chunk; blocks still
   /// pending in an open chunk are served from the buffer.
   void read(Lba lba, std::uint32_t blocks, TimeUs now_us);
+
+  /// Starts the cache misses a user op at `lba` will take: its block-map
+  /// entry and, for a write, the placement policy's per-LBA entry
+  /// (PlacementPolicy::prefetch_user_write). Replay calls it a few ops
+  /// ahead. No architectural effect; an out-of-range lba is ignored.
+  ADAPT_HOT void prefetch_op(Lba lba, bool is_write) const noexcept {
+    if (lba >= config_.logical_blocks) return;
+    map_.prefetch_primary(lba);
+    if (is_write) policy_.prefetch_user_write(lba);
+  }
 
   /// Advances wall time, firing any expired coalescing deadlines.
   void advance_time(TimeUs now_us);

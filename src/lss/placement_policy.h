@@ -30,6 +30,11 @@ class PlacementPolicy {
   /// Chooses a group for a user-written block (one call per 4-KiB block).
   virtual GroupId place_user_write(Lba lba, VTime now) = 0;
 
+  /// Hints that place_user_write(lba, ...) follows shortly, so a policy
+  /// with per-LBA state can start fetching lba's entry. No-op by default;
+  /// must not change any decision, and ignores an out-of-range lba.
+  virtual void prefetch_user_write(Lba /*lba*/) const noexcept {}
+
   /// Chooses a group for a valid block being migrated out of a GC victim.
   virtual GroupId place_gc_rewrite(Lba lba, GroupId victim_group,
                                    VTime now) = 0;

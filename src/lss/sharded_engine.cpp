@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace adapt::lss {
 
@@ -101,70 +102,35 @@ bool ShardedEngine::gc_step(TimeUs now_us, std::uint32_t watermark) {
   return did_work;
 }
 
-void ShardedEngine::enqueue(Lba lba, std::uint32_t blocks, TimeUs now_us,
-                            bool is_write) {
-  for_each_subspan(lba, blocks,
-                   [&](std::uint32_t s, Lba local, std::uint32_t count) {
-                     shards_[s].queue.push_back(
-                         QueuedOp{local, count, now_us, is_write});
-                   });
-}
-
 void ShardedEngine::enqueue_write(Lba lba, std::uint32_t blocks,
                                   TimeUs now_us) {
-  enqueue(lba, blocks, now_us, /*is_write=*/true);
+  check_span(lba, blocks);
+  queue_.push_back(ReplayOp{lba, blocks, now_us, /*is_write=*/true});
 }
 
 void ShardedEngine::enqueue_read(Lba lba, std::uint32_t blocks,
                                  TimeUs now_us) {
-  enqueue(lba, blocks, now_us, /*is_write=*/false);
+  check_span(lba, blocks);
+  queue_.push_back(ReplayOp{lba, blocks, now_us, /*is_write=*/false});
 }
 
 void ShardedEngine::reserve_queues(std::size_t expected_ops) {
-  // +1 rounds up so tiny volumes on many shards still get a slot each.
-  const std::size_t per_shard = expected_ops / shards_.size() + 1;
-  for (Shard& shard : shards_) {
-    shard.queue.reserve(shard.queue.size() + per_shard);
-  }
-}
-
-std::size_t ShardedEngine::queued_ops() const noexcept {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.queue.size();
-  return total;
-}
-
-void ShardedEngine::replay_queue(Shard& shard) noexcept {
-  try {
-    for (const QueuedOp& op : shard.queue) {
-      if (op.is_write) {
-        shard.engine->write(op.local_lba, op.blocks, op.ts_us);
-      } else {
-        shard.engine->read(op.local_lba, op.blocks, op.ts_us);
-      }
-    }
-  } catch (...) {
-    shard.error = std::current_exception();
-  }
-  shard.queue.clear();
+  queue_.reserve(queue_.size() + expected_ops);
 }
 
 void ShardedEngine::run_queued(ThreadPool* pool) {
-  if (pool == nullptr || shards_.size() == 1) {
-    for (Shard& shard : shards_) replay_queue(shard);
-  } else {
-    for (Shard& shard : shards_) {
-      pool->submit([&shard] { replay_queue(shard); });
-    }
-    pool->wait_idle();
-  }
+  const std::vector<ReplayOp> ops = std::move(queue_);
+  queue_.clear();
+  replay(ops.size(), [&ops](std::size_t i) { return ops[i]; }, pool);
+}
+
+void ShardedEngine::rethrow_shard_error() {
+  std::exception_ptr first;
   for (Shard& shard : shards_) {
-    if (shard.error != nullptr) {
-      const std::exception_ptr err = shard.error;
-      shard.error = nullptr;
-      std::rethrow_exception(err);
-    }
+    if (first == nullptr) first = shard.error;
+    shard.error = nullptr;
   }
+  if (first != nullptr) std::rethrow_exception(first);
 }
 
 LssMetrics ShardedEngine::merged_metrics() const {

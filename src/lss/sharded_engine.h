@@ -12,10 +12,20 @@
 // no mutable state and a shard's behaviour depends only on its own
 // (op, lba, timestamp) sequence.
 //
-// Two drivers sit on this shard set: queued deterministic replay here
-// (enqueue ops in trace order, then run_queued() replays every shard's
-// queue on a ThreadPool — deterministic regardless of thread scheduling),
-// and the concurrent group-commit intake of lss::ConcurrentEngine.
+// This shard set has two front-ends: in-place deterministic replay here
+// (replay() walks the caller's op stream without copying it; every shard
+// applies the sub-spans routed to it, in order, on its own ThreadPool task
+// — deterministic regardless of thread scheduling), and the concurrent
+// group-commit intake of lss::ConcurrentEngine. enqueue_*/run_queued keep
+// one global op list for callers that build the stream op by op, and hand
+// it to the same replay().
+//
+// Replay is memory-bound: a user op's first touches are its block-map
+// entry and, for a write, the placement policy's per-LBA state, each one
+// entry of an array as large as the logical space. So each shard starts
+// those misses kReplayLookahead ops ahead of the op it applies
+// (LssEngine::prefetch_op, PlacementPolicy::prefetch_user_write). A
+// prefetch has no architectural effect; outputs are bit-identical.
 //
 // N == 1 is an exact pass-through: a 1-shard ShardedEngine reproduces the
 // single-engine pinned fixed-seed regression metrics bit-identically.
@@ -25,11 +35,12 @@
 // time series); see DESIGN.md "Engine decomposition & sharding".
 //
 // Concurrency contract: shards are thread-compatible, never thread-safe —
-// isolation replaces locking. run_queued() hands each shard's queue to
-// exactly one ThreadPool task, the merge phase runs after wait_idle(), and
-// no mutable state crosses a shard boundary in between, so there is nothing
-// for a mutex (or a capability annotation) to guard. The ThreadPool
-// underneath carries the annotations; -Wthread-safety checks that side.
+// isolation replaces locking. replay() hands each shard to exactly one
+// ThreadPool task, which only reads the shared op stream; the merge phase
+// runs after wait_idle(), and no mutable state crosses a shard boundary in
+// between, so there is nothing for a mutex (or a capability annotation) to
+// guard. The ThreadPool underneath carries the annotations;
+// -Wthread-safety checks that side.
 // ConcurrentEngine supplies its own per-shard locks around this class.
 #pragma once
 
@@ -43,6 +54,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/thread_pool.h"
 #include "lss/engine.h"
 
@@ -88,6 +100,21 @@ std::uint32_t parse_shard_count(std::string_view text);
 /// exceeds kMaxShards, or exceeds logical_blocks.
 LssConfig shard_config(const LssConfig& global, std::uint32_t shard_count);
 
+/// One request of the op stream ShardedEngine::replay walks, in global
+/// LBAs. An op with blocks == 0 is skipped, so a caller can drop a record
+/// (e.g. one clamped to nothing) without re-indexing its stream.
+struct ReplayOp {
+  Lba lba = 0;
+  std::uint32_t blocks = 0;
+  TimeUs ts_us = 0;
+  bool is_write = false;
+};
+
+/// How many ops ahead of the one it applies a replaying shard prefetches.
+/// Far enough to cover a DRAM miss behind one op's engine work, near
+/// enough that the prefetched lines are still cached when the op arrives.
+inline constexpr std::size_t kReplayLookahead = 8;
+
 class ShardedEngine {
  public:
   /// Builds `shard_count` independent engines over `config`'s logical
@@ -122,10 +149,8 @@ class ShardedEngine {
   /// passes the logical capacity.
   template <typename Fn>
   void for_each_subspan(Lba lba, std::uint32_t blocks, Fn&& fn) const {
+    check_span(lba, blocks);
     const Lba end = lba + blocks;
-    if (end > logical_blocks_) {
-      throw std::out_of_range("span beyond logical capacity");
-    }
     const std::uint64_t bps = blocks_per_shard();
     for (Lba at = lba; at < end;) {
       const std::uint32_t s = shard_of(at);
@@ -142,7 +167,7 @@ class ShardedEngine {
 
   /// Attaches a trace sink to shard `i`'s engine (nullptr detaches). Each
   /// shard gets its own sink instance — sinks are not synchronised, and
-  /// run_queued replays shards on different threads; the obs layer merges
+  /// replay runs shards on different threads; the obs layer merges
   /// per-shard rings afterwards, exactly like Registry/metrics.
   void set_trace_sink(std::uint32_t i, TraceSink* sink) {
     shards_.at(i).engine->set_trace_sink(sink);
@@ -166,26 +191,36 @@ class ShardedEngine {
   /// One proactive GC pass per shard. Returns true if any shard did work.
   bool gc_step(TimeUs now_us, std::uint32_t watermark);
 
-  // -- batched parallel replay ---------------------------------------------
+  // -- deterministic parallel replay ---------------------------------------
 
-  /// Queues a write/read for run_queued. Ops are split per shard at
-  /// enqueue time; each shard's queue preserves trace order.
+  /// Replays ops [0, count) of the caller's op stream in place: `op_at(i)`
+  /// returns op i as a ReplayOp, and is called from every shard's task at
+  /// once, so it must be safe to call concurrently. Every shard walks the
+  /// whole stream and applies the sub-span routed to it, in order, on its
+  /// own `pool` task, or inline with one shard or no pool. For the op
+  /// kReplayLookahead ahead it prefetches the block-map entry and, for a
+  /// write, the policy's per-LBA entry (LssEngine::prefetch_op).
+  /// Deterministic for any pool size, and equal to the synchronous
+  /// write/read sequence. An op whose span passes the logical capacity
+  /// throws std::out_of_range once every shard has applied exactly the ops
+  /// before it; the first shard exception (if any) is rethrown after all
+  /// shards finish.
+  template <typename OpAt>
+  void replay(std::size_t count, const OpAt& op_at, ThreadPool* pool);
+
+  /// Appends a write/read to the op list run_queued replays. Throws
+  /// std::out_of_range, queueing nothing, when the span passes the logical
+  /// capacity.
   void enqueue_write(Lba lba, std::uint32_t blocks, TimeUs now_us);
   void enqueue_read(Lba lba, std::uint32_t blocks, TimeUs now_us);
 
-  /// Sizes every shard queue for ~`expected_ops` total enqueues (spread
-  /// evenly; requests spanning a shard boundary add an op, so callers pass
-  /// the record count and the slack absorbs the splits). Replays enqueue
-  /// entire volumes before run_queued, so without the hint each queue
-  /// reallocates-and-copies log2(n) times.
+  /// Reserves room for `expected_ops` more enqueues.
   void reserve_queues(std::size_t expected_ops);
 
-  std::size_t queued_ops() const noexcept;
+  std::size_t queued_ops() const noexcept { return queue_.size(); }
 
-  /// Replays every shard's queued ops — on `pool` when given (one task per
-  /// shard), inline otherwise — then clears the queues. Deterministic for
-  /// any pool size: shards are independent and each queue is ordered. The
-  /// first shard exception (if any) is rethrown after all shards finish.
+  /// Hands the op list to replay() on `pool`, then empties it (also when
+  /// replay throws).
   void run_queued(ThreadPool* pool);
 
   // -- merged observers ----------------------------------------------------
@@ -210,26 +245,79 @@ class ShardedEngine {
   void check_invariants(audit::Level level) const;
 
  private:
-  struct QueuedOp {
-    Lba local_lba = 0;
-    std::uint32_t blocks = 0;
-    TimeUs ts_us = 0;
-    bool is_write = false;
-  };
-
   struct Shard {
     ShardParts parts;
     std::unique_ptr<LssEngine> engine;
-    std::vector<QueuedOp> queue;
     std::exception_ptr error;
   };
 
-  void enqueue(Lba lba, std::uint32_t blocks, TimeUs now_us, bool is_write);
-  static void replay_queue(Shard& shard) noexcept;
+  /// Throws std::out_of_range unless [lba, lba + blocks) lies inside the
+  /// logical space (written so that lba + blocks cannot wrap).
+  void check_span(Lba lba, std::uint32_t blocks) const {
+    if (lba >= logical_blocks_ || blocks > logical_blocks_ - lba) {
+      throw std::out_of_range("span beyond logical capacity");
+    }
+  }
+
+  template <typename OpAt>
+  void replay_shard(std::uint32_t s, std::size_t count, const OpAt& op_at);
+
+  /// Clears every shard's error and rethrows the first one, if any.
+  void rethrow_shard_error();
 
   LssConfig shard_config_;
   std::uint64_t logical_blocks_ = 0;
   std::vector<Shard> shards_;
+  std::vector<ReplayOp> queue_;  ///< enqueue_* ops awaiting run_queued
 };
+
+template <typename OpAt>
+void ShardedEngine::replay(std::size_t count, const OpAt& op_at,
+                           ThreadPool* pool) {
+  const auto run = [&](std::uint32_t s) noexcept {
+    try {
+      replay_shard(s, count, op_at);
+    } catch (...) {
+      shards_[s].error = std::current_exception();
+    }
+  };
+  if (pool == nullptr || shards_.size() == 1) {
+    for (std::uint32_t s = 0; s < shard_count(); ++s) run(s);
+  } else {
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      pool->submit([&run, s] { run(s); });
+    }
+    pool->wait_idle();
+  }
+  rethrow_shard_error();
+}
+
+template <typename OpAt>
+ADAPT_HOT void ShardedEngine::replay_shard(std::uint32_t s, std::size_t count,
+                                           const OpAt& op_at) {
+  LssEngine& engine = *shards_[s].engine;
+  const std::uint64_t bps = blocks_per_shard();
+  const Lba base = Lba{s} * bps;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kReplayLookahead < count) {
+      const ReplayOp ahead = op_at(i + kReplayLookahead);
+      // Another shard's lba maps to a local address at or past bps (below
+      // `base` it wraps), which prefetch_op ignores.
+      engine.prefetch_op(ahead.lba - base, ahead.is_write);
+    }
+    const ReplayOp op = op_at(i);
+    if (op.blocks == 0) continue;
+    check_span(op.lba, op.blocks);
+    const Lba lo = std::max(op.lba, base);
+    const Lba hi = std::min(op.lba + op.blocks, base + bps);
+    if (lo >= hi) continue;
+    const auto blocks = static_cast<std::uint32_t>(hi - lo);
+    if (op.is_write) {
+      engine.write(lo - base, blocks, op.ts_us);
+    } else {
+      engine.read(lo - base, blocks, op.ts_us);
+    }
+  }
+}
 
 }  // namespace adapt::lss

@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/annotations.h"
+#include "common/prefetch.h"
 #include "lss/placement_policy.h"
 
 namespace adapt::placement {
@@ -42,6 +44,12 @@ class SepBitPolicy final : public lss::PlacementPolicy {
 
   GroupId place_user_write(Lba lba, VTime now) override {
     return user_class(lba, now, threshold_);
+  }
+
+  /// user_class reads and rewrites lba's last-write slot: one entry of an
+  /// array as large as the logical space.
+  ADAPT_HOT void prefetch_user_write(Lba lba) const noexcept override {
+    if (lba < last_write_.size()) prefetch_for_write(last_write_.data() + lba);
   }
 
   GroupId place_gc_rewrite(Lba lba, GroupId /*victim_group*/,

@@ -154,29 +154,27 @@ VolumeResult run_volume(const trace::Volume& volume,
     }
   }
 
-  // Requests past the volume's declared capacity are trace noise: clamp.
+  // Requests past the volume's declared capacity are trace noise: clamp;
+  // one wholly past it becomes a zero-block op, which replay skips.
   const Lba addressable =
       std::min<Lba>(std::max<Lba>(volume.capacity_blocks, 1),
                     lss_config.logical_blocks);
-  const auto total_records =
-      static_cast<std::uint64_t>(volume.records.size());
-  TimeUs last_ts = 0;
-  engine.reserve_queues(volume.records.size());
-  for (const trace::Record& r : volume.records) {
-    last_ts = r.ts_us;
-    const Lba end = std::min<Lba>(r.lba + r.blocks, addressable);
-    if (r.lba >= end) continue;
-    const auto span = static_cast<std::uint32_t>(end - r.lba);
-    if (r.op == trace::OpType::kWrite) {
-      engine.enqueue_write(r.lba, span, r.ts_us);
-    } else {
-      engine.enqueue_read(r.lba, span, r.ts_us);
-    }
-  }
+  const std::vector<trace::Record>& records = volume.records;
+  const auto total_records = static_cast<std::uint64_t>(records.size());
+  const TimeUs last_ts = records.empty() ? 0 : records.back().ts_us;
   // One replay thread per shard; a single shard runs on this thread.
   std::unique_ptr<ThreadPool> pool;
   if (shards > 1) pool = std::make_unique<ThreadPool>(shards);
-  engine.run_queued(pool.get());
+  engine.replay(
+      records.size(),
+      [&records, addressable](std::size_t i) {
+        const trace::Record& r = records[i];
+        const Lba room = r.lba < addressable ? addressable - r.lba : 0;
+        return lss::ReplayOp{
+            r.lba, static_cast<std::uint32_t>(std::min<Lba>(r.blocks, room)),
+            r.ts_us, r.op == trace::OpType::kWrite};
+      },
+      pool.get());
   engine.flush_all();
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(samplers.size());
        ++i) {

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "audit/audit.h"
+#include "audit/oracle.h"
 #include "common/rng.h"
 #include "lss/engine.h"
 #include "lss/placement_policy.h"
@@ -167,6 +168,15 @@ TEST_F(AuditTest, CountersAuditCatchesOpenSegmentCorruption) {
 }
 
 // -- level plumbing ----------------------------------------------------------
+
+TEST(OracleModelTest, RejectsSpanPastCapacity) {
+  audit::OracleModel oracle(small_config());
+  EXPECT_THROW(oracle.on_write(1023, 2), std::logic_error);
+  // A span whose end wraps past 2^64.
+  EXPECT_THROW(oracle.on_write(~Lba{0} - 3, 8), std::logic_error);
+  EXPECT_EQ(oracle.live_lbas(), 0u);
+  EXPECT_EQ(oracle.user_blocks(), 0u);
+}
 
 TEST(AuditLevelTest, ParseRoundTrip) {
   EXPECT_EQ(audit::parse_level("off"), audit::Level::kOff);

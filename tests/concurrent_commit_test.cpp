@@ -298,6 +298,8 @@ TEST(ConcurrentEngineTest, RejectsOutOfRangeWrite) {
   pc.policy = "sepgc";
   ConcurrentEngine engine(cfg, 2, 1, proto::make_prototype_shard_factory(pc));
   EXPECT_THROW(engine.write(cfg.logical_blocks, 1, 0), std::out_of_range);
+  // A span whose end wraps past 2^64 must not be acknowledged.
+  EXPECT_THROW(engine.write(~Lba{0} - 3, 8, 0), std::out_of_range);
 }
 
 // Fault injection for the batch-abort contract: delegates to the real

@@ -12,6 +12,7 @@
 #include "lss/engine.h"
 #include "lss/victim_policy.h"
 #include "placement/sep_gc.h"
+#include "placement/sepbit.h"
 #include "test_support.h"
 
 namespace adapt::lss {
@@ -102,6 +103,66 @@ TEST(LssEngineTest, OutOfRangeWriteThrows) {
   EngineFixture f;
   EXPECT_THROW(f.engine.write_block(256, 0), std::out_of_range);
   EXPECT_THROW(f.engine.write(255, 2, 0), std::out_of_range);
+  // A span whose end wraps past 2^64.
+  EXPECT_THROW(f.engine.write(~Lba{0} - 3, 8, 0), std::out_of_range);
+  EXPECT_EQ(f.engine.metrics().user_blocks, 0u);
+}
+
+TEST(LssEngineTest, PrefetchHintsChangeNothing) {
+  // SepBIT, so write hints reach a policy's per-LBA state.
+  const LssConfig config = small_config();
+  placement::SepBitPolicy hinted_policy(config.logical_blocks,
+                                        config.segment_blocks());
+  placement::SepBitPolicy plain_policy(config.logical_blocks,
+                                       config.segment_blocks());
+  const auto hinted_victim = make_greedy();
+  const auto plain_victim = make_greedy();
+  LssEngine hinted(config, hinted_policy, *hinted_victim, nullptr, 1);
+  LssEngine plain(config, plain_policy, *plain_victim, nullptr, 1);
+
+  // Between ops, hint every LBA of [0, logical + 8) in turn as a read and
+  // as a write; the last 8 are out of range and must be ignored.
+  const Lba hint_end = config.logical_blocks + 8;
+  Lba hint = 0;
+  Rng rng(31);
+  TimeUs now = 0;
+  for (int i = 0; i < 6000; ++i) {
+    hinted.prefetch_op(hint, /*is_write=*/true);
+    hinted.prefetch_op(hint, /*is_write=*/false);
+    hint = (hint + 1) % hint_end;
+    now += rng.below(60);
+    const Lba lba = rng.below(config.logical_blocks - 3);
+    const auto blocks = static_cast<std::uint32_t>(1 + rng.below(3));
+    if (rng.below(4) == 0) {
+      hinted.read(lba, blocks, now);
+      plain.read(lba, blocks, now);
+    } else {
+      hinted.write(lba, blocks, now);
+      plain.write(lba, blocks, now);
+    }
+  }
+  hinted.flush_all();
+  plain.flush_all();
+
+  const LssMetrics& a = hinted.metrics();
+  const LssMetrics& b = plain.metrics();
+  EXPECT_GT(a.gc_runs, 0u);
+  EXPECT_EQ(a.user_blocks, b.user_blocks);
+  EXPECT_EQ(a.gc_blocks, b.gc_blocks);
+  EXPECT_EQ(a.padding_blocks, b.padding_blocks);
+  EXPECT_EQ(a.gc_runs, b.gc_runs);
+  EXPECT_EQ(a.read_blocks, b.read_blocks);
+  EXPECT_EQ(a.read_chunk_fetches, b.read_chunk_fetches);
+  EXPECT_EQ(a.read_buffer_hits, b.read_buffer_hits);
+  EXPECT_EQ(a.read_unmapped, b.read_unmapped);
+  for (GroupId g = 0; g < hinted.group_count(); ++g) {
+    EXPECT_EQ(a.groups[g].user_blocks, b.groups[g].user_blocks) << g;
+    EXPECT_EQ(a.groups[g].gc_blocks, b.groups[g].gc_blocks) << g;
+  }
+  for (Lba lba = 0; lba < hint_end; ++lba) {
+    ASSERT_EQ(hinted.locate(lba), plain.locate(lba)) << "lba " << lba;
+  }
+  hinted.check_invariants();
 }
 
 TEST(LssEngineTest, PendingBlocksTracked) {
@@ -704,6 +765,9 @@ TEST(LssEngineReadTest, SpanningChunksFetchesEach) {
 TEST(LssEngineReadTest, ReadBeyondCapacityThrows) {
   EngineFixture f;
   EXPECT_THROW(f.engine.read(255, 2, 0), std::out_of_range);
+  // A span whose end wraps past 2^64.
+  EXPECT_THROW(f.engine.read(~Lba{0} - 3, 8, 0), std::out_of_range);
+  EXPECT_EQ(f.engine.metrics().read_blocks, 0u);
 }
 
 TEST(LssEngineReadTest, ReadFiresExpiredDeadlines) {

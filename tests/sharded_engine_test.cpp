@@ -1,7 +1,7 @@
 // ShardedEngine tests: shard-count parsing, per-shard config derivation,
 // the LBA range span-split, the 1-shard pass-through identity against a
-// direct LssEngine, scheduling-independence of the batched parallel replay,
-// merged-observer accounting, and the per-shard series merge.
+// direct LssEngine, scheduling-independence of the in-place parallel
+// replay, merged-observer accounting, and the per-shard series merge.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,6 +16,7 @@
 #include "lss/sharded_engine.h"
 #include "lss/victim_policy.h"
 #include "obs/series.h"
+#include "placement/sepbit.h"
 #include "test_support.h"
 
 namespace adapt::lss {
@@ -38,6 +39,17 @@ ShardParts two_group_parts(std::uint32_t /*shard_index*/,
                            const LssConfig& /*shard_config*/) {
   ShardParts parts;
   parts.policy = std::make_unique<TwoGroupPolicy>();
+  parts.victim = make_greedy();
+  return parts;
+}
+
+/// Same, placed by SepBIT, whose per-LBA last-write map takes the replay's
+/// write hints (PlacementPolicy::prefetch_user_write).
+ShardParts sepbit_parts(std::uint32_t /*shard_index*/,
+                        const LssConfig& shard_config) {
+  ShardParts parts;
+  parts.policy = std::make_unique<placement::SepBitPolicy>(
+      shard_config.logical_blocks, shard_config.segment_blocks());
   parts.victim = make_greedy();
   return parts;
 }
@@ -248,6 +260,24 @@ TEST(ShardedEngineTest, OutOfRangeOpsThrow) {
   EXPECT_THROW(sharded.write(2047, 2, 0), std::out_of_range);
   EXPECT_THROW(sharded.read(2048, 1, 0), std::out_of_range);
   EXPECT_THROW(sharded.enqueue_write(2040, 16, 0), std::out_of_range);
+
+  // A span whose end wraps past 2^64 is out of range too.
+  const Lba wrapped = ~Lba{0} - 3;
+  EXPECT_THROW(sharded.write(wrapped, 8, 0), std::out_of_range);
+  EXPECT_THROW(sharded.read(wrapped, 8, 0), std::out_of_range);
+  EXPECT_THROW(sharded.enqueue_write(wrapped, 8, 0), std::out_of_range);
+  EXPECT_EQ(sharded.queued_ops(), 0u);
+
+  // replay stops every shard at the first bad op: the op before it
+  // landed, the op after it did not.
+  const std::vector<ReplayOp> ops = {
+      {0, 4, 0, true}, {wrapped, 8, 0, true}, {8, 4, 0, true}};
+  EXPECT_THROW(
+      sharded.replay(ops.size(), [&ops](std::size_t i) { return ops[i]; },
+                     nullptr),
+      std::out_of_range);
+  EXPECT_EQ(sharded.merged_metrics().user_blocks, 4u);
+  EXPECT_EQ(sharded.shard(0).locate(8), kNowhere);
 }
 
 TEST(ShardedEngineTest, FactoryContractEnforced) {
@@ -263,51 +293,75 @@ TEST(ShardedEngineTest, FactoryContractEnforced) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched replay: queue split + scheduling independence
+// In-place replay: scheduling independence
 // ---------------------------------------------------------------------------
 
-/// Drives one engine synchronously and two batched engines (inline replay
-/// and a 4-thread pool) with the same op stream; all three must agree.
+/// Drives one engine synchronously, two through the op list (run_queued
+/// inline and on a 4-thread pool) and two through replay() over the op
+/// array itself (inline and pooled) with the same op stream; all five must
+/// agree, under a policy without write hints and under SepBIT.
 TEST(ShardedEngineTest, RunQueuedMatchesSyncReplayAnyScheduling) {
   const LssConfig config = sharded_config();
-  ShardedEngine sync_engine(config, 4, 1, two_group_parts);
-  ShardedEngine inline_engine(config, 4, 1, two_group_parts);
-  ShardedEngine pooled_engine(config, 4, 1, two_group_parts);
+  for (const ShardFactory& factory :
+       {ShardFactory(two_group_parts), ShardFactory(sepbit_parts)}) {
+    // Spans up to 6 blocks, some crossing a shard boundary; one op in 16
+    // is a clamped zero-block op, some of them past the logical capacity,
+    // which replay skips.
+    std::vector<ReplayOp> ops;
+    Rng rng(227);
+    TimeUs now = 0;
+    for (int i = 0; i < 8000; ++i) {
+      now += rng.below(300);
+      const Lba lba = rng.below(config.logical_blocks - 6);
+      const auto blocks = static_cast<std::uint32_t>(1 + rng.below(6));
+      const bool is_write = rng.below(100) < 80;
+      if (rng.below(16) == 0) {
+        ops.push_back({lba + rng.below(2) * config.logical_blocks, 0, now,
+                       is_write});
+      } else {
+        ops.push_back({lba, blocks, now, is_write});
+      }
+    }
+    const auto op_at = [&ops](std::size_t i) { return ops[i]; };
 
-  Rng rng(227);
-  TimeUs now = 0;
-  for (int i = 0; i < 8000; ++i) {
-    now += rng.below(300);
-    const Lba lba = rng.below(config.logical_blocks - 6);
-    const auto blocks = static_cast<std::uint32_t>(1 + rng.below(6));
-    if (rng.below(100) < 80) {
-      sync_engine.write(lba, blocks, now);
-      inline_engine.enqueue_write(lba, blocks, now);
-      pooled_engine.enqueue_write(lba, blocks, now);
-    } else {
-      sync_engine.read(lba, blocks, now);
-      inline_engine.enqueue_read(lba, blocks, now);
-      pooled_engine.enqueue_read(lba, blocks, now);
+    ShardedEngine sync_engine(config, 4, 1, factory);
+    ShardedEngine inline_queued(config, 4, 1, factory);
+    ShardedEngine pooled_queued(config, 4, 1, factory);
+    ShardedEngine inline_replay(config, 4, 1, factory);
+    ShardedEngine pooled_replay(config, 4, 1, factory);
+    for (const ReplayOp& op : ops) {
+      if (op.blocks == 0) continue;
+      if (op.is_write) {
+        sync_engine.write(op.lba, op.blocks, op.ts_us);
+        inline_queued.enqueue_write(op.lba, op.blocks, op.ts_us);
+        pooled_queued.enqueue_write(op.lba, op.blocks, op.ts_us);
+      } else {
+        sync_engine.read(op.lba, op.blocks, op.ts_us);
+        inline_queued.enqueue_read(op.lba, op.blocks, op.ts_us);
+        pooled_queued.enqueue_read(op.lba, op.blocks, op.ts_us);
+      }
+    }
+    EXPECT_GT(inline_queued.queued_ops(), 0u);
+    inline_queued.run_queued(nullptr);
+    inline_replay.replay(ops.size(), op_at, nullptr);
+    {
+      ThreadPool pool(4);
+      pooled_queued.run_queued(&pool);
+      pooled_replay.replay(ops.size(), op_at, &pool);
+    }
+    EXPECT_EQ(inline_queued.queued_ops(), 0u);
+    EXPECT_EQ(pooled_queued.queued_ops(), 0u);
+
+    sync_engine.flush_all();
+    for (ShardedEngine* engine :
+         {&inline_queued, &pooled_queued, &inline_replay, &pooled_replay}) {
+      engine->flush_all();
+      expect_metrics_eq(engine->merged_metrics(),
+                        sync_engine.merged_metrics());
+      EXPECT_EQ(engine->chunks_flushed(), sync_engine.chunks_flushed());
+      engine->check_invariants(audit::Level::kFull);
     }
   }
-  EXPECT_GT(inline_engine.queued_ops(), 0u);
-  inline_engine.run_queued(nullptr);
-  {
-    ThreadPool pool(4);
-    pooled_engine.run_queued(&pool);
-  }
-  EXPECT_EQ(inline_engine.queued_ops(), 0u);
-  EXPECT_EQ(pooled_engine.queued_ops(), 0u);
-  sync_engine.flush_all();
-  inline_engine.flush_all();
-  pooled_engine.flush_all();
-
-  expect_metrics_eq(inline_engine.merged_metrics(),
-                    sync_engine.merged_metrics());
-  expect_metrics_eq(pooled_engine.merged_metrics(),
-                    sync_engine.merged_metrics());
-  EXPECT_EQ(pooled_engine.chunks_flushed(), sync_engine.chunks_flushed());
-  pooled_engine.check_invariants(audit::Level::kFull);
 }
 
 TEST(ShardedEngineTest, MergedObserversSumShards) {
