@@ -5,17 +5,18 @@
 // sim::run_volume runs) plus a ns/op breakdown per component (map lookup and
 // update, shadow-table churn, append/flush, GC migration, victim
 // selection) and per call of ADAPT's placement structures (Bloom-filter
-// lookup, 4-filter cascade score, ghost-set write). Everything runs at a
-// fixed seed and fixed op counts, so the deterministic rows (block
-// counters, WA, allocation counts) gate exactly under tools/adapt_compare
-// against ci/baselines/BENCH_engine_hotpath.json; timing rows carry
-// host-dependent units ("ns", "1/s") that the gate skips by design.
+// lookup, demotion check on a 4-group × 4-filter cascade bank, ghost-set
+// write). Everything runs at a fixed seed and fixed op counts, so the
+// deterministic rows (block counters, WA, allocation counts) gate exactly
+// under tools/adapt_compare against ci/baselines/BENCH_engine_hotpath.json;
+// timing rows carry host-dependent units ("ns", "1/s") that the gate skips
+// by design.
 //
 // The bench also proves the "zero steady-state allocations per op" claim:
 // a global operator new/delete interposer counts every heap allocation, and
-// the measured replay region, the Bloom cascade's steady state (ring
-// rotations plus scores) and the §3.2 threshold adapter's steady state
-// (sampled writes into its ghost sets, their GC and its adoptions) must
+// the measured replay region, the Bloom cascade bank's steady state (ring
+// rotations plus demotion checks) and the §3.2 threshold adapter's steady
+// state (sampled writes into its ghost sets, their GC and its adoptions) must
 // allocate nothing or the bench exits non-zero (and the gated
 // steady_state_allocs rows would flag it in CI regardless).
 //
@@ -348,9 +349,10 @@ int run() {
 
   // -- ADAPT placement structures -------------------------------------------
   // Per-call cost of what ADAPT consults or feeds on a placement: a Bloom
-  // filter lookup and a 4-filter cascade score (the §3.4 "nanoseconds"
-  // claim) and a ghost-set write (§3.2 threshold scoring). Inputs are
-  // drawn up front so the loops time the structures, not the generator.
+  // filter lookup (a one-filter bank) and a demotion check on a bank of 4
+  // groups × 4 filters (the §3.4 "nanoseconds" claim), and a ghost-set
+  // write (§3.2 threshold scoring). Inputs are drawn up front so the loops
+  // time the structures, not the generator.
   std::uint64_t cascade_allocs = 0;
   {
     constexpr std::uint64_t kLookups = 1u << 20;
@@ -360,27 +362,31 @@ int run() {
     };
     std::uint64_t checksum = 0;
 
-    core::BloomFilter filter(1u << 16);
-    for (Lba lba = 0; lba < (1u << 16); ++lba) filter.insert(lba);
+    core::CascadeBank filter(1, 1u << 16);
+    for (Lba lba = 0; lba < (1u << 16); ++lba) filter.insert(0, lba);
     auto start = Clock::now();
-    for (Lba lba = 0; lba < kLookups; ++lba) {
-      checksum += filter.maybe_contains(lba) ? 1 : 0;
-    }
+    for (Lba lba = 0; lba < kLookups; ++lba) checksum += filter.pick(lba, 1);
     const double bloom_ns = ns_per(start, kLookups);
 
-    // Once the ring has filled, 16 rotations refill it with the same LBAs,
-    // so the timed scores see the same filters; neither may allocate.
+    // Each group's ring holds its own LBAs. Once the rings have filled, 16
+    // rotations (4 per ring) refill them with the same LBAs, so the timed
+    // checks see the same filters; neither may allocate.
     constexpr std::uint32_t kFilterCapacity = 4096;
     constexpr Lba kRingLbas = 4 * kFilterCapacity;
-    core::CascadeDiscriminator cascade(4, kFilterCapacity);
-    for (Lba lba = 0; lba < kRingLbas; ++lba) cascade.insert(lba);
+    constexpr std::size_t kGroups = core::CascadeBank::kGroups;
+    core::CascadeBank cascade(4, kFilterCapacity);
+    for (Lba lba = 0; lba < kGroups * kRingLbas; ++lba) {
+      cascade.insert(lba / kRingLbas, lba);
+    }
     const std::uint64_t cascade_allocs_before =
         g_alloc_count.load(std::memory_order_relaxed);
-    for (Lba i = 0; i < 16 * kFilterCapacity; ++i) {
-      cascade.insert(i % kRingLbas);
+    for (Lba i = 0; i < 4 * kFilterCapacity; ++i) {
+      for (std::size_t g = 0; g < kGroups; ++g) {
+        cascade.insert(g, g * kRingLbas + i % kRingLbas);
+      }
     }
     start = Clock::now();
-    for (Lba lba = 0; lba < kLookups; ++lba) checksum += cascade.score(lba);
+    for (Lba lba = 0; lba < kLookups; ++lba) checksum += cascade.pick(lba, 3);
     const double cascade_ns = ns_per(start, kLookups);
     cascade_allocs = g_alloc_count.load(std::memory_order_relaxed) -
                      cascade_allocs_before;
@@ -408,7 +414,7 @@ int run() {
     report.add("adapt.ghost_write_ns", {}, ghost_ns, "ns");
     report.add("adapt.cascade.steady_state_allocs", {},
                static_cast<double>(cascade_allocs), "count");
-    std::printf("bloom lookup  %10.2f ns/op\ncascade (4)   %10.2f ns/op"
+    std::printf("bloom lookup  %10.2f ns/op\ncascade (4x4) %10.2f ns/op"
                 "  (%" PRIu64 " allocs)\n"
                 "ghost write   %10.2f ns/op\n",
                 bloom_ns, cascade_ns, cascade_allocs, ghost_ns);

@@ -23,19 +23,17 @@ AdaptPolicy::AdaptPolicy(const AdaptConfig& config)
   }
   if (config_.enable_proactive_demotion) {
     // A threshold of 0 would "demote" unscored writes to no group, and one
-    // above the cascade length could never be met. (The cascades reject a
-    // zero filter capacity themselves.)
+    // above the cascade length could never be met. (The bank rejects a
+    // zero filter capacity and more filters than its planes hold itself.)
     if (config_.demotion_score_threshold == 0 ||
         config_.demotion_score_threshold > config_.bloom_filters_per_group) {
       throw std::invalid_argument(
           "AdaptPolicy: proactive demotion needs 1 <= "
           "demotion_score_threshold <= bloom_filters_per_group");
     }
-    discriminators_.reserve(kGcGroups);
-    for (GroupId g = 0; g < kGcGroups; ++g) {
-      discriminators_.emplace_back(config_.bloom_filters_per_group,
-                                   config_.bloom_filter_capacity);
-    }
+    static_assert(CascadeBank::kGroups == kGcGroups);
+    cascades_.emplace(config_.bloom_filters_per_group,
+                      config_.bloom_filter_capacity);
   }
 }
 
@@ -72,8 +70,8 @@ GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
   const GroupId user = sepbit_.user_class(lba, now, l);
   if (long_lived) {
     const std::size_t g =
-        pick_cascade(discriminators_, lba, config_.demotion_score_threshold);
-    if (g < discriminators_.size()) {
+        cascades_->pick(lba, config_.demotion_score_threshold);
+    if (g < CascadeBank::kGroups) {
       ++demotions_;
       return kFirstGcGroup + static_cast<GroupId>(g);
     }
@@ -94,7 +92,7 @@ GroupId AdaptPolicy::place_gc_rewrite(Lba lba, GroupId victim_group,
     // A block GC re-places into its *own* group has demonstrated a
     // lifetime matching that group — record it in the group's identifier.
     if (target == victim_group) {
-      discriminators_[target - kFirstGcGroup].insert(lba);
+      cascades_->insert(target - kFirstGcGroup, lba);
     }
   }
   return target;
@@ -113,9 +111,7 @@ lss::AggregationDecision AdaptPolicy::on_chunk_deadline(
 std::size_t AdaptPolicy::memory_usage_bytes() const {
   std::size_t total = sepbit_.memory_usage_bytes();
   if (adapter_ != nullptr) total += adapter_->memory_usage_bytes();
-  for (const CascadeDiscriminator& d : discriminators_) {
-    total += d.memory_usage_bytes();
-  }
+  if (cascades_.has_value()) total += cascades_->memory_usage_bytes();
   return total;
 }
 

@@ -8,9 +8,10 @@
 //     answered by AggregationRule (adapt/aggregation.h) with the cold user
 //     group hosting the hot group's shadow appends.
 //   * Proactive Demotion Placement (§3.4): per-GC-group cascading Bloom
-//     filters record blocks that GC migrated back into their own group;
-//     user writes scoring high are placed straight into that GC group, and
-//     GC never moves a block back toward hotter GC groups.
+//     filters (one CascadeBank) record blocks that GC migrated back into
+//     their own group; user writes scoring high are placed straight into
+//     that GC group, and GC never moves a block back toward hotter GC
+//     groups.
 //
 // Every mechanism can be disabled independently for the ablation bench;
 // with all three off the policy places exactly as SepBitPolicy does.
@@ -19,8 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
-#include <vector>
 
 #include "adapt/aggregation.h"
 #include "adapt/bloom.h"
@@ -112,7 +113,7 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   /// The inference; its EWMA is the threshold until §3.2 adopts one.
   placement::SepBitPolicy sepbit_;
   std::unique_ptr<ThresholdAdapter> adapter_;
-  std::vector<CascadeDiscriminator> discriminators_;  // one per GC group
+  std::optional<CascadeBank> cascades_;  // §3.4, one cascade per GC group
   AggregationRule rule_;
 
   std::uint64_t demotions_ = 0;

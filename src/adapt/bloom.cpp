@@ -38,98 +38,54 @@ ADAPT_HOT BloomProbe BloomGeometry::probe(Lba lba) const noexcept {
   return p;
 }
 
-BloomFilter::BloomFilter(std::uint32_t capacity)
-    : geometry_(capacity),
-      capacity_(capacity),
-      bits_(geometry_.words(), 0) {}
-
-ADAPT_HOT void BloomFilter::insert(const BloomProbe& probe) noexcept {
-  for (const std::uint64_t bit : probe.bit) {
-    bits_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-  }
-  ++inserted_;
-}
-
-ADAPT_HOT bool BloomFilter::maybe_contains(
-    const BloomProbe& probe) const noexcept {
-  for (const std::uint64_t bit : probe.bit) {
-    if ((bits_[bit >> 6] & (std::uint64_t{1} << (bit & 63))) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-ADAPT_HOT void BloomFilter::clear() noexcept {
-  std::fill(bits_.begin(), bits_.end(), std::uint64_t{0});
-  inserted_ = 0;
-}
-
-std::uint64_t BloomFilter::bits_set() const noexcept {
-  std::uint64_t set = 0;
-  for (const std::uint64_t word : bits_) {
-    set += static_cast<std::uint64_t>(std::popcount(word));
-  }
-  return set;
-}
-
-CascadeDiscriminator::CascadeDiscriminator(std::uint32_t max_filters,
-                                           std::uint32_t filter_capacity) {
-  if (max_filters == 0) {
+CascadeBank::CascadeBank(std::uint32_t filters, std::uint32_t capacity)
+    : geometry_(capacity), filters_(filters), capacity_(capacity) {
+  if (filters == 0 || filters > kMaxFilters) {
     throw std::invalid_argument(
-        "CascadeDiscriminator: max_filters must be >= 1");
+        "CascadeBank: filters per group must be in [1, " +
+        std::to_string(kMaxFilters) + "]");
   }
-  ring_.assign(max_filters, BloomFilter(filter_capacity));
+  planes_.assign(geometry_.bit_count(), 0);
 }
 
-ADAPT_HOT void CascadeDiscriminator::insert(
-    const BloomProbe& probe) noexcept {
-  if (used_ == 0 || ring_[newest_].full()) {
+ADAPT_HOT void CascadeBank::insert(std::size_t group, Lba lba) noexcept {
+  Ring& ring = rings_[group];
+  if (ring.used == 0 || ring.inserted[ring.newest] >= capacity_) {
     // Rotate: take the next unused slot, or clear the oldest in place.
-    if (used_ < ring_.size()) {
-      newest_ = used_++;
+    if (ring.used < filters_) {
+      ring.newest = ring.used++;
+      longest_ring_ = std::max(longest_ring_, ring.used);
     } else {
-      newest_ = newest_ + 1 == used_ ? 0 : newest_ + 1;
-      ring_[newest_].clear();
+      ring.newest = ring.newest + 1 == filters_ ? 0 : ring.newest + 1;
+      ring.inserted[ring.newest] = 0;
+      const auto keep =
+          static_cast<std::uint16_t>(~slot_bit(group, ring.newest));
+      for (std::uint16_t& plane : planes_) plane &= keep;
     }
   }
-  // BloomFilter::insert sets bits in its fixed array; it never allocates.
-  ring_[newest_].insert(probe);  // ADAPT_LINT_ALLOW(hot-alloc)
-  ++total_inserted_;
+  const std::uint16_t bit = slot_bit(group, ring.newest);
+  for (const std::uint64_t b : geometry_.probe(lba).bit) planes_[b] |= bit;
+  ++ring.inserted[ring.newest];
+  ++ring.total_inserted;
 }
 
-ADAPT_HOT std::uint32_t CascadeDiscriminator::score_at_least(
-    const BloomProbe& probe, std::uint32_t need) const noexcept {
-  // `reachable` is the hits so far plus the filters not yet probed.
-  std::uint32_t reachable = used_;
-  if (reachable < need) return 0;
-  std::uint32_t hits = 0;
-  for (std::uint32_t i = 0; i < used_; ++i) {
-    if (ring_[i].maybe_contains(probe)) {
-      ++hits;
-    } else if (--reachable < need) {
-      return 0;
-    }
-  }
-  return hits;
+ADAPT_HOT std::uint32_t CascadeBank::scores(Lba lba) const noexcept {
+  std::uint32_t hits = 0xffff;
+  for (const std::uint64_t b : geometry_.probe(lba).bit) hits &= planes_[b];
+  // Two SWAR steps leave each nibble holding its own popcount.
+  hits -= (hits >> 1) & 0x5555u;
+  return (hits & 0x3333u) + ((hits >> 2) & 0x3333u);
 }
 
-ADAPT_HOT std::size_t pick_cascade(
-    std::span<const CascadeDiscriminator> cascades, Lba lba,
-    std::uint32_t threshold) noexcept {
-  std::size_t best = cascades.size();
-  std::uint32_t need = threshold;  // the score a later cascade must reach
-  BloomProbe probe{};
-  bool probed = false;
-  for (std::size_t g = 0; g < cascades.size(); ++g) {
-    const CascadeDiscriminator& cascade = cascades[g];
-    if (cascade.filter_count() < need) continue;
-    if (!probed) {
-      probe = cascade.probe(lba);
-      probed = true;
-    }
-    const std::uint32_t s = cascade.score_at_least(probe, need);
-    if (s != 0) {
+ADAPT_HOT std::size_t CascadeBank::pick(
+    Lba lba, std::uint32_t threshold) const noexcept {
+  if (longest_ring_ < threshold) return kGroups;
+  const std::uint32_t all = scores(lba);
+  std::size_t best = kGroups;
+  std::uint32_t need = threshold;  // the score a later group must reach
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    const std::uint32_t s = group_score(all, g);
+    if (s >= need) {
       best = g;
       need = s + 1;
     }
@@ -137,55 +93,69 @@ ADAPT_HOT std::size_t pick_cascade(
   return best;
 }
 
-void CascadeDiscriminator::check_invariants(audit::Level level) const {
-  if (level == audit::Level::kOff) return;
-  const auto fail = [](const char* what) {
-    throw std::logic_error(
-        std::string("CascadeDiscriminator invariant violated: ") + what);
-  };
-  const std::size_t slots = ring_.size();
-  if (slots == 0) fail("empty ring");
-  if (used_ > slots) fail("more filters than ring slots");
-  if (used_ < slots && used_ != 0 && newest_ + 1 != used_) {
-    fail("ring filled out of slot order");
-  }
-  if (used_ != 0 && newest_ >= used_) fail("newest filter in an unused slot");
-  // Age order starts one past the newest slot once the ring has wrapped.
-  const std::size_t oldest = used_ < slots ? 0 : (newest_ + 1) % slots;
-  std::uint64_t retained = 0;
-  for (std::size_t k = 0; k < slots; ++k) {
-    const BloomFilter& f = ring_[(oldest + k) % slots];
-    // FIFO fill discipline: only the newest filter may be partial.
-    if (k + 1 < used_ && !f.full()) {
-      fail("partial filter that is not the newest");
-    }
-    if (k >= used_ && f.inserted() != 0) fail("unused slot holds insertions");
-    if (f.inserted() > f.capacity()) fail("filter filled past its capacity");
-    retained += f.inserted();
-  }
-  if (retained > total_inserted_) {
-    fail("retained insertions exceed the running total");
-  }
-  if (level != audit::Level::kFull) return;
-  const BloomFilter& front = ring_.front();
-  for (const BloomFilter& f : ring_) {
-    if (f.capacity() != front.capacity() ||
-        f.geometry().bit_count() != front.geometry().bit_count()) {
-      fail("filter geometry drifted");
-    }
-    if (f.memory_usage_bytes() == 0) fail("filter lost its bit array");
-    // Each insertion sets at most kBloomHashes bits, so an unused or
-    // cleared slot has none.
-    if (f.bits_set() > std::uint64_t{kBloomHashes} * f.inserted()) {
-      fail("filter holds more bits than its insertions set");
-    }
-  }
+std::uint32_t CascadeBank::score(std::size_t group, Lba lba) const noexcept {
+  return group_score(scores(lba), group);
 }
 
-std::size_t CascadeDiscriminator::memory_usage_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const BloomFilter& f : ring_) total += f.memory_usage_bytes();
-  return total;
+void CascadeBank::check_invariants(audit::Level level) const {
+  if (level == audit::Level::kOff) return;
+  const auto fail = [](const char* what) {
+    throw std::logic_error(std::string("CascadeBank invariant violated: ") +
+                           what);
+  };
+  if (planes_.size() != geometry_.bit_count()) fail("plane count drifted");
+  std::uint32_t longest = 0;
+  for (const Ring& ring : rings_) {
+    if (ring.used > filters_) fail("more filters than ring slots");
+    if (ring.used < filters_ && ring.used != 0 &&
+        ring.newest + 1 != ring.used) {
+      fail("ring filled out of slot order");
+    }
+    if (ring.used != 0 && ring.newest >= ring.used) {
+      fail("newest filter in an unused slot");
+    }
+    longest = std::max(longest, ring.used);
+    // Age order starts one past the newest slot once the ring has wrapped.
+    const std::uint32_t oldest =
+        ring.used < filters_ ? 0 : (ring.newest + 1) % filters_;
+    std::uint64_t retained = 0;
+    for (std::uint32_t k = 0; k < filters_; ++k) {
+      const std::uint32_t inserted = ring.inserted[(oldest + k) % filters_];
+      // FIFO fill discipline: only the newest filter may be partial.
+      if (k + 1 < ring.used && inserted < capacity_) {
+        fail("partial filter that is not the newest");
+      }
+      if (k >= ring.used && inserted != 0) {
+        fail("unused slot holds insertions");
+      }
+      if (inserted > capacity_) fail("filter filled past its capacity");
+      retained += inserted;
+    }
+    if (retained > ring.total_inserted) {
+      fail("retained insertions exceed the running total");
+    }
+  }
+  if (longest != longest_ring_) fail("longest ring miscounted");
+  if (level != audit::Level::kFull) return;
+  // Set bits per slot, over every plane.
+  std::array<std::uint64_t, kGroups * kMaxFilters> bits_set{};
+  for (std::uint16_t plane : planes_) {
+    for (; plane != 0; plane &= static_cast<std::uint16_t>(plane - 1)) {
+      ++bits_set[static_cast<std::size_t>(std::countr_zero(plane))];
+    }
+  }
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    for (std::uint32_t f = 0; f < kMaxFilters; ++f) {
+      // Each insertion sets at most kBloomHashes bits, so a slot without a
+      // filter has none.
+      const std::uint64_t inserted =
+          f < rings_[g].used ? rings_[g].inserted[f] : 0;
+      if (bits_set[g * kMaxFilters + f] > kBloomHashes * inserted) {
+        fail(inserted == 0 ? "plane holds a bit of an empty slot"
+                           : "filter holds more bits than its insertions set");
+      }
+    }
+  }
 }
 
 }  // namespace adapt::core

@@ -1,22 +1,23 @@
-// Bloom filter and the cascading discriminator used by Proactive Demotion
+// The cascading Bloom-filter re-access identifier of Proactive Demotion
 // Placement (paper §3.4).
 //
-// Each GC-rewritten group owns one CascadeDiscriminator. During GC, blocks
-// that migrate *back into their own group* are inserted (their observed
-// lifetime matches that group's segment lifetime). At user-write time the
-// score of a group is the number of filters in its cascade that contain the
-// LBA; a high score identifies a long-lived cold block that can skip the
+// Each GC-rewritten group owns a cascade of filters. During GC, blocks that
+// migrate *back into their own group* are inserted (their observed lifetime
+// matches that group's segment lifetime). At user-write time the score of a
+// group is the number of filters in its cascade that contain the LBA; a
+// high score identifies a long-lived cold block that can skip the
 // user-written groups entirely. Filters rotate FIFO through a fixed ring to
 // bound memory and age out stale evidence.
 //
-// Every filter of one capacity shares one geometry, so an LBA is hashed
-// once into a BloomProbe (its bit positions) and every filter that probe
-// meets only tests or sets bits.
+// All groups' filters share one geometry and live in one bit-sliced bank:
+// one 16-bit plane per bit position, whose bit 4g + f is filter f of group
+// g. An LBA is hashed once into a BloomProbe (its bit positions), and the
+// seven planes it names, ANDed, say which filters of every group hold it.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "audit/audit.h"
@@ -40,7 +41,6 @@ class BloomGeometry {
   explicit BloomGeometry(std::uint32_t capacity);
 
   std::uint64_t bit_count() const noexcept { return bit_count_; }
-  std::size_t words() const noexcept { return bit_count_ / 64; }
 
   /// Positions (h1 + i·h2) mod bit_count for i < kBloomHashes.
   BloomProbe probe(Lba lba) const noexcept;
@@ -50,92 +50,81 @@ class BloomGeometry {
   unsigned __int128 reciprocal_;  // ceil(2^128 / bit_count_)
 };
 
-class BloomFilter {
+/// The cascades of all kGroups GC groups, bit-sliced. Each group's cascade
+/// is a ring of up to `filters` filters of `capacity` insertions at 10 bits
+/// each (with 7 hashes the analytical false-positive rate at capacity is
+/// ~0.8%); its newest filter takes the inserts, and when it is full the
+/// next slot opens, or the oldest filter is cleared in place. The planes
+/// take 2 bytes per bit position whatever `filters` is: 20,480 B for 4
+/// filters of 1024, as 16 separate filters would, but 4× the bytes of
+/// four one-filter rings.
+class CascadeBank {
  public:
-  /// `capacity` expected insertions at 10 bits each; with 7 hashes the
-  /// analytical false-positive rate at capacity is ~0.8%.
-  explicit BloomFilter(std::uint32_t capacity);
+  static constexpr std::size_t kGroups = 4;
+  /// Filters per group that a 16-bit plane holds for kGroups groups.
+  static constexpr std::uint32_t kMaxFilters = 16 / kGroups;
 
-  void insert(Lba lba) noexcept { insert(geometry_.probe(lba)); }
-  bool maybe_contains(Lba lba) const noexcept {
-    return maybe_contains(geometry_.probe(lba));
+  /// Throws std::invalid_argument unless 1 <= filters <= kMaxFilters and
+  /// capacity >= 1.
+  CascadeBank(std::uint32_t filters, std::uint32_t capacity);
+
+  /// Records `lba` in group `group`'s newest filter, rotating its ring
+  /// first when that filter is full.
+  void insert(std::size_t group, Lba lba) noexcept;
+
+  /// The §3.4 demotion choice: the first group with the strictly highest
+  /// score, when that score reaches `threshold` (>= 1), else kGroups. The
+  /// LBA is not hashed while no ring holds `threshold` filters.
+  std::size_t pick(Lba lba, std::uint32_t threshold) const noexcept;
+
+  /// Number of group `group`'s filters that (probably) contain lba.
+  std::uint32_t score(std::size_t group, Lba lba) const noexcept;
+
+  std::uint32_t filter_count(std::size_t group) const noexcept {
+    return rings_[group].used;
   }
-
-  /// `probe` must come from a filter of the same capacity.
-  void insert(const BloomProbe& probe) noexcept;
-  bool maybe_contains(const BloomProbe& probe) const noexcept;
-
-  /// Empties the filter in place, keeping its bit array.
-  void clear() noexcept;
-
-  const BloomGeometry& geometry() const noexcept { return geometry_; }
-  std::uint32_t inserted() const noexcept { return inserted_; }
-  std::uint32_t capacity() const noexcept { return capacity_; }
-  bool full() const noexcept { return inserted_ >= capacity_; }
-  std::uint64_t bits_set() const noexcept;
-
+  std::uint64_t total_inserted(std::size_t group) const noexcept {
+    return rings_[group].total_inserted;
+  }
   std::size_t memory_usage_bytes() const noexcept {
-    return bits_.capacity() * sizeof(std::uint64_t);
+    return planes_.capacity() * sizeof(std::uint16_t);
   }
 
- private:
-  BloomGeometry geometry_;
-  std::uint32_t capacity_;
-  std::uint32_t inserted_ = 0;
-  std::vector<std::uint64_t> bits_;
-};
-
-class CascadeDiscriminator {
- public:
-  /// Keeps at most `max_filters` filters of `filter_capacity` LBAs each in
-  /// a ring allocated here; a rotation clears the oldest filter in place.
-  /// Throws std::invalid_argument when either argument is 0.
-  CascadeDiscriminator(std::uint32_t max_filters,
-                       std::uint32_t filter_capacity);
-
-  BloomProbe probe(Lba lba) const noexcept {
-    return ring_.front().geometry().probe(lba);
-  }
-
-  void insert(Lba lba) noexcept { insert(probe(lba)); }
-  void insert(const BloomProbe& probe) noexcept;
-
-  /// Number of filters that (probably) contain lba — in [0, max_filters].
-  std::uint32_t score(Lba lba) const noexcept {
-    return score_at_least(probe(lba), 0);
-  }
-
-  /// The score of `probe` when it is at least `need`, else 0. Stops
-  /// probing filters once `need` is out of reach.
-  std::uint32_t score_at_least(const BloomProbe& probe,
-                               std::uint32_t need) const noexcept;
-
-  std::size_t filter_count() const noexcept { return used_; }
-  std::uint64_t total_inserted() const noexcept { return total_inserted_; }
-  std::size_t memory_usage_bytes() const noexcept;
-
-  /// Self-audit; throws std::logic_error on violation. kCounters checks the
-  /// FIFO rotation discipline in O(filters); kFull additionally verifies
-  /// every slot's geometry and that no slot holds more set bits than
-  /// kBloomHashes per insertion (so an unused or freshly cleared slot has
-  /// none). Which bits are set has no independently checkable ground truth.
+  /// Self-audit; throws std::logic_error on violation. kCounters checks
+  /// each ring's FIFO discipline in O(groups · filters); kFull also scans
+  /// the planes: no plane holds a bit of a slot without a filter, and no
+  /// filter holds more set bits than kBloomHashes per insertion (so a
+  /// freshly cleared one holds only its new insertions' bits). Which bits
+  /// are set has no independently checkable ground truth.
   void check_invariants(audit::Level level) const;
 
  private:
-  std::vector<BloomFilter> ring_;  // slots [0, used_) hold filters
-  std::uint32_t used_ = 0;
-  std::uint32_t newest_ = 0;
-  std::uint64_t total_inserted_ = 0;
-};
+  struct Ring {
+    std::uint32_t used = 0;    // slots [0, used) hold filters
+    std::uint32_t newest = 0;  // the slot inserts go to
+    std::uint64_t total_inserted = 0;
+    std::array<std::uint32_t, kMaxFilters> inserted{};  // per slot
+  };
 
-/// The §3.4 demotion choice: the index of the first cascade with the
-/// strictly highest score, when that score reaches `threshold` (>= 1), else
-/// cascades.size(). All cascades must share one filter capacity. The LBA
-/// is hashed at most once, and only what can still win is probed: a
-/// cascade holding fewer filters than the score it must reach is skipped
-/// (so after a full-ring score nothing more is probed), and a count stops
-/// once that score is out of reach.
-std::size_t pick_cascade(std::span<const CascadeDiscriminator> cascades,
-                         Lba lba, std::uint32_t threshold) noexcept;
+  /// Plane bit of group `group`'s slot `slot`.
+  static std::uint16_t slot_bit(std::size_t group, std::uint32_t slot) {
+    return static_cast<std::uint16_t>(1u << (group * kMaxFilters + slot));
+  }
+  /// Group `group`'s score in the nibbles of scores().
+  static std::uint32_t group_score(std::uint32_t scores, std::size_t group) {
+    return (scores >> (group * kMaxFilters)) & 0xfu;
+  }
+
+  /// Every group's score of lba, group g's in bits [4g, 4g + 4): the AND
+  /// of the planes lba hashes to, one popcount per nibble.
+  std::uint32_t scores(Lba lba) const noexcept;
+
+  BloomGeometry geometry_;
+  std::uint32_t filters_;
+  std::uint32_t capacity_;
+  std::uint32_t longest_ring_ = 0;  // max over the rings' `used`
+  std::array<Ring, kGroups> rings_{};
+  std::vector<std::uint16_t> planes_;  // one per bit position
+};
 
 }  // namespace adapt::core
