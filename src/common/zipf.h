@@ -15,7 +15,10 @@ namespace adapt {
 
 /// Draws ranks in [0, n) with P(rank = k) proportional to 1/(k+1)^alpha.
 /// Uses the Gray/Jim-Gray-style analytic approximation employed by YCSB,
-/// which requires only O(1) state and O(1) time per draw.
+/// which requires only O(1) state and O(1) time per draw. Construction
+/// needs the normalisation zeta(n, alpha), an O(n) sum; the process keeps
+/// the sums of the last 64 (n, alpha) pairs, so rebuilding a generator with
+/// recent parameters costs a lookup and gives a bit-identical generator.
 class ZipfianGenerator {
  public:
   ZipfianGenerator(std::uint64_t n, double alpha);
@@ -29,6 +32,8 @@ class ZipfianGenerator {
 
  private:
   static double zeta(std::uint64_t n, double theta) noexcept;
+  /// zeta(n, theta) through the process-wide memo of recent sums.
+  static double memoized_zeta(std::uint64_t n, double theta);
 
   std::uint64_t n_;
   double alpha_;

@@ -176,6 +176,37 @@ TEST(ZipfTest, HotSetConcentration) {
   EXPECT_GT(static_cast<double>(top) / n, 0.6);
 }
 
+// The zeta sum behind a generator is kept process-wide for recent (n,
+// alpha) pairs. A generator rebuilt from the memo, one rebuilt after 64
+// other pairs evicted it, and four missing the memo at once on separate
+// threads all draw exactly the first one's ranks.
+TEST(ZipfTest, RebuiltGeneratorDrawsTheSameRanks) {
+  constexpr std::uint64_t kItems = 4099;
+  constexpr double kAlpha = 0.77;
+  const auto draws = [&] {
+    ZipfianGenerator zipf(kItems, kAlpha);
+    Rng rng(53);
+    std::vector<std::uint64_t> out(2000);
+    for (std::uint64_t& rank : out) rank = zipf.next(rng);
+    return out;
+  };
+  const auto evict = [&] {
+    for (std::uint64_t n = 1; n <= 70; ++n) ZipfianGenerator other(n, kAlpha);
+  };
+  const std::vector<std::uint64_t> first = draws();
+  EXPECT_EQ(draws(), first);
+  evict();
+  EXPECT_EQ(draws(), first);
+  evict();
+  std::vector<std::vector<std::uint64_t>> parallel(4);
+  {
+    std::vector<std::thread> threads;
+    for (auto& out : parallel) threads.emplace_back([&] { out = draws(); });
+    for (std::thread& t : threads) t.join();
+  }
+  for (const auto& out : parallel) EXPECT_EQ(out, first);
+}
+
 TEST(ScrambledZipfTest, SpreadsHotKeys) {
   ScrambledZipfianGenerator zipf(10000, 0.99);
   Rng rng(47);
