@@ -349,10 +349,11 @@ int run() {
 
   // -- ADAPT placement structures -------------------------------------------
   // Per-call cost of what ADAPT consults or feeds on a placement: a Bloom
-  // filter lookup (a one-filter bank) and a demotion check on a bank of 4
-  // groups × 4 filters (the §3.4 "nanoseconds" claim), and a ghost-set
-  // write (§3.2 threshold scoring). Inputs are drawn up front so the loops
-  // time the structures, not the generator.
+  // filter lookup (the score of a bank whose group 0 holds one filter) and
+  // a demotion check on a bank of 4 groups × 4 filters (the §3.4
+  // "nanoseconds" claim), and a ghost-set write (§3.2 threshold scoring).
+  // Inputs are drawn up front so the loops time the structures, not the
+  // generator.
   std::uint64_t cascade_allocs = 0;
   {
     constexpr std::uint64_t kLookups = 1u << 20;
@@ -362,19 +363,19 @@ int run() {
     };
     std::uint64_t checksum = 0;
 
-    core::CascadeBank filter(1, 1u << 16);
+    core::CascadeBank filter(1u << 16);
     for (Lba lba = 0; lba < (1u << 16); ++lba) filter.insert(0, lba);
     auto start = Clock::now();
-    for (Lba lba = 0; lba < kLookups; ++lba) checksum += filter.pick(lba, 1);
+    for (Lba lba = 0; lba < kLookups; ++lba) checksum += filter.score(0, lba);
     const double bloom_ns = ns_per(start, kLookups);
 
     // Each group's ring holds its own LBAs. Once the rings have filled, 16
     // rotations (4 per ring) refill them with the same LBAs, so the timed
     // checks see the same filters; neither may allocate.
     constexpr std::uint32_t kFilterCapacity = 4096;
-    constexpr Lba kRingLbas = 4 * kFilterCapacity;
+    constexpr Lba kRingLbas = core::CascadeBank::kFilters * kFilterCapacity;
     constexpr std::size_t kGroups = core::CascadeBank::kGroups;
-    core::CascadeBank cascade(4, kFilterCapacity);
+    core::CascadeBank cascade(kFilterCapacity);
     for (Lba lba = 0; lba < kGroups * kRingLbas; ++lba) {
       cascade.insert(lba / kRingLbas, lba);
     }
@@ -386,7 +387,7 @@ int run() {
       }
     }
     start = Clock::now();
-    for (Lba lba = 0; lba < kLookups; ++lba) checksum += cascade.pick(lba, 3);
+    for (Lba lba = 0; lba < kLookups; ++lba) checksum += cascade.pick(lba);
     const double cascade_ns = ns_per(start, kLookups);
     cascade_allocs = g_alloc_count.load(std::memory_order_relaxed) -
                      cascade_allocs_before;

@@ -1,7 +1,6 @@
 #include "adapt/adapt_policy.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace adapt::core {
 
@@ -22,18 +21,8 @@ AdaptPolicy::AdaptPolicy(const AdaptConfig& config)
     adapter_ = std::make_unique<ThresholdAdapter>(ac);
   }
   if (config_.enable_proactive_demotion) {
-    // A threshold of 0 would "demote" unscored writes to no group, and one
-    // above the cascade length could never be met. (The bank rejects a
-    // zero filter capacity and more filters than its planes hold itself.)
-    if (config_.demotion_score_threshold == 0 ||
-        config_.demotion_score_threshold > config_.bloom_filters_per_group) {
-      throw std::invalid_argument(
-          "AdaptPolicy: proactive demotion needs 1 <= "
-          "demotion_score_threshold <= bloom_filters_per_group");
-    }
     static_assert(CascadeBank::kGroups == kGcGroups);
-    cascades_.emplace(config_.bloom_filters_per_group,
-                      config_.bloom_filter_capacity);
+    cascades_.emplace(config_.bloom_filter_capacity);
   }
 }
 
@@ -69,8 +58,7 @@ GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
       sepbit_.gc_class(lba, now, l) != kFirstGcGroup;
   const GroupId user = sepbit_.user_class(lba, now, l);
   if (long_lived) {
-    const std::size_t g =
-        cascades_->pick(lba, config_.demotion_score_threshold);
+    const std::size_t g = cascades_->pick(lba);
     if (g < CascadeBank::kGroups) {
       ++demotions_;
       return kFirstGcGroup + static_cast<GroupId>(g);
@@ -113,6 +101,13 @@ std::size_t AdaptPolicy::memory_usage_bytes() const {
   if (adapter_ != nullptr) total += adapter_->memory_usage_bytes();
   if (cascades_.has_value()) total += cascades_->memory_usage_bytes();
   return total;
+}
+
+void AdaptPolicy::check_invariants(audit::Level level) const {
+  if (level == audit::Level::kOff) return;
+  rule_.check_invariants(*this);
+  if (adapter_ != nullptr) adapter_->check_invariants(level);
+  if (cascades_.has_value()) cascades_->check_invariants(level);
 }
 
 std::unique_ptr<AdaptPolicy> make_adapt_policy(const AdaptConfig& config) {

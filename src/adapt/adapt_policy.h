@@ -49,14 +49,9 @@ struct AdaptConfig {
   // §3.3 — cross-group aggregation
   bool enable_cross_group_aggregation = true;
 
-  // §3.4 — proactive demotion
+  // §3.4 — proactive demotion (CascadeBank fixes the cascade's shape)
   bool enable_proactive_demotion = true;
-  std::uint32_t bloom_filters_per_group = 4;
   std::uint32_t bloom_filter_capacity = 1024;
-  /// Minimum re-access score for a demotion. Conservative by default:
-  /// mis-demotions cost shadow + padding traffic that the avoided ladder
-  /// migrations must pay back.
-  std::uint32_t demotion_score_threshold = 3;
 };
 
 class AdaptPolicy final : public lss::PlacementPolicy,
@@ -85,6 +80,9 @@ class AdaptPolicy final : public lss::PlacementPolicy,
     sepbit_.note_segment_reclaimed(group, create_vtime, now);
   }
   std::size_t memory_usage_bytes() const override;
+  /// Audits the aggregation rule, the threshold adapter and the cascade
+  /// bank at `level`; throws std::logic_error on a violation.
+  void check_invariants(audit::Level level) const override;
 
   // -- AggregationHook -------------------------------------------------------
   lss::AggregationDecision on_chunk_deadline(

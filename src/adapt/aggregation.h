@@ -130,9 +130,12 @@ class AggregatingPolicy final : public lss::PlacementPolicy,
 
   const AggregationRule& aggregation() const noexcept { return rule_; }
 
-  /// Self-audit, O(groups) at every tier; throws std::logic_error.
-  void check_invariants(audit::Level level) const {
-    if (level != audit::Level::kOff) rule_.check_invariants(*inner_);
+  /// Audits the rule (O(groups)) and then the wrapped policy at `level`;
+  /// throws std::logic_error.
+  void check_invariants(audit::Level level) const override {
+    if (level == audit::Level::kOff) return;
+    rule_.check_invariants(*inner_);
+    inner_->check_invariants(level);
   }
 
  private:

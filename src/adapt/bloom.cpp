@@ -1,6 +1,5 @@
 #include "adapt/bloom.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -38,35 +37,27 @@ ADAPT_HOT BloomProbe BloomGeometry::probe(Lba lba) const noexcept {
   return p;
 }
 
-CascadeBank::CascadeBank(std::uint32_t filters, std::uint32_t capacity)
-    : geometry_(capacity), filters_(filters), capacity_(capacity) {
-  if (filters == 0 || filters > kMaxFilters) {
-    throw std::invalid_argument(
-        "CascadeBank: filters per group must be in [1, " +
-        std::to_string(kMaxFilters) + "]");
-  }
+CascadeBank::CascadeBank(std::uint32_t capacity)
+    : geometry_(capacity), capacity_(capacity) {
   planes_.assign(geometry_.bit_count(), 0);
 }
 
 ADAPT_HOT void CascadeBank::insert(std::size_t group, Lba lba) noexcept {
   Ring& ring = rings_[group];
-  if (ring.used == 0 || ring.inserted[ring.newest] >= capacity_) {
-    // Rotate: take the next unused slot, or clear the oldest in place.
-    if (ring.used < filters_) {
-      ring.newest = ring.used++;
-      longest_ring_ = std::max(longest_ring_, ring.used);
-    } else {
-      ring.newest = ring.newest + 1 == filters_ ? 0 : ring.newest + 1;
-      ring.inserted[ring.newest] = 0;
-      const auto keep =
-          static_cast<std::uint16_t>(~slot_bit(group, ring.newest));
+  if (ring.opened == 0 || ring.fill == capacity_) {
+    // Rotate: open the next slot; once all are open, that is the oldest,
+    // cleared in place.
+    ++ring.opened;
+    ring.fill = 0;
+    if (ring.opened > kFilters) {
+      const auto keep = static_cast<std::uint16_t>(~newest_bit(group));
       for (std::uint16_t& plane : planes_) plane &= keep;
     }
+    if (ring.opened == kDemotionScore) armed_ = true;
   }
-  const std::uint16_t bit = slot_bit(group, ring.newest);
+  const std::uint16_t bit = newest_bit(group);
   for (const std::uint64_t b : geometry_.probe(lba).bit) planes_[b] |= bit;
-  ++ring.inserted[ring.newest];
-  ++ring.total_inserted;
+  ++ring.fill;
 }
 
 ADAPT_HOT std::uint32_t CascadeBank::scores(Lba lba) const noexcept {
@@ -77,12 +68,11 @@ ADAPT_HOT std::uint32_t CascadeBank::scores(Lba lba) const noexcept {
   return (hits & 0x3333u) + ((hits >> 2) & 0x3333u);
 }
 
-ADAPT_HOT std::size_t CascadeBank::pick(
-    Lba lba, std::uint32_t threshold) const noexcept {
-  if (longest_ring_ < threshold) return kGroups;
+ADAPT_HOT std::size_t CascadeBank::pick(Lba lba) const noexcept {
+  if (!armed_) return kGroups;
   const std::uint32_t all = scores(lba);
   std::size_t best = kGroups;
-  std::uint32_t need = threshold;  // the score a later group must reach
+  std::uint32_t need = kDemotionScore;  // the score a later group must reach
   for (std::size_t g = 0; g < kGroups; ++g) {
     const std::uint32_t s = group_score(all, g);
     if (s >= need) {
@@ -104,53 +94,32 @@ void CascadeBank::check_invariants(audit::Level level) const {
                            what);
   };
   if (planes_.size() != geometry_.bit_count()) fail("plane count drifted");
-  std::uint32_t longest = 0;
+  bool armed = false;
   for (const Ring& ring : rings_) {
-    if (ring.used > filters_) fail("more filters than ring slots");
-    if (ring.used < filters_ && ring.used != 0 &&
-        ring.newest + 1 != ring.used) {
-      fail("ring filled out of slot order");
-    }
-    if (ring.used != 0 && ring.newest >= ring.used) {
-      fail("newest filter in an unused slot");
-    }
-    longest = std::max(longest, ring.used);
-    // Age order starts one past the newest slot once the ring has wrapped.
-    const std::uint32_t oldest =
-        ring.used < filters_ ? 0 : (ring.newest + 1) % filters_;
-    std::uint64_t retained = 0;
-    for (std::uint32_t k = 0; k < filters_; ++k) {
-      const std::uint32_t inserted = ring.inserted[(oldest + k) % filters_];
-      // FIFO fill discipline: only the newest filter may be partial.
-      if (k + 1 < ring.used && inserted < capacity_) {
-        fail("partial filter that is not the newest");
-      }
-      if (k >= ring.used && inserted != 0) {
-        fail("unused slot holds insertions");
-      }
-      if (inserted > capacity_) fail("filter filled past its capacity");
-      retained += inserted;
-    }
-    if (retained > ring.total_inserted) {
-      fail("retained insertions exceed the running total");
-    }
+    // An opened filter holds at least the insert that opened it.
+    if ((ring.opened == 0) != (ring.fill == 0)) fail("fill without a filter");
+    if (ring.fill > capacity_) fail("filter filled past its capacity");
+    armed = armed || ring.opened >= kDemotionScore;
   }
-  if (longest != longest_ring_) fail("longest ring miscounted");
+  if (armed != armed_) fail("demotion gate out of step with the rings");
   if (level != audit::Level::kFull) return;
   // Set bits per slot, over every plane.
-  std::array<std::uint64_t, kGroups * kMaxFilters> bits_set{};
+  std::array<std::uint64_t, kGroups * kFilters> bits_set{};
   for (std::uint16_t plane : planes_) {
     for (; plane != 0; plane &= static_cast<std::uint16_t>(plane - 1)) {
       ++bits_set[static_cast<std::size_t>(std::countr_zero(plane))];
     }
   }
   for (std::size_t g = 0; g < kGroups; ++g) {
-    for (std::uint32_t f = 0; f < kMaxFilters; ++f) {
+    const Ring& ring = rings_[g];
+    for (std::uint32_t f = 0; f < kFilters; ++f) {
       // Each insertion sets at most kBloomHashes bits, so a slot without a
-      // filter has none.
-      const std::uint64_t inserted =
-          f < rings_[g].used ? rings_[g].inserted[f] : 0;
-      if (bits_set[g * kMaxFilters + f] > kBloomHashes * inserted) {
+      // filter has none. Every opened slot but the newest is full.
+      std::uint64_t inserted = 0;
+      if (f < ring.opened) {
+        inserted = f == (ring.opened - 1) % kFilters ? ring.fill : capacity_;
+      }
+      if (bits_set[g * kFilters + f] > kBloomHashes * inserted) {
         fail(inserted == 0 ? "plane holds a bit of an empty slot"
                            : "filter holds more bits than its insertions set");
       }

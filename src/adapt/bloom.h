@@ -15,6 +15,7 @@
 // seven planes it names, ANDed, say which filters of every group hold it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -51,47 +52,47 @@ class BloomGeometry {
 };
 
 /// The cascades of all kGroups GC groups, bit-sliced. Each group's cascade
-/// is a ring of up to `filters` filters of `capacity` insertions at 10 bits
-/// each (with 7 hashes the analytical false-positive rate at capacity is
+/// is a ring of kFilters filters of `capacity` insertions at 10 bits each
+/// (with 7 hashes the analytical false-positive rate at capacity is
 /// ~0.8%); its newest filter takes the inserts, and when it is full the
-/// next slot opens, or the oldest filter is cleared in place. The planes
-/// take 2 bytes per bit position whatever `filters` is: 20,480 B for 4
-/// filters of 1024, as 16 separate filters would, but 4× the bytes of
-/// four one-filter rings.
+/// next slot opens, or the oldest filter is cleared in place. Every
+/// retained filter but the newest is full, so a ring is two counters: the
+/// filters it has opened and the newest one's fill. The planes take 2
+/// bytes per bit position: 20,480 B for filters of 1024, as 16 separate
+/// filters would.
 class CascadeBank {
  public:
   static constexpr std::size_t kGroups = 4;
-  /// Filters per group that a 16-bit plane holds for kGroups groups.
-  static constexpr std::uint32_t kMaxFilters = 16 / kGroups;
+  /// Filters per group: a 16-bit plane holds kGroups rings of kFilters.
+  static constexpr std::uint32_t kFilters = 16 / kGroups;
+  /// The score a demotion needs. Conservative: mis-demotions cost shadow
+  /// and padding traffic that the avoided ladder migrations must pay back.
+  static constexpr std::uint32_t kDemotionScore = 3;
 
-  /// Throws std::invalid_argument unless 1 <= filters <= kMaxFilters and
-  /// capacity >= 1.
-  CascadeBank(std::uint32_t filters, std::uint32_t capacity);
+  /// Throws std::invalid_argument when capacity is 0.
+  explicit CascadeBank(std::uint32_t capacity);
 
   /// Records `lba` in group `group`'s newest filter, rotating its ring
   /// first when that filter is full.
   void insert(std::size_t group, Lba lba) noexcept;
 
   /// The §3.4 demotion choice: the first group with the strictly highest
-  /// score, when that score reaches `threshold` (>= 1), else kGroups. The
-  /// LBA is not hashed while no ring holds `threshold` filters.
-  std::size_t pick(Lba lba, std::uint32_t threshold) const noexcept;
+  /// score, when that score reaches kDemotionScore, else kGroups. The LBA
+  /// is not hashed while no ring has opened kDemotionScore filters.
+  std::size_t pick(Lba lba) const noexcept;
 
   /// Number of group `group`'s filters that (probably) contain lba.
   std::uint32_t score(std::size_t group, Lba lba) const noexcept;
 
-  std::uint32_t filter_count(std::size_t group) const noexcept {
-    return rings_[group].used;
-  }
-  std::uint64_t total_inserted(std::size_t group) const noexcept {
-    return rings_[group].total_inserted;
+  std::uint64_t filter_count(std::size_t group) const noexcept {
+    return std::min<std::uint64_t>(rings_[group].opened, kFilters);
   }
   std::size_t memory_usage_bytes() const noexcept {
     return planes_.capacity() * sizeof(std::uint16_t);
   }
 
   /// Self-audit; throws std::logic_error on violation. kCounters checks
-  /// each ring's FIFO discipline in O(groups · filters); kFull also scans
+  /// each ring's fill and the demotion gate in O(groups); kFull also scans
   /// the planes: no plane holds a bit of a slot without a filter, and no
   /// filter holds more set bits than kBloomHashes per insertion (so a
   /// freshly cleared one holds only its new insertions' bits). Which bits
@@ -100,19 +101,20 @@ class CascadeBank {
 
  private:
   struct Ring {
-    std::uint32_t used = 0;    // slots [0, used) hold filters
-    std::uint32_t newest = 0;  // the slot inserts go to
-    std::uint64_t total_inserted = 0;
-    std::array<std::uint32_t, kMaxFilters> inserted{};  // per slot
+    std::uint64_t opened = 0;  // filters opened, the newest in slot
+                               // (opened - 1) % kFilters
+    std::uint32_t fill = 0;    // insertions into the newest filter
   };
 
-  /// Plane bit of group `group`'s slot `slot`.
-  static std::uint16_t slot_bit(std::size_t group, std::uint32_t slot) {
-    return static_cast<std::uint16_t>(1u << (group * kMaxFilters + slot));
+  /// Plane bit of group `group`'s newest filter.
+  std::uint16_t newest_bit(std::size_t group) const noexcept {
+    const auto slot = static_cast<std::uint32_t>((rings_[group].opened - 1) %
+                                                 kFilters);
+    return static_cast<std::uint16_t>(1u << (group * kFilters + slot));
   }
   /// Group `group`'s score in the nibbles of scores().
   static std::uint32_t group_score(std::uint32_t scores, std::size_t group) {
-    return (scores >> (group * kMaxFilters)) & 0xfu;
+    return (scores >> (group * kFilters)) & 0xfu;
   }
 
   /// Every group's score of lba, group g's in bits [4g, 4g + 4): the AND
@@ -120,9 +122,8 @@ class CascadeBank {
   std::uint32_t scores(Lba lba) const noexcept;
 
   BloomGeometry geometry_;
-  std::uint32_t filters_;
   std::uint32_t capacity_;
-  std::uint32_t longest_ring_ = 0;  // max over the rings' `used`
+  bool armed_ = false;  // some ring has opened kDemotionScore filters
   std::array<Ring, kGroups> rings_{};
   std::vector<std::uint16_t> planes_;  // one per bit position
 };

@@ -52,8 +52,10 @@ ThresholdAdapter::ThresholdAdapter(const AdapterConfig& config)
                                                 std::uint64_t>(
                                         config.logical_blocks, 1))))) {
   config_.sample_rate = sampler_.rate();
-  if (config_.num_ghosts < 3) {
-    throw std::invalid_argument("ThresholdAdapter needs >= 3 ghosts");
+  if (config_.num_ghosts < 3 || config_.num_ghosts > 63) {
+    // Fewer leave the linear window no interior; more leave the
+    // exponential window no base below 2^(64-K) (configure_exponential).
+    throw std::invalid_argument("ThresholdAdapter needs 3 to 63 ghosts");
   }
   update_volume_ = std::max<std::uint64_t>(
       static_cast<std::uint64_t>(config_.update_fraction *
@@ -81,7 +83,11 @@ ThresholdAdapter::ThresholdAdapter(const AdapterConfig& config)
 
 void ThresholdAdapter::configure_exponential(std::uint64_t center) {
   // Thresholds center * 2^i, i = 0 .. K-1 (center = smallest candidate).
-  std::uint64_t t = std::max<std::uint64_t>(center, 1);
+  // A top-edge winner re-anchors the window at itself, 2^(K-1) times the
+  // old base, so the base is capped below 2^(64-K): every threshold then
+  // stays below 2^63, and the adoption mean of any two cannot wrap.
+  std::uint64_t t = std::clamp<std::uint64_t>(
+      center, 1, ~std::uint64_t{0} >> ghosts_.size());
   for (GhostSet& g : ghosts_) {
     g.set_threshold(t);
     t *= 2;

@@ -229,6 +229,7 @@ void LssEngine::check_counters() const {
 void LssEngine::check_invariants(audit::Level level) const {
   if (level == audit::Level::kOff) return;
   check_counters();
+  policy_.check_invariants(level);
   if (level != audit::Level::kFull) return;
   const std::span<const Segment> segments = pool_.segments();
   std::uint64_t live_primaries = 0;

@@ -243,9 +243,10 @@ class LssEngine {
   audit::Level audit_level() const noexcept { return audit_level_; }
 
   /// Consistency checks; throws std::logic_error on violation.
-  /// kCounters runs each component's O(groups) counter cross-checks;
-  /// kFull additionally re-derives them with O(n) structural walks
-  /// (bitmap popcounts, mapping walk, victim-index membership).
+  /// kCounters runs each component's O(groups) counter cross-checks, then
+  /// the placement policy's own audit at the same level; kFull additionally
+  /// re-derives the counters with O(n) structural walks (bitmap popcounts,
+  /// mapping walk, victim-index membership).
   void check_invariants(audit::Level level) const;
   void check_invariants() const { check_invariants(audit::Level::kFull); }
 

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <string_view>
 
+#include "audit/audit.h"
 #include "common/types.h"
 
 namespace adapt::lss {
@@ -48,6 +49,11 @@ class PlacementPolicy {
   /// Approximate resident memory of policy metadata, for the Fig. 12b
   /// comparison.
   virtual std::size_t memory_usage_bytes() const { return 0; }
+
+  /// Self-audit of the policy's own structures at `level`, run by
+  /// LssEngine::check_invariants; throws std::logic_error on a violation.
+  /// A policy without checkable state keeps this no-op.
+  virtual void check_invariants(audit::Level /*level*/) const {}
 };
 
 }  // namespace adapt::lss

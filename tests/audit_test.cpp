@@ -40,6 +40,13 @@ class RoundRobinPolicy final : public lss::PlacementPolicy {
   void note_segment_sealed(GroupId, VTime) override {}
   void note_segment_reclaimed(GroupId, VTime, VTime) override {}
   std::size_t memory_usage_bytes() const override { return 0; }
+  void check_invariants(audit::Level level) const override {
+    if (audit_fails && level != audit::Level::kOff) {
+      throw std::logic_error("round-robin policy audit told to fail");
+    }
+  }
+
+  bool audit_fails = false;
 };
 
 LssConfig small_config() {
@@ -89,6 +96,18 @@ TEST_F(AuditTest, CleanEnginePassesEveryTier) {
   engine_.check_invariants(audit::Level::kOff);
   engine_.check_invariants(audit::Level::kCounters);
   engine_.check_invariants(audit::Level::kFull);
+}
+
+// The engine's audit runs the placement policy's own (ADAPT's bank and
+// threshold adapter), from the counters tier up.
+TEST_F(AuditTest, EngineAuditRunsThePolicyAudit) {
+  churn();
+  policy_.audit_fails = true;
+  EXPECT_NO_THROW(engine_.check_invariants(audit::Level::kOff));
+  EXPECT_THROW(engine_.check_invariants(audit::Level::kCounters),
+               std::logic_error);
+  EXPECT_THROW(engine_.check_invariants(audit::Level::kFull),
+               std::logic_error);
 }
 
 TEST_F(AuditTest, FullAuditCatchesValidCounterDrift) {
