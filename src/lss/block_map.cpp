@@ -7,15 +7,14 @@
 namespace adapt::lss {
 
 void BlockMap::invalidate(Lba lba, SegmentPool& pool) {
-  assert(lba < primary_.size());
-  if (primary_[lba] != kUnmappedLocation) {
-    const BlockLocation loc = unpack_location(primary_[lba]);
+  if (is_mapped(lba)) {
+    const BlockLocation loc = unpack_location(packed(lba));
     if (lifetime_ != nullptr) {
       lifetime_->add(*lifetime_vtime_ -
                      pool.segment(loc.segment).create_vtime);
     }
     pool.invalidate_slot(loc);
-    primary_[lba] = kUnmappedLocation;
+    clear_primary(lba);
   }
   // The flat table's empty fast path makes this free for policies that
   // never aggregate (no shadows ever created).
@@ -39,7 +38,7 @@ void BlockMap::check_counters() const {
   // chunks: a shadow exists only while its lazy-append original is pending.
   for (const auto [lba, loc] : shadow_) {
     (void)loc;
-    if (lba >= primary_.size() || primary_[lba] == kUnmappedLocation) {
+    if (lba >= primary_.size() || !is_mapped(lba)) {
       throw std::logic_error("shadow without a live primary");
     }
   }

@@ -3,6 +3,8 @@
 // Owns the packed primary map (one 64-bit word per logical block holding a
 // BlockLocation, or kUnmappedLocation) and the shadow map of live
 // cross-group aggregation copies (lazy-append originals still pending).
+// The primary map stores each packed location's complement, so its zero
+// pages read as kUnmappedLocation and a build writes none of them.
 // Mapping state only — slot liveness lives in the SegmentPool; the
 // cross-structure invalidation paths take the pool as a parameter so both
 // sides move together.
@@ -19,12 +21,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/histogram.h"
 #include "common/prefetch.h"
 #include "common/types.h"
+#include "common/zero_page_array.h"
 #include "lss/flat_shadow_map.h"
 #include "lss/segment.h"
 
@@ -50,8 +52,8 @@ class BlockMap {
   /// bounded by pending blocks across open chunks, i.e. group_count *
   /// chunk_blocks) so steady state never rehashes.
   explicit BlockMap(std::uint64_t logical_blocks,
-                    std::size_t expected_shadows = 0) {
-    primary_.assign(logical_blocks, kUnmappedLocation);
+                    std::size_t expected_shadows = 0)
+      : primary_(logical_blocks) {
     shadow_.reserve(expected_shadows);
   }
 
@@ -79,35 +81,32 @@ class BlockMap {
   /// Where lba currently lives (primary copy), or kNowhere. Tolerant of
   /// out-of-range lba by contract (see header comment).
   ADAPT_HOT BlockLocation locate(Lba lba) const {
-    if (lba >= primary_.size() || primary_[lba] == kUnmappedLocation) {
-      return kNowhere;
-    }
-    return unpack_location(primary_[lba]);
+    if (lba >= primary_.size()) return kNowhere;
+    const std::uint64_t word = packed(lba);
+    return word == kUnmappedLocation ? kNowhere : unpack_location(word);
   }
 
   /// Precondition: lba < logical_blocks().
   ADAPT_HOT bool is_mapped(Lba lba) const {
-    assert(lba < primary_.size());
-    return primary_[lba] != kUnmappedLocation;
+    return packed(lba) != kUnmappedLocation;
   }
 
   /// True when lba's primary copy is exactly `loc` (cheap packed compare).
   /// Precondition: lba < logical_blocks().
   ADAPT_HOT bool primary_is(Lba lba, BlockLocation loc) const {
-    assert(lba < primary_.size());
-    return primary_[lba] == pack_location(loc);
+    return packed(lba) == pack_location(loc);
   }
 
   /// Precondition: lba < logical_blocks().
   ADAPT_HOT void set_primary(Lba lba, BlockLocation loc) {
     assert(lba < primary_.size());
-    primary_[lba] = pack_location(loc);
+    primary_[lba] = ~pack_location(loc);
   }
 
   /// Precondition: lba < logical_blocks().
   ADAPT_HOT void clear_primary(Lba lba) {
     assert(lba < primary_.size());
-    primary_[lba] = kUnmappedLocation;
+    primary_[lba] = ~kUnmappedLocation;
   }
 
   ADAPT_HOT bool has_shadow(Lba lba) const { return shadow_.contains(lba); }
@@ -138,14 +137,25 @@ class BlockMap {
   /// persisted, so the shadow's slot dies.
   void expire_shadow(Lba lba, SegmentPool& pool);
 
+  /// Bytes the primary map and the shadow table hold.
+  std::size_t memory_usage_bytes() const noexcept {
+    return primary_.bytes() + shadow_.memory_usage_bytes();
+  }
+
   /// Counters-tier self-audit; throws std::logic_error on violation.
   void check_counters() const;
 
  private:
+  /// lba's packed primary location, or kUnmappedLocation.
+  ADAPT_HOT std::uint64_t packed(Lba lba) const {
+    assert(lba < primary_.size());
+    return ~primary_[lba];
+  }
+
   const VTime* lifetime_vtime_ = nullptr;
   Log2Histogram* lifetime_ = nullptr;
-  /// primary_[lba] = packed BlockLocation or kUnmappedLocation.
-  std::vector<std::uint64_t> primary_;
+  /// primary_[lba] = ~(packed BlockLocation), or 0 while unmapped.
+  ZeroPageArray<std::uint64_t> primary_;
   /// Live shadow copies (lazy-append originals still pending).
   FlatShadowMap shadow_;
 };

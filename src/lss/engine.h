@@ -234,9 +234,12 @@ class LssEngine {
   Lba slot_lba(SegmentId seg, std::uint32_t slot) const noexcept {
     return pool_.slot_lba(seg, slot);
   }
-  /// All slot LBAs of one segment, in slot order.
-  std::span<const Lba> segment_lbas(SegmentId seg) const noexcept {
-    return pool_.segment_lbas(seg);
+
+  /// Bytes the engine's own arrays hold: the block map (primary map and
+  /// shadow table) and the segment pool (segment headers, validity bitmaps,
+  /// slot-LBA arena, free list). The placement policy reports its own.
+  std::size_t memory_usage_bytes() const noexcept {
+    return map_.memory_usage_bytes() + pool_.memory_usage_bytes();
   }
 
   /// Effective self-audit tier (config value + ADAPT_AUDIT override).
@@ -254,9 +257,9 @@ class LssEngine {
   /// test corrupt a segment on purpose and assert the audit catches it.
   Segment& corrupt_segment_for_test(SegmentId id) { return pool_.at(id); }
 
-  /// Test-only mutable slot-LBA access (same purpose, SoA arena).
-  Lba& corrupt_slot_lba_for_test(SegmentId seg, std::uint32_t slot) {
-    return pool_.slot_lba_for_test(seg, slot);
+  /// Test-only slot-LBA overwrite (same purpose, SoA arena).
+  void corrupt_slot_lba_for_test(SegmentId seg, std::uint32_t slot, Lba lba) {
+    pool_.set_slot_lba_for_test(seg, slot, lba);
   }
 
  private:

@@ -49,6 +49,9 @@ class FlatShadowMap {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
   std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t memory_usage_bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot);
+  }
 
   ADAPT_HOT bool contains(Lba lba) const noexcept {
     return find_index(lba) != kNpos;

@@ -1,7 +1,6 @@
 #include "lss/gc_controller.h"
 
 #include <chrono>
-#include <span>
 #include <stdexcept>
 
 #include "common/annotations.h"
@@ -63,7 +62,6 @@ ADAPT_HOT void GcController::run_once(TimeUs now_us) {
   // migrate in slot order. Bits only clear while the victim drains, so the
   // sweep sees every slot the migration loop can find live.
   migrate_scratch_.clear();
-  const std::span<const Lba> lbas = pool_.segment_lbas(victim);
   for (std::uint32_t slot = 0; slot < v.write_ptr; ++slot) {
     // Skip fully dead 64-slot words in one comparison.
     if ((slot % PackedBitmap::kWordBits) == 0 &&
@@ -72,15 +70,16 @@ ADAPT_HOT void GcController::run_once(TimeUs now_us) {
       continue;
     }
     if (!v.slot_valid.test(slot)) continue;
+    const Lba lba = pool_.slot_lba(victim, slot);
     // Warm the primary-map lines now; the migration loop's consistency
     // check and clear_primary hit them next. The victim's lbas scatter
     // across the (large) primary array, so without the hint each
     // migration stalls on a cold load.
-    map_.prefetch_primary(lbas[slot]);
+    map_.prefetch_primary(lba);
     // Reserved to segment_blocks() in the constructor; a victim can hold
     // at most that many live slots, so no growth here.
     migrate_scratch_.push_back(  // ADAPT_LINT_ALLOW(hot-alloc)
-        MigrateEntry{slot, lbas[slot]});
+        MigrateEntry{slot, lba});
   }
   for (const MigrateEntry& e : migrate_scratch_) {
     // A forced flush below expires every shadow its chunk left in the

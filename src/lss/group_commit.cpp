@@ -377,6 +377,11 @@ std::size_t ConcurrentEngine::policy_memory_bytes() const {
   return sharded_.policy_memory_bytes();
 }
 
+std::size_t ConcurrentEngine::engine_memory_bytes() const {
+  const AllShardsLock all(*this);
+  return sharded_.engine_memory_bytes();
+}
+
 void ConcurrentEngine::check_invariants(audit::Level level) const {
   const AllShardsLock all(*this);
   sharded_.check_invariants(level);

@@ -204,6 +204,7 @@ class ConcurrentEngine {
   std::vector<std::uint32_t> merged_segments_per_group() const;
   std::uint64_t merged_pending_blocks() const;
   std::size_t policy_memory_bytes() const;
+  std::size_t engine_memory_bytes() const;
   void check_invariants(audit::Level level) const;
 
   GroupCommitStats shard_stats(std::uint32_t i) const;

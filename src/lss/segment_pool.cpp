@@ -11,11 +11,11 @@ SegmentPool::SegmentPool(const LssConfig& config, GroupId group_count,
                          VictimPolicy& victim)
     : config_(config),
       victim_(victim),
-      segment_blocks_(config.segment_blocks()) {
+      segment_blocks_(config.segment_blocks()),
+      slot_lba_(static_cast<std::size_t>(config.total_segments()) *
+                segment_blocks_) {
   const std::uint32_t total = config_.total_segments();
   segments_.resize(total);
-  slot_lba_.assign(static_cast<std::size_t>(total) * segment_blocks_,
-                   kInvalidLba);
   free_list_.reserve(total);
   for (std::uint32_t i = 0; i < total; ++i) {
     segments_[i].reset(config_.segment_blocks());
@@ -68,9 +68,8 @@ ADAPT_HOT void SegmentPool::release(SegmentId id) {
   seg.reset(config_.segment_blocks());
   // Scrub the segment's arena row so the next open sees kInvalidLba
   // everywhere (the invariant Segment::reset used to provide).
-  std::fill_n(slot_lba_.begin() +
-                  static_cast<std::size_t>(id) * segment_blocks_,
-              segment_blocks_, kInvalidLba);
+  std::fill_n(slot_lba_.data() + slot_index(id, 0), segment_blocks_,
+              ~kInvalidLba);
   // Capacity is reserved to the pool size at construction and ids are
   // unique, so this push can never grow the vector.
   free_list_.push_back(id);  // ADAPT_LINT_ALLOW(hot-alloc)
@@ -97,6 +96,25 @@ ADAPT_HOT void SegmentPool::invalidate_slot_draining(BlockLocation loc) {
   }
   seg.slot_valid.reset(loc.slot);
   --seg.valid_count;
+}
+
+void SegmentPool::set_slot_lba_for_test(SegmentId seg, std::uint32_t slot,
+                                        Lba lba) {
+  if (seg >= segments_.size() || slot >= segment_blocks_) {
+    throw std::out_of_range("SegmentPool: slot out of range");
+  }
+  set_slot_lba(seg, slot, lba);
+}
+
+std::size_t SegmentPool::memory_usage_bytes() const noexcept {
+  std::size_t total = segments_.capacity() * sizeof(Segment) +
+                      slot_lba_.bytes() +
+                      free_list_.capacity() * sizeof(SegmentId) +
+                      group_segments_.capacity() * sizeof(std::uint32_t);
+  for (const Segment& seg : segments_) {
+    total += seg.slot_valid.word_count() * sizeof(std::uint64_t);
+  }
+  return total;
 }
 
 void SegmentPool::check_counters() const {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/zero_page_array.h"
 #include "lss/config.h"
 #include "lss/segment.h"
 #include "lss/trace_sink.h"
@@ -71,29 +72,21 @@ class SegmentPool {
 
   // -- per-slot LBA arena (struct-of-arrays) --------------------------------
   // One pool-level array indexed segment * segment_blocks + slot; padding
-  // and never-written slots hold kInvalidLba. Stored here instead of per
-  // Segment so segment recycling never allocates.
+  // and never-written slots read as kInvalidLba. Stored here instead of per
+  // Segment so segment recycling never allocates. The arena holds each
+  // LBA's complement, so its zero pages read as kInvalidLba.
 
   Lba slot_lba(SegmentId seg, std::uint32_t slot) const noexcept {
-    return slot_lba_[static_cast<std::size_t>(seg) * segment_blocks_ + slot];
+    return ~slot_lba_[slot_index(seg, slot)];
   }
   Lba slot_lba(BlockLocation loc) const noexcept {
     return slot_lba(loc.segment, loc.slot);
   }
   void set_slot_lba(SegmentId seg, std::uint32_t slot, Lba lba) noexcept {
-    slot_lba_[static_cast<std::size_t>(seg) * segment_blocks_ + slot] = lba;
+    slot_lba_[slot_index(seg, slot)] = ~lba;
   }
-  /// All slot LBAs of one segment, in slot order.
-  std::span<const Lba> segment_lbas(SegmentId seg) const noexcept {
-    return {slot_lba_.data() +
-                static_cast<std::size_t>(seg) * segment_blocks_,
-            segment_blocks_};
-  }
-  /// Bounds-checked mutable access (test-only corruption hooks).
-  Lba& slot_lba_for_test(SegmentId seg, std::uint32_t slot) {
-    return slot_lba_.at(static_cast<std::size_t>(seg) * segment_blocks_ +
-                        slot);
-  }
+  /// Bounds-checked set_slot_lba (test-only corruption hook).
+  void set_slot_lba_for_test(SegmentId seg, std::uint32_t slot, Lba lba);
 
   std::uint32_t free_count() const noexcept { return free_count_; }
   std::size_t size() const noexcept { return segments_.size(); }
@@ -103,18 +96,26 @@ class SegmentPool {
     return group_segments_;
   }
 
+  /// Bytes the pool's arrays hold: segment headers and their validity
+  /// bitmaps, the slot-LBA arena, the free list and the group counts.
+  std::size_t memory_usage_bytes() const noexcept;
+
   /// Counters-tier self-audit; throws std::logic_error on violation.
   void check_counters() const;
 
  private:
+  std::size_t slot_index(SegmentId seg, std::uint32_t slot) const noexcept {
+    return static_cast<std::size_t>(seg) * segment_blocks_ + slot;
+  }
+
   const LssConfig& config_;
   VictimPolicy& victim_;
   TraceSink* trace_ = nullptr;
   const TimeUs* trace_wall_us_ = nullptr;
   std::uint32_t segment_blocks_ = 0;
   std::vector<Segment> segments_;
-  /// SoA arena: slot_lba_[segment * segment_blocks_ + slot].
-  std::vector<Lba> slot_lba_;
+  /// SoA arena: slot_lba_[segment * segment_blocks_ + slot] = ~lba.
+  ZeroPageArray<Lba> slot_lba_;
   std::vector<SegmentId> free_list_;
   std::uint32_t free_count_ = 0;
   /// In-use segments per group, maintained at allocate/release.

@@ -191,6 +191,14 @@ std::size_t ShardedEngine::policy_memory_bytes() const {
   return total;
 }
 
+std::size_t ShardedEngine::engine_memory_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.engine->memory_usage_bytes();
+  }
+  return total;
+}
+
 void ShardedEngine::check_invariants(audit::Level level) const {
   for (const Shard& shard : shards_) shard.engine->check_invariants(level);
 }

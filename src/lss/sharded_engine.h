@@ -240,6 +240,8 @@ class ShardedEngine {
 
   std::uint64_t chunks_flushed() const noexcept;
   std::size_t policy_memory_bytes() const;
+  /// Every shard's LssEngine::memory_usage_bytes(), summed.
+  std::size_t engine_memory_bytes() const noexcept;
 
   /// Audits every shard at `level`.
   void check_invariants(audit::Level level) const;

@@ -13,8 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
+#include "common/zero_page_array.h"
 #include "lss/placement_policy.h"
 
 namespace adapt::placement {
@@ -22,7 +22,7 @@ namespace adapt::placement {
 class MidaPolicy final : public lss::PlacementPolicy {
  public:
   explicit MidaPolicy(std::uint64_t logical_blocks, GroupId num_groups = 8)
-      : num_groups_(num_groups), migrations_(logical_blocks, 0) {}
+      : num_groups_(num_groups), migrations_(logical_blocks) {}
 
   std::string_view name() const override { return "mida"; }
   GroupId group_count() const override { return num_groups_; }
@@ -43,12 +43,13 @@ class MidaPolicy final : public lss::PlacementPolicy {
   }
 
   std::size_t memory_usage_bytes() const override {
-    return migrations_.capacity() * sizeof(std::uint8_t);
+    return migrations_.bytes();
   }
 
  private:
   GroupId num_groups_;
-  std::vector<std::uint8_t> migrations_;
+  /// Per-LBA GC migration count; every count starts at 0.
+  ZeroPageArray<std::uint8_t> migrations_;
 };
 
 }  // namespace adapt::placement

@@ -17,10 +17,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/prefetch.h"
+#include "common/zero_page_array.h"
 #include "lss/placement_policy.h"
 
 namespace adapt::placement {
@@ -35,7 +35,7 @@ class SepBitPolicy final : public lss::PlacementPolicy {
   static constexpr VTime kNeverWritten = ~VTime{0};
 
   SepBitPolicy(std::uint64_t logical_blocks, std::uint32_t segment_blocks)
-      : last_write_(logical_blocks, kNeverWritten),
+      : last_write_(logical_blocks),
         threshold_(static_cast<double>(segment_blocks) * 4.0) {}
 
   std::string_view name() const override { return "sepbit"; }
@@ -68,8 +68,8 @@ class SepBitPolicy final : public lss::PlacementPolicy {
   /// Records a user write of `lba` at `now` and classifies the new version
   /// under threshold `l`: hot if the version it overwrites lived less than l.
   GroupId user_class(Lba lba, VTime now, double l) {
-    const VTime last = last_write_[lba];
-    last_write_[lba] = now;
+    const VTime last = last_write(lba);
+    last_write_[lba] = ~now;
     if (last == kNeverWritten) return kColdUser;
     const auto lifespan = static_cast<double>(now - last);
     return lifespan < l ? kHotUser : kColdUser;
@@ -78,7 +78,7 @@ class SepBitPolicy final : public lss::PlacementPolicy {
   /// GC class of `lba`'s current version under threshold `l`, from the age
   /// since its user write.
   GroupId gc_class(Lba lba, VTime now, double l) const {
-    const VTime birth = last_write_[lba];
+    const VTime birth = last_write(lba);
     const auto age = static_cast<double>(
         birth == kNeverWritten ? now : now - birth);
     if (age < 4.0 * l) return kFirstGcGroup;
@@ -87,19 +87,21 @@ class SepBitPolicy final : public lss::PlacementPolicy {
     return kFirstGcGroup + 3;
   }
 
-  VTime last_write(Lba lba) const { return last_write_[lba]; }
+  VTime last_write(Lba lba) const { return ~last_write_[lba]; }
 
   /// l: the running average lifespan of Class-1 segments.
   double threshold() const noexcept { return threshold_; }
 
   std::size_t memory_usage_bytes() const override {
-    return last_write_.capacity() * sizeof(VTime);
+    return last_write_.bytes();
   }
 
  private:
   static constexpr double kEwma = 0.125;
 
-  std::vector<VTime> last_write_;
+  /// last_write_[lba] = ~(vtime of lba's last user write), so the zero
+  /// page reads as kNeverWritten.
+  ZeroPageArray<VTime> last_write_;
   double threshold_;
 };
 

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/zero_page_array.h"
 #include "lss/placement_policy.h"
 
 namespace adapt::placement {
@@ -23,7 +24,7 @@ class WarcipPolicy final : public lss::PlacementPolicy {
   WarcipPolicy(std::uint64_t logical_blocks, std::uint32_t segment_blocks,
                GroupId user_clusters = 5)
       : user_clusters_(user_clusters),
-        last_write_(logical_blocks, kNeverWritten) {
+        last_write_(logical_blocks) {
     // Spread initial centroids geometrically from one segment's worth of
     // writes upwards (x16 per cluster).
     centroids_.reserve(user_clusters_);
@@ -39,8 +40,8 @@ class WarcipPolicy final : public lss::PlacementPolicy {
   bool is_user_group(GroupId g) const override { return g < user_clusters_; }
 
   GroupId place_user_write(Lba lba, VTime now) override {
-    const VTime last = last_write_[lba];
-    last_write_[lba] = now;
+    const VTime last = ~last_write_[lba];
+    last_write_[lba] = ~now;
     if (last == kNeverWritten) return user_clusters_ - 1;  // coldest
     const double log_interval =
         std::log2(static_cast<double>(now - last) + 1.0);
@@ -65,7 +66,7 @@ class WarcipPolicy final : public lss::PlacementPolicy {
   }
 
   std::size_t memory_usage_bytes() const override {
-    return last_write_.capacity() * sizeof(VTime) +
+    return last_write_.bytes() +
            centroids_.capacity() * sizeof(double);
   }
 
@@ -74,7 +75,9 @@ class WarcipPolicy final : public lss::PlacementPolicy {
   static constexpr double kLearningRate = 0.05;
 
   GroupId user_clusters_;
-  std::vector<VTime> last_write_;
+  /// last_write_[lba] = ~(vtime of lba's last write), so the zero page
+  /// reads as kNeverWritten.
+  ZeroPageArray<VTime> last_write_;
   std::vector<double> centroids_;
 };
 

@@ -260,11 +260,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   result.breakdown = engine.latency_breakdown();
   result.policy_memory_bytes = engine.policy_memory_bytes();
   const std::uint64_t pending_blocks_total = engine.merged_pending_blocks();
-  const lss::LssConfig& per_shard = engine.per_shard_config();
-  result.engine_memory_bytes =
-      shards * (per_shard.logical_blocks * sizeof(std::uint64_t) +
-                static_cast<std::size_t>(per_shard.total_segments()) *
-                    per_shard.segment_blocks() * (sizeof(Lba) + 1));
+  result.engine_memory_bytes = engine.engine_memory_bytes();
 
   // ---- result assembly ----
   result.lanes = lanes.stats();

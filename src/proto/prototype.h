@@ -104,7 +104,9 @@ struct PrototypeResult {
   lss::DeviceLanesStats lanes;
   lss::LssMetrics metrics;
   std::size_t policy_memory_bytes = 0;
-  std::size_t engine_memory_bytes = 0;  ///< block map + segment metadata
+  /// LssEngine::memory_usage_bytes() over every shard: block map, shadow
+  /// table, segment headers and bitmaps, slot-LBA arena.
+  std::size_t engine_memory_bytes = 0;
   /// adapt-manifest-v1 provenance record (tool = "prototype"), carrying
   /// the merged lss.* counters, proto.* front-end counters, and the
   /// latency_ns histogram.

@@ -852,6 +852,21 @@ TEST(AdaptPolicyTest, DemotionRequiresScoreAndLifespan) {
   p.check_invariants(audit::Level::kFull);
 }
 
+// SepBIT's last-write array stores complements, so a write at vtime 0 is
+// history for ADAPT's demotion gate (last_write(lba) != kNeverWritten): a
+// block last written at vtime 0 can be demoted.
+TEST(AdaptPolicyTest, WriteAtVtimeZeroPassesTheDemotionGate) {
+  AdaptConfig c = small_policy();
+  c.bloom_filter_capacity = 1;
+  AdaptPolicy p(c);
+  const Lba lba = 77;
+  p.place_user_write(lba, 0);
+  const auto far = static_cast<VTime>(p.threshold() * 100);
+  for (VTime t = far; t < far + 3; ++t) p.place_gc_rewrite(lba, 5, t);
+  EXPECT_EQ(p.place_user_write(lba, 2 * far), 5u);
+  EXPECT_EQ(p.demotions(), 1u);
+}
+
 // Zero-sized cascades were once clamped to 1; demotion on now rejects
 // them, and with demotion off the capacity is unused.
 TEST(AdaptPolicyTest, RejectsZeroFilterCapacityWithDemotionOn) {

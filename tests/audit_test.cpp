@@ -144,7 +144,8 @@ TEST_F(AuditTest, FullAuditCatchesSlotLbaCorruption) {
   const Segment& seg = engine_.segments()[id];
   for (std::uint32_t slot = 0; slot < seg.write_ptr; ++slot) {
     if (seg.slot_valid.test(slot)) {
-      engine_.corrupt_slot_lba_for_test(id, slot) ^= 1;
+      engine_.corrupt_slot_lba_for_test(id, slot,
+                                        engine_.slot_lba(id, slot) ^ 1);
       break;
     }
   }

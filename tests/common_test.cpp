@@ -1,10 +1,11 @@
 // Unit and property tests for src/common: PRNG, Zipfian generators,
-// Fenwick tree, packed bitmaps, histograms, thread pool.
+// Fenwick tree, packed bitmaps, zero-page arrays, histograms, thread pool.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <new>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/packed_bitmap.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/zero_page_array.h"
 #include "common/zipf.h"
 
 namespace adapt {
@@ -451,6 +453,42 @@ TEST(FormatCdfTest, ProducesRequestedSteps) {
   h.add(2.0);
   const std::string out = format_cdf(h, 0, 4, 4);
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5);
+}
+
+// ---------------------------------------------------------------------------
+// ZeroPageArray
+// ---------------------------------------------------------------------------
+
+TEST(ZeroPageArrayTest, StartsAtZeroAcrossPages) {
+  ZeroPageArray<std::uint64_t> a(3000);  // six pages
+  EXPECT_EQ(a.size(), 3000u);
+  EXPECT_EQ(a.bytes(), 3000u * sizeof(std::uint64_t));
+  EXPECT_TRUE(std::all_of(a.data(), a.data() + a.size(),
+                          [](std::uint64_t v) { return v == 0; }));
+  a[0] = 1;
+  a[2999] = ~std::uint64_t{0};
+  EXPECT_EQ(a[0], 1u);
+  EXPECT_EQ(a[2999], ~std::uint64_t{0});
+}
+
+TEST(ZeroPageArrayTest, MoveHandsOverTheMapping) {
+  ZeroPageArray<std::uint8_t> a(100);
+  a[99] = 7;
+  const std::uint8_t* mapping = a.data();
+  ZeroPageArray<std::uint8_t> b(std::move(a));
+  EXPECT_EQ(b.data(), mapping);
+  EXPECT_EQ(b[99], 7u);
+  ZeroPageArray<std::uint8_t> c(5);
+  c = std::move(b);
+  EXPECT_EQ(c.data(), mapping);
+  EXPECT_EQ(c.size(), 100u);
+}
+
+TEST(ZeroPageArrayTest, EmptyHoldsNoMapping) {
+  const ZeroPageArray<std::uint32_t> empty(0);
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.bytes(), 0u);
+  EXPECT_THROW(ZeroPageArray<std::uint64_t>(~std::size_t{0}), std::bad_alloc);
 }
 
 // ---------------------------------------------------------------------------

@@ -140,6 +140,20 @@ TEST(BlockMapBoundsTest, LocateToleratesOutOfRange) {
   EXPECT_EQ(map.locate(~static_cast<Lba>(0) - 1), kNowhere);
 }
 
+/// The primary map stores each location's complement: segment 0 slot 0
+/// packs to 0, and it must read back as mapped, not as the empty value.
+TEST(BlockMapTest, SegmentZeroSlotZeroIsMapped) {
+  BlockMap map(64);
+  EXPECT_FALSE(map.is_mapped(0));
+  map.set_primary(0, loc_of(0, 0));
+  EXPECT_TRUE(map.is_mapped(0));
+  EXPECT_TRUE(map.primary_is(0, loc_of(0, 0)));
+  EXPECT_EQ(map.locate(0), loc_of(0, 0));
+  map.clear_primary(0);
+  EXPECT_FALSE(map.is_mapped(0));
+  EXPECT_EQ(map.locate(0), kNowhere);
+}
+
 #ifndef NDEBUG
 /// The unchecked accessors assert their precondition in audit builds;
 /// release builds document it instead of paying a per-op range check.

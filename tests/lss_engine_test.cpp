@@ -1,13 +1,19 @@
 // Engine-level tests: append/flush mechanics, the SLA coalescing window,
 // padding accounting, segment lifecycle, GC correctness, shadow-append
-// semantics, and randomized invariant checks.
+// semantics, randomized invariant checks, and the per-block arrays' zero
+// pages.
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "adapt/adapt_policy.h"
 #include "common/rng.h"
 #include "lss/engine.h"
 #include "lss/victim_policy.h"
@@ -967,6 +973,82 @@ TEST(LssEngineTest, ArrayChunkSizeMismatchThrows) {
   EXPECT_THROW(
       LssEngine(small_config(), policy, *victim, &ssd_array, 1),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Per-block arrays start as untouched zero pages
+// ---------------------------------------------------------------------------
+
+// The block map and the slot-LBA arena store complements, so the values
+// that complement to all ones are their edge cases: the first write of a
+// fresh engine lands in segment 0 slot 0 (packed location 0), and LBA 0 is
+// the arena's all-ones word. LBA 0 and the last LBA must map, survive GC's
+// sweep (which reads the victim's slot LBAs) and read back where GC moved
+// them.
+TEST(LssEngineZeroPageTest, EdgeLbasRoundTripThroughGc) {
+  EngineFixture f;
+  const Lba last = f.engine.config().logical_blocks - 1;
+  f.engine.write_block(0, 0);
+  f.engine.write_block(last, 0);
+  const BlockLocation first_home = f.engine.locate(0);
+  const BlockLocation last_home = f.engine.locate(last);
+  ASSERT_EQ(first_home, (BlockLocation{0, 0}));
+  EXPECT_EQ(f.engine.slot_lba(first_home), 0u);
+  EXPECT_EQ(f.engine.slot_lba(last_home), last);
+  // Churn only the LBAs between them until GC has migrated both.
+  Rng rng(11);
+  TimeUs now = 0;
+  while (f.engine.locate(0) == first_home ||
+         f.engine.locate(last) == last_home) {
+    ASSERT_LT(now, 100000u) << "GC never migrated the edge LBAs";
+    f.engine.write_block(1 + rng.below(last - 1), ++now);
+  }
+  EXPECT_EQ(f.engine.slot_lba(f.engine.locate(0)), 0u);
+  EXPECT_EQ(f.engine.slot_lba(f.engine.locate(last)), last);
+  // TwoGroupPolicy's GC group.
+  EXPECT_EQ(f.engine.segments()[f.engine.locate(0).segment].group, 1u);
+  f.engine.check_invariants();
+}
+
+std::uint64_t minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_minflt);
+}
+
+// Regression: building an engine used to fill every entry of its per-block
+// arrays with an all-ones sentinel. Over 2^22 logical blocks under ADAPT
+// that is the block map (32 MiB), SepBIT's last-write times (32 MiB) and
+// the slot-LBA arena (40 MiB): about 26.6K 4-KiB pages, each faulted in
+// before the first op. The arrays now start as zero pages the build leaves
+// alone.
+TEST(LssEngineZeroPageTest, BuildWritesNoPerBlockPage) {
+  LssConfig config;
+  config.logical_blocks = std::uint64_t{1} << 22;
+  const std::uint64_t per_block_bytes =
+      config.logical_blocks * (sizeof(std::uint64_t) + sizeof(VTime)) +
+      config.physical_blocks() * sizeof(Lba);
+  const std::uint64_t per_block_pages =
+      per_block_bytes / static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  core::AdaptConfig ac;
+  ac.logical_blocks = config.logical_blocks;
+  ac.segment_blocks = config.segment_blocks();
+  ac.chunk_blocks = config.chunk_blocks;
+
+  const std::uint64_t before = minor_faults();
+  core::AdaptPolicy policy(ac);
+  const std::unique_ptr<VictimPolicy> victim = make_greedy();
+  LssEngine engine(config, policy, *victim, nullptr, /*seed=*/1);
+  const std::uint64_t faults = minor_faults() - before;
+  EXPECT_LT(faults, per_block_pages / 8);
+
+  // The untouched arrays read as empty at both ends of their range.
+  const Lba last = config.logical_blocks - 1;
+  EXPECT_EQ(engine.locate(0), kNowhere);
+  EXPECT_EQ(engine.locate(last), kNowhere);
+  engine.write_block(last, 0);
+  EXPECT_NE(engine.locate(last), kNowhere);
+  EXPECT_EQ(engine.slot_lba(engine.locate(last)), last);
 }
 
 }  // namespace

@@ -36,6 +36,10 @@ TEST(SepGcTest, RoutesUserAndGcSeparately) {
 TEST(DacTest, FirstWriteIsColdest) {
   DacPolicy p(kBlocks);
   EXPECT_EQ(p.place_user_write(7, 0), 0u);
+  // Region 0 (stored as its complement) is not the never-written value:
+  // GC keeps the block there, and its next update promotes it.
+  EXPECT_EQ(p.place_gc_rewrite(7, 0, 1), 0u);
+  EXPECT_EQ(p.place_user_write(7, 2), 1u);
 }
 
 TEST(DacTest, UpdatesPromote) {
@@ -90,7 +94,9 @@ TEST(WarcipTest, ShortIntervalsJoinHotCluster) {
   WarcipPolicy p(kBlocks, kSegBlocks);
   p.place_user_write(1, 0);
   // Rewrite after a tiny interval: nearest centroid is the hottest one.
-  EXPECT_EQ(p.place_user_write(1, 4), 0u);
+  // The write at vtime 0 (stored as its complement) is history, not the
+  // never-written value, so the interval is 1.
+  EXPECT_EQ(p.place_user_write(1, 1), 0u);
 }
 
 TEST(WarcipTest, LongIntervalsJoinColdClusters) {
@@ -125,7 +131,9 @@ TEST(WarcipTest, CentroidsAdapt) {
 
 TEST(MidaTest, FreshBlocksStartInGroupZero) {
   MidaPolicy p(kBlocks);
-  EXPECT_EQ(p.place_user_write(1, 0), 0u);
+  for (Lba lba = 0; lba < kBlocks; ++lba) {
+    ASSERT_EQ(p.place_user_write(lba, 0), 0u) << "lba " << lba;
+  }
 }
 
 TEST(MidaTest, MigrationsRaiseGroup) {
@@ -169,9 +177,14 @@ TEST(SepBitTest, FirstWriteIsCold) {
 
 TEST(SepBitTest, ShortLifespanIsHot) {
   SepBitPolicy p(kBlocks, kSegBlocks);
+  EXPECT_EQ(p.last_write(1), SepBitPolicy::kNeverWritten);
   p.place_user_write(1, 0);
-  // Initial threshold = 4 * segment = 256; lifespan 10 < 256 -> hot.
-  EXPECT_EQ(p.place_user_write(1, 10), SepBitPolicy::kHotUser);
+  // A write at vtime 0 (stored as its complement) is history, not the
+  // never-written value. Initial threshold = 4 * segment = 256; lifespan
+  // 1 < 256 -> hot.
+  EXPECT_EQ(p.last_write(1), 0u);
+  EXPECT_EQ(p.place_user_write(1, 1), SepBitPolicy::kHotUser);
+  EXPECT_EQ(p.last_write(1), 1u);
 }
 
 TEST(SepBitTest, LongLifespanIsCold) {
