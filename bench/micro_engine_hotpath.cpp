@@ -107,7 +107,6 @@ int run() {
   placement::PolicyConfig pc;
   pc.logical_blocks = config.logical_blocks;
   pc.segment_blocks = config.segment_blocks();
-  pc.seed = 42;
   // One shard: an exact pass-through to the engine it wraps, so the
   // measured window runs the replay loop sim::run_volume runs.
   lss::VictimPolicy* victim = nullptr;
@@ -155,8 +154,7 @@ int run() {
       [&](std::size_t i) {
         return lss::ReplayOp{workload[warmup_ops + i], 1,
                              replay_base_us + i + 1, /*is_write=*/true};
-      },
-      /*pool=*/nullptr);
+      });
   const double replay_seconds = seconds_since(replay_start);
   now_us += measured_ops;
   const std::uint64_t steady_allocs =

@@ -1,7 +1,8 @@
-// libFuzzer harness for the shard-configuration surface: the CLI shard-count
-// parser plus the per-shard geometry derivation and its validation.
+// libFuzzer harness for the shard-configuration surface: the strict integer
+// parser, here over the shard-count range, plus the per-shard geometry
+// derivation and its validation.
 //
-// Input layout: everything before the first '\n' goes to parse_shard_count
+// Input layout: everything before the first '\n' goes to adapt::parse_uint
 // verbatim (the hostile-text surface); the bytes after it are decoded into
 // an LssConfig geometry and a shard count for shard_config + validate.
 // std::invalid_argument is the documented failure mode for both layers and
@@ -15,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/parse.h"
 #include "lss/config.h"
 #include "lss/sharded_engine.h"
 
@@ -28,16 +30,17 @@ std::uint32_t read_u32(const std::uint8_t* p) {
 }
 
 void check_parser(std::string_view spec) {
-  std::uint32_t parsed = 0;
+  constexpr std::uint64_t kMax = adapt::lss::kMaxShards;
+  std::uint64_t parsed = 0;
   try {
-    parsed = adapt::lss::parse_shard_count(spec);
+    parsed = adapt::parse_uint(spec, 1, kMax);
   } catch (const std::invalid_argument&) {
     return;  // the documented rejection path
   }
   // Contract on acceptance: in range, and round-trips through the
   // canonical decimal rendering.
-  if (parsed == 0 || parsed > adapt::lss::kMaxShards) __builtin_trap();
-  if (adapt::lss::parse_shard_count(std::to_string(parsed)) != parsed) {
+  if (parsed == 0 || parsed > kMax) __builtin_trap();
+  if (adapt::parse_uint(std::to_string(parsed), 1, kMax) != parsed) {
     __builtin_trap();
   }
 }

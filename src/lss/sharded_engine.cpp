@@ -6,24 +6,6 @@
 
 namespace adapt::lss {
 
-std::uint32_t parse_shard_count(std::string_view text) {
-  if (text.empty() || text.size() > 10) {
-    throw std::invalid_argument("shard count: expected 1..10 decimal digits");
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument("shard count: non-digit character");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (value == 0 || value > kMaxShards) {
-    throw std::invalid_argument("shard count: must be in [1, " +
-                                std::to_string(kMaxShards) + "]");
-  }
-  return static_cast<std::uint32_t>(value);
-}
-
 LssConfig shard_config(const LssConfig& global, std::uint32_t shard_count) {
   if (shard_count == 0 || shard_count > kMaxShards) {
     throw std::invalid_argument("shard_config: shard count must be in [1, " +
@@ -118,10 +100,10 @@ void ShardedEngine::reserve_queues(std::size_t expected_ops) {
   queue_.reserve(queue_.size() + expected_ops);
 }
 
-void ShardedEngine::run_queued(ThreadPool* pool) {
+void ShardedEngine::run_queued() {
   const std::vector<ReplayOp> ops = std::move(queue_);
   queue_.clear();
-  replay(ops.size(), [&ops](std::size_t i) { return ops[i]; }, pool);
+  replay(ops.size(), [&ops](std::size_t i) { return ops[i]; });
 }
 
 void ShardedEngine::rethrow_shard_error() {

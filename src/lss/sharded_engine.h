@@ -12,13 +12,11 @@
 // no mutable state and a shard's behaviour depends only on its own
 // (op, lba, timestamp) sequence.
 //
-// This shard set has two front-ends: in-place deterministic replay here
-// (replay() walks the caller's op stream without copying it; every shard
-// applies the sub-spans routed to it, in order, on its own ThreadPool task
-// — deterministic regardless of thread scheduling), and the concurrent
-// group-commit intake of lss::ConcurrentEngine. enqueue_*/run_queued keep
-// one global op list for callers that build the stream op by op, and hand
-// it to the same replay().
+// lss::ConcurrentEngine drives N shards through its group-commit intake.
+// sim::run_volume builds one shard and replays a volume through replay(),
+// which walks the caller's op stream in place on the calling thread;
+// enqueue_*/run_queued keep one global op list for callers that build the
+// stream op by op, and hand it to the same replay().
 //
 // Replay is memory-bound: a user op's first touches are its block-map
 // entry and, for a write, the placement policy's per-LBA state, each one
@@ -30,17 +28,11 @@
 // N == 1 is an exact pass-through: a 1-shard ShardedEngine reproduces the
 // single-engine pinned fixed-seed regression metrics bit-identically.
 //
-// Cross-shard results merge through LssMetrics::merge_from (counters),
-// obs::Registry::merge_from (manifests), and obs::merge_series (sampled
-// time series); see DESIGN.md "Engine decomposition & sharding".
+// Cross-shard counters merge through LssMetrics::merge_from; see DESIGN.md
+// "Engine decomposition & sharding".
 //
-// Concurrency contract: shards are thread-compatible, never thread-safe —
-// isolation replaces locking. replay() hands each shard to exactly one
-// ThreadPool task, which only reads the shared op stream; the merge phase
-// runs after wait_idle(), and no mutable state crosses a shard boundary in
-// between, so there is nothing for a mutex (or a capability annotation) to
-// guard. The ThreadPool underneath carries the annotations;
-// -Wthread-safety checks that side.
+// Concurrency contract: the shard set is thread-compatible, never
+// thread-safe. Every member runs on the calling thread, and
 // ConcurrentEngine supplies its own per-shard locks around this class.
 #pragma once
 
@@ -51,11 +43,9 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/thread_pool.h"
 #include "lss/engine.h"
 
 namespace adapt::lss {
@@ -76,20 +66,15 @@ using ShardFactory =
     std::function<ShardParts(std::uint32_t shard_index,
                              const LssConfig& shard_config)>;
 
-/// Upper bound on shard counts accepted by parse_shard_count /
-/// shard_config — far above any sensible core count, low enough that a
-/// typo cannot allocate absurd per-shard state.
+/// Upper bound on shard counts accepted by shard_config — far above any
+/// sensible core count, low enough that a typo cannot allocate absurd
+/// per-shard state.
 inline constexpr std::uint32_t kMaxShards = 4096;
 
 /// Per-shard logical-space floor callers apply before sharding: enough
 /// over-provisioned segments for even an 8-group policy's GC watermark at
 /// the default geometry (see LssConfig::validate).
 inline constexpr std::uint64_t kMinShardBlocks = std::uint64_t{1} << 15;
-
-/// Parses a shard count from CLI/config text: strict decimal digits, no
-/// sign or whitespace, value in [1, kMaxShards]. Throws
-/// std::invalid_argument on anything else (including overflow).
-std::uint32_t parse_shard_count(std::string_view text);
 
 /// Derives the per-shard config: the logical space divides evenly-as-
 /// possible (ceil(logical_blocks / shard_count), uniform across shards so
@@ -167,8 +152,8 @@ class ShardedEngine {
 
   /// Attaches a trace sink to shard `i`'s engine (nullptr detaches). Each
   /// shard gets its own sink instance — sinks are not synchronised, and
-  /// replay runs shards on different threads; the obs layer merges
-  /// per-shard rings afterwards, exactly like Registry/metrics.
+  /// ConcurrentEngine applies shards on different threads; the obs layer
+  /// merges per-shard rings afterwards, exactly like Registry/metrics.
   void set_trace_sink(std::uint32_t i, TraceSink* sink) {
     shards_.at(i).engine->set_trace_sink(sink);
   }
@@ -191,22 +176,20 @@ class ShardedEngine {
   /// One proactive GC pass per shard. Returns true if any shard did work.
   bool gc_step(TimeUs now_us, std::uint32_t watermark);
 
-  // -- deterministic parallel replay ---------------------------------------
+  // -- deterministic replay ------------------------------------------------
 
   /// Replays ops [0, count) of the caller's op stream in place: `op_at(i)`
-  /// returns op i as a ReplayOp, and is called from every shard's task at
-  /// once, so it must be safe to call concurrently. Every shard walks the
-  /// whole stream and applies the sub-span routed to it, in order, on its
-  /// own `pool` task, or inline with one shard or no pool. For the op
-  /// kReplayLookahead ahead it prefetches the block-map entry and, for a
-  /// write, the policy's per-LBA entry (LssEngine::prefetch_op).
-  /// Deterministic for any pool size, and equal to the synchronous
-  /// write/read sequence. An op whose span passes the logical capacity
-  /// throws std::out_of_range once every shard has applied exactly the ops
-  /// before it; the first shard exception (if any) is rethrown after all
-  /// shards finish.
+  /// returns op i as a ReplayOp. Every shard in turn walks the whole stream
+  /// and applies the sub-span routed to it, in order, on the calling
+  /// thread. For the op kReplayLookahead ahead it prefetches the block-map
+  /// entry and, for a write, the policy's per-LBA entry
+  /// (LssEngine::prefetch_op). Equal to the synchronous write/read
+  /// sequence. An op whose span passes the logical capacity throws
+  /// std::out_of_range once every shard has applied exactly the ops before
+  /// it; the first shard exception (if any) is rethrown after all shards
+  /// finish.
   template <typename OpAt>
-  void replay(std::size_t count, const OpAt& op_at, ThreadPool* pool);
+  void replay(std::size_t count, const OpAt& op_at);
 
   /// Appends a write/read to the op list run_queued replays. Throws
   /// std::out_of_range, queueing nothing, when the span passes the logical
@@ -219,9 +202,9 @@ class ShardedEngine {
 
   std::size_t queued_ops() const noexcept { return queue_.size(); }
 
-  /// Hands the op list to replay() on `pool`, then empties it (also when
-  /// replay throws).
-  void run_queued(ThreadPool* pool);
+  /// Hands the op list to replay(), then empties it (also when replay
+  /// throws).
+  void run_queued();
 
   // -- merged observers ----------------------------------------------------
 
@@ -274,22 +257,13 @@ class ShardedEngine {
 };
 
 template <typename OpAt>
-void ShardedEngine::replay(std::size_t count, const OpAt& op_at,
-                           ThreadPool* pool) {
-  const auto run = [&](std::uint32_t s) noexcept {
+void ShardedEngine::replay(std::size_t count, const OpAt& op_at) {
+  for (std::uint32_t s = 0; s < shard_count(); ++s) {
     try {
       replay_shard(s, count, op_at);
     } catch (...) {
       shards_[s].error = std::current_exception();
     }
-  };
-  if (pool == nullptr || shards_.size() == 1) {
-    for (std::uint32_t s = 0; s < shard_count(); ++s) run(s);
-  } else {
-    for (std::uint32_t s = 0; s < shard_count(); ++s) {
-      pool->submit([&run, s] { run(s); });
-    }
-    pool->wait_idle();
   }
   rethrow_shard_error();
 }

@@ -101,20 +101,4 @@ class EngineSampler final : public lss::EngineObserver {
   std::vector<std::uint32_t> segments_scratch_;
 };
 
-/// Merges per-shard time series into one global series (shard-merge
-/// semantics; see DESIGN.md "Engine decomposition & sharding"):
-///   * strides align exactly by re-downsampling finer parts to the coarsest
-///     stride — cumulative rows make dropping rows lossless;
-///   * aligned rows merge by index, running to the longest part; a part
-///     that has run out keeps contributing its last row (rows are
-///     cumulative, so that is its final state). Cumulative counters and
-///     per-group columns sum, wall_us takes the max, the threshold column
-///     averages the non-NaN shard thresholds;
-///   * the merged header stride is the per-shard stride times the shard
-///     count (nominal global user blocks between rows).
-/// A single part passes through unchanged. Throws std::invalid_argument on
-/// an empty input or on parts whose strides cannot be aligned (different
-/// initial window_blocks).
-TimeSeries merge_series(std::vector<TimeSeries> parts);
-
 }  // namespace adapt::obs

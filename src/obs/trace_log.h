@@ -2,7 +2,7 @@
 // Chrome-trace exporter.
 //
 // One TraceLog per engine shard (sinks are not synchronised — exactly like
-// Registry/LssMetrics, per-shard instances merge after the parallel replay).
+// Registry/LssMetrics, per-shard instances merge after the run).
 // The ring holds the newest `capacity` events; older ones are overwritten
 // and counted as dropped, so tracing a long run costs fixed memory. Events
 // carry only the engine's deterministic clocks (vtime + simulated wall

@@ -1,5 +1,6 @@
 // Factory for baseline placement policies. ADAPT has its own factory in
-// src/adapt (it layers extra machinery); sim/experiment.h unifies both.
+// src/adapt (it layers extra machinery); adapt/shard_stack.h maps every
+// policy name, ADAPT and the "+agg" wrappers included, to its stack.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@ namespace adapt::placement {
 struct PolicyConfig {
   std::uint64_t logical_blocks = 0;
   std::uint32_t segment_blocks = 0;
-  std::uint64_t seed = 1;
 };
 
 /// Known baseline names: "sepgc", "dac", "warcip", "mida", "sepbit".

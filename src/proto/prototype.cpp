@@ -11,12 +11,11 @@
 #include <utility>
 #include <vector>
 
-#include "adapt/adapt_policy.h"
+#include "adapt/shard_stack.h"
 #include "common/histogram.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
 #include "obs/provenance.h"
-#include "placement/factory.h"
 
 namespace adapt::proto {
 namespace {
@@ -56,8 +55,8 @@ double safe_rate(double amount, double elapsed_seconds) {
 
 std::uint32_t resolve_shards(const PrototypeConfig& config) {
   if (config.shards != 0) return config.shards;
-  // Auto: one shard per client up to 8, but never shrink a shard below the
-  // per-shard floor the simulator applies — tiny working sets would fail
+  // Auto: one shard per client up to 8, but never shrink a shard below
+  // lss::kMinShardBlocks — tiny working sets would fail
   // LssConfig::validate (op segments must cover the GC watermark).
   const std::uint64_t ws = config.workload.working_set_blocks;
   const std::uint64_t floor_cap =
@@ -68,43 +67,15 @@ std::uint32_t resolve_shards(const PrototypeConfig& config) {
   return static_cast<std::uint32_t>(std::min(want, floor_cap));
 }
 
-lss::ShardFactory make_prototype_shard_factory(
-    const PrototypeConfig& config) {
-  const std::string policy_name = config.policy;
-  const std::string victim_name = config.victim_policy;
-  const double sample_rate = config.adapt_sample_rate;
-  const std::uint64_t seed = config.seed;
-  return [policy_name, victim_name, sample_rate, seed](
-             std::uint32_t shard_index, const lss::LssConfig& shard_lss) {
-    lss::ShardParts parts;
-    if (policy_name == "adapt") {
-      core::AdaptConfig ac;
-      ac.logical_blocks = shard_lss.logical_blocks;
-      ac.segment_blocks = shard_lss.segment_blocks();
-      ac.chunk_blocks = shard_lss.chunk_blocks;
-      ac.over_provision = shard_lss.over_provision;
-      ac.sample_rate = sample_rate;
-      auto p = core::make_adapt_policy(ac);
-      parts.hook = p.get();
-      parts.policy = std::move(p);
-    } else {
-      placement::PolicyConfig pc;
-      pc.logical_blocks = shard_lss.logical_blocks;
-      pc.segment_blocks = shard_lss.segment_blocks();
-      pc.seed = seed + shard_index;
-      parts.policy = placement::make_baseline_policy(policy_name, pc);
-    }
-    parts.victim = lss::make_victim_policy(victim_name);
-    return parts;
-  };
-}
-
 PrototypeResult run_prototype(const PrototypeConfig& config) {
   lss::LssConfig lss_config = config.lss;
   lss_config.logical_blocks = config.workload.working_set_blocks;
 
   const std::uint32_t shards = resolve_shards(config);
-  const lss::ShardFactory factory = make_prototype_shard_factory(config);
+  core::StackSpec stack;
+  stack.policy = config.policy;
+  stack.victim = config.victim_policy;
+  stack.adapt.sample_rate = config.adapt_sample_rate;
 
   // Device model: lss::DeviceLanes — one submission/completion queue per
   // modeled SSD, each serving at its share of the aggregate bandwidth with
@@ -178,8 +149,12 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   result.num_clients = config.num_clients;
   result.shards = shards;
 
-  lss::ConcurrentEngine engine(lss_config, shards, config.seed, factory,
-                               /*record_ops=*/false);
+  lss::ConcurrentEngine engine(
+      lss_config, shards, config.seed,
+      [&stack](std::uint32_t /*shard_index*/, const lss::LssConfig& shard) {
+        return core::make_shard_parts(stack, shard);
+      },
+      /*record_ops=*/false);
   // Apply/durable split: batch leaders submit their drained flushes to the
   // lanes and stamp the completion into every ticket; each op then sleeps
   // out its own share on its own thread.

@@ -64,8 +64,9 @@ struct PrototypeConfig {
   double adapt_sample_rate = 0.0;
   std::uint64_t seed = 1;
   /// LBA shard count for the group-commit front-end. 0 = auto:
-  /// min(num_clients, 8), capped so each shard keeps at least 2^15 logical
-  /// blocks (the same per-shard floor the simulator applies). An explicit
+  /// min(num_clients, 8), capped so each shard keeps at least
+  /// lss::kMinShardBlocks logical blocks (the floor the simulator applies
+  /// to its one engine). An explicit
   /// value is used as-is and may throw from LssConfig::validate when the
   /// per-shard geometry gets too small.
   std::uint32_t shards = 0;
@@ -132,13 +133,6 @@ double safe_rate(double amount, double elapsed_seconds);
 
 /// Resolved shard count for `config` (applies the auto rule above).
 std::uint32_t resolve_shards(const PrototypeConfig& config);
-
-/// Per-shard placement/victim stack builder used by run_prototype's
-/// ConcurrentEngine — exposed so the differential oracle test can build
-/// bit-identical serial engines from the same factory. `lss_config` must
-/// be the prototype's effective global config (logical_blocks overridden
-/// to the workload working set).
-lss::ShardFactory make_prototype_shard_factory(const PrototypeConfig& config);
 
 /// Runs the prototype to completion and reports measured throughput.
 PrototypeResult run_prototype(const PrototypeConfig& config);

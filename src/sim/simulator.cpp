@@ -4,154 +4,80 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <stdexcept>
+#include <optional>
 
 #include "adapt/adapt_policy.h"
-#include "adapt/aggregation.h"
-#include "common/thread_pool.h"
+#include "adapt/shard_stack.h"
 #include "common/types.h"
 #include "lss/sharded_engine.h"
 #include "placement/factory.h"
 
 namespace adapt::sim {
-namespace {
-
-/// Per-shard policy pointers recorded by the shard factory: the
-/// aggregation hook is wired at engine construction, and the adapt pointer
-/// feeds the sampler's live-threshold probe.
-struct ShardPolicyRefs {
-  core::AdaptPolicy* adapt = nullptr;
-};
-
-/// Builds one shard's placement policy (plus hook) for `policy_name`. A
-/// "+agg" suffix wraps a baseline with ADAPT's cross-group aggregation rule
-/// (see adapt/aggregation.h).
-lss::ShardParts make_shard_parts(std::string_view policy_name,
-                                 const SimConfig& config,
-                                 const lss::LssConfig& shard_lss,
-                                 std::uint64_t shard_seed,
-                                 ShardPolicyRefs& refs) {
-  lss::ShardParts parts;
-  constexpr std::string_view kAggSuffix = "+agg";
-  if (policy_name.size() > kAggSuffix.size() &&
-      policy_name.ends_with(kAggSuffix)) {
-    placement::PolicyConfig pc;
-    pc.logical_blocks = shard_lss.logical_blocks;
-    pc.segment_blocks = shard_lss.segment_blocks();
-    pc.seed = shard_seed;
-    auto inner = placement::make_baseline_policy(
-        policy_name.substr(0, policy_name.size() - kAggSuffix.size()), pc);
-    auto wrapped = std::make_unique<core::AggregatingPolicy>(
-        std::move(inner), shard_lss.chunk_blocks);
-    parts.hook = wrapped.get();
-    parts.policy = std::move(wrapped);
-  } else if (policy_name == "adapt") {
-    core::AdaptConfig ac;
-    ac.logical_blocks = shard_lss.logical_blocks;
-    ac.segment_blocks = shard_lss.segment_blocks();
-    ac.chunk_blocks = shard_lss.chunk_blocks;
-    ac.over_provision = shard_lss.over_provision;
-    ac.enable_threshold_adaptation = config.adapt_threshold_adaptation;
-    ac.enable_cross_group_aggregation =
-        config.adapt_cross_group_aggregation;
-    ac.enable_proactive_demotion = config.adapt_proactive_demotion;
-    auto p = core::make_adapt_policy(ac);
-    refs.adapt = p.get();
-    parts.hook = p.get();
-    parts.policy = std::move(p);
-  } else {
-    placement::PolicyConfig pc;
-    pc.logical_blocks = shard_lss.logical_blocks;
-    pc.segment_blocks = shard_lss.segment_blocks();
-    pc.seed = shard_seed;
-    parts.policy = placement::make_baseline_policy(policy_name, pc);
-  }
-
-  parts.victim = lss::make_victim_policy(config.victim_policy);
-
-  if (config.with_array) {
-    array::SsdArrayConfig arr;
-    arr.chunk_bytes = shard_lss.chunk_blocks * shard_lss.block_bytes;
-    arr.num_streams = parts.policy->group_count();
-    parts.array = std::make_unique<array::SsdArray>(arr);
-  }
-  return parts;
-}
-
-}  // namespace
 
 const std::vector<std::string_view>& all_policy_names() {
-  static const std::vector<std::string_view> names = {
-      "sepgc", "mida", "dac", "warcip", "sepbit", "adapt"};
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> all = placement::baseline_names();
+    all.emplace_back("adapt");
+    return all;
+  }();
   return names;
 }
 
 VolumeResult run_volume(const trace::Volume& volume,
                         std::string_view policy_name,
                         const SimConfig& config) {
-  if (config.shards == 0 || config.shards > lss::kMaxShards) {
-    throw std::invalid_argument("SimConfig: shards out of range");
-  }
-  const std::uint32_t shards = config.shards;
-
   lss::LssConfig lss_config = config.lss;
   // Floor the logical space so that even an 8-group policy has enough
   // over-provisioned segments for its GC watermark (see
-  // LssConfig::validate); with sharding the floor applies per shard.
+  // LssConfig::validate).
   lss_config.logical_blocks = std::max<std::uint64_t>(
-      volume.capacity_blocks, lss::kMinShardBlocks * shards);
+      volume.capacity_blocks, lss::kMinShardBlocks);
 
-  std::vector<ShardPolicyRefs> policy_refs(shards);
-  const auto factory = [&](std::uint32_t shard_index,
-                           const lss::LssConfig& shard_lss) {
-    return make_shard_parts(policy_name, config, shard_lss,
-                            config.seed + shard_index,
-                            policy_refs[shard_index]);
-  };
-  lss::ShardedEngine engine(lss_config, shards, config.seed, factory);
+  core::StackSpec spec;
+  spec.policy = policy_name;
+  spec.victim = config.victim_policy;
+  spec.with_array = config.with_array;
+  spec.adapt.enable_threshold_adaptation = config.adapt_threshold_adaptation;
+  spec.adapt.enable_cross_group_aggregation =
+      config.adapt_cross_group_aggregation;
+  spec.adapt.enable_proactive_demotion = config.adapt_proactive_demotion;
+  // The adapt policy, when it is one, also feeds the trace ring and the
+  // sampler's threshold column.
+  core::AdaptPolicy* adapt_policy = nullptr;
+  lss::ShardedEngine engine(
+      lss_config, 1, config.seed,
+      [&](std::uint32_t /*shard_index*/, const lss::LssConfig& shard_lss) {
+        lss::ShardParts parts = core::make_shard_parts(spec, shard_lss);
+        adapt_policy = dynamic_cast<core::AdaptPolicy*>(parts.policy.get());
+        return parts;
+      });
+  lss::LssEngine& shard = engine.shard(0);
 
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<obs::TraceLog>> trace_logs;
+  std::optional<obs::TraceLog> trace_log;
   if (config.tracing_enabled) {
-    trace_logs.reserve(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) {
-      trace_logs.push_back(std::make_unique<obs::TraceLog>(config.tracing));
-      engine.set_trace_sink(i, trace_logs[i].get());
-      // The policy's re-adaptation events land in the same shard ring as
-      // its engine's, keeping the merged order deterministic.
-      if (core::AdaptPolicy* adapt_policy = policy_refs[i].adapt;
-          adapt_policy != nullptr) {
-        adapt_policy->set_trace_sink(trace_logs[i].get());
-      }
-    }
+    trace_log.emplace(config.tracing);
+    engine.set_trace_sink(0, &*trace_log);
+    // The policy's re-adaptation events land in the engine's ring, keeping
+    // the timeline's order deterministic.
+    if (adapt_policy != nullptr) adapt_policy->set_trace_sink(&*trace_log);
   }
-  std::vector<std::unique_ptr<obs::EngineSampler>> samplers;
+  std::optional<obs::EngineSampler> sampler;
   if (config.sampling_enabled) {
-    samplers.reserve(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) {
-      std::function<double()> probe;
-      if (core::AdaptPolicy* adapt_policy = policy_refs[i].adapt;
-          adapt_policy != nullptr) {
-        probe = [adapt_policy] { return adapt_policy->threshold(); };
-      }
-      samplers.push_back(std::make_unique<obs::EngineSampler>(
-          config.sampling, std::move(probe)));
-      engine.shard(i).set_observer(samplers[i].get());
+    std::function<double()> probe;
+    if (adapt_policy != nullptr) {
+      probe = [adapt_policy] { return adapt_policy->threshold(); };
     }
+    sampler.emplace(config.sampling, std::move(probe));
+    shard.set_observer(&*sampler);
   }
-  // Live runtime stats stack ON TOP of sampling: each shard's observer
-  // slot gets a LiveStatsObserver that forwards to the sampler (if any)
-  // and publishes block progress into the shared sink.
-  std::vector<std::unique_ptr<obs::LiveStatsObserver>> live_observers;
+  // Live runtime stats stack ON TOP of sampling: the observer slot gets a
+  // LiveStatsObserver that forwards to the sampler (if any) and publishes
+  // block progress into the sink.
+  std::optional<obs::LiveStatsObserver> live;
   if (config.live_stats != nullptr) {
-    live_observers.reserve(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) {
-      lss::EngineObserver* inner =
-          i < samplers.size() ? samplers[i].get() : nullptr;
-      live_observers.push_back(std::make_unique<obs::LiveStatsObserver>(
-          *config.live_stats, inner));
-      engine.shard(i).set_observer(live_observers[i].get());
-    }
+    live.emplace(*config.live_stats, sampler ? &*sampler : nullptr);
+    shard.set_observer(&*live);
   }
 
   // Requests past the volume's declared capacity are trace noise: clamp;
@@ -162,25 +88,16 @@ VolumeResult run_volume(const trace::Volume& volume,
   const std::vector<trace::Record>& records = volume.records;
   const auto total_records = static_cast<std::uint64_t>(records.size());
   const TimeUs last_ts = records.empty() ? 0 : records.back().ts_us;
-  // One replay thread per shard; a single shard runs on this thread.
-  std::unique_ptr<ThreadPool> pool;
-  if (shards > 1) pool = std::make_unique<ThreadPool>(shards);
-  engine.replay(
-      records.size(),
-      [&records, addressable](std::size_t i) {
-        const trace::Record& r = records[i];
-        const Lba room = r.lba < addressable ? addressable - r.lba : 0;
-        return lss::ReplayOp{
-            r.lba, static_cast<std::uint32_t>(std::min<Lba>(r.blocks, room)),
-            r.ts_us, r.op == trace::OpType::kWrite};
-      },
-      pool.get());
+  engine.replay(records.size(), [&records, addressable](std::size_t i) {
+    const trace::Record& r = records[i];
+    const Lba room = r.lba < addressable ? addressable - r.lba : 0;
+    return lss::ReplayOp{
+        r.lba, static_cast<std::uint32_t>(std::min<Lba>(r.blocks, room)),
+        r.ts_us, r.op == trace::OpType::kWrite};
+  });
   engine.flush_all();
-  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(samplers.size());
-       ++i) {
-    samplers[i]->finalize(engine.shard(i), last_ts);
-  }
-  for (const auto& live : live_observers) live->flush();
+  if (sampler) sampler->finalize(shard, last_ts);
+  if (live) live->flush();
 
   VolumeResult result;
   result.volume_id = volume.id;
@@ -218,11 +135,8 @@ VolumeResult run_volume(const trace::Volume& volume,
   man.block_lifetime = result.metrics.block_lifetime;
   man.gc_pause_us = result.metrics.gc_pause_us;
   obs::register_lss_metrics(man.counters, result.metrics);
-  if (!trace_logs.empty()) {
-    std::vector<const obs::TraceLog*> ptrs;
-    ptrs.reserve(trace_logs.size());
-    for (const auto& log : trace_logs) ptrs.push_back(log.get());
-    obs::TraceData data = obs::merge_trace_logs(ptrs);
+  if (trace_log) {
+    obs::TraceData data = obs::merge_trace_logs({&*trace_log});
     // Trace capture summary rides in the manifest, so drop accounting
     // survives even when the trace JSON itself is discarded.
     man.trace_present = true;
@@ -232,12 +146,8 @@ VolumeResult run_volume(const trace::Volume& volume,
     result.trace =
         std::make_shared<const obs::TraceData>(std::move(data));
   }
-  if (!samplers.empty()) {
-    std::vector<obs::TimeSeries> parts;
-    parts.reserve(samplers.size());
-    for (auto& sampler : samplers) parts.push_back(sampler->take());
-    result.series = std::make_shared<const obs::TimeSeries>(
-        obs::merge_series(std::move(parts)));
+  if (sampler) {
+    result.series = std::make_shared<const obs::TimeSeries>(sampler->take());
   }
   return result;
 }

@@ -27,14 +27,6 @@ struct SimConfig {
   std::string victim_policy = "greedy";
   bool with_array = true;
   std::uint64_t seed = 1;
-  /// LBA-sharded parallel replay: the volume's LBA space is split into
-  /// this many contiguous ranges, one independent engine shard each (see
-  /// lss::ShardedEngine), replayed in parallel (one thread per shard) and
-  /// merged. 1 (the default) replays through a single shard, bit-identical
-  /// to the unsharded engine. With more shards the logical space is
-  /// floored at lss::kMinShardBlocks *per shard* so every shard's geometry
-  /// stays feasible.
-  std::uint32_t shards = 1;
   /// ADAPT ablation switches (ignored by baselines).
   bool adapt_threshold_adaptation = true;
   bool adapt_cross_group_aggregation = true;
@@ -45,17 +37,17 @@ struct SimConfig {
   /// then pays exactly one null check per user block.
   bool sampling_enabled = false;
   obs::SamplerConfig sampling;
-  /// Event tracing: when enabled, run_volume attaches one obs::TraceLog per
-  /// shard, merges the rings after replay and returns the deterministic
-  /// timeline in VolumeResult::trace. Off by default — tracing is passive
-  /// (pinned fixed-seed metrics stay bit-identical either way), but the
-  /// ring writes are not free, so it stays opt-in.
+  /// Event tracing: when enabled, run_volume attaches an obs::TraceLog and
+  /// returns the deterministic timeline in VolumeResult::trace. Off by
+  /// default — tracing is passive (pinned fixed-seed metrics stay
+  /// bit-identical either way), but the ring writes are not free, so it
+  /// stays opt-in.
   bool tracing_enabled = false;
   obs::TraceLogConfig tracing;
-  /// Live runtime stats: when set, every shard publishes its replayed user
-  /// blocks into this sink (one publish per 256 blocks, the remainder after
-  /// the drain), so an obs::LiveStatsPrinter can report the replay while
-  /// it runs. Not owned; must outlive run_volume. Null (off) by default.
+  /// Live runtime stats: when set, the replay publishes its user blocks
+  /// into this sink (one publish per 256 blocks, the remainder after the
+  /// drain), so an obs::LiveStatsPrinter can report the replay while it
+  /// runs. Not owned; must outlive run_volume. Null (off) by default.
   obs::RuntimeStats* live_stats = nullptr;
 };
 
@@ -72,7 +64,7 @@ struct VolumeResult {
   obs::RunManifest manifest;
   /// Sampled time series; null unless SimConfig::sampling_enabled.
   std::shared_ptr<const obs::TimeSeries> series;
-  /// Merged event trace; null unless SimConfig::tracing_enabled.
+  /// Event trace; null unless SimConfig::tracing_enabled.
   std::shared_ptr<const obs::TraceData> trace;
 
   double wa() const noexcept { return metrics.wa(); }
@@ -82,8 +74,9 @@ struct VolumeResult {
 /// Known policy names: the baselines plus "adapt".
 const std::vector<std::string_view>& all_policy_names();
 
-/// Replays `volume` under `policy_name` and returns the metrics.
-/// Throws std::invalid_argument for unknown policies.
+/// Replays `volume` under `policy_name` on one engine, on the calling
+/// thread, and returns the metrics. Throws std::invalid_argument for
+/// unknown policies.
 VolumeResult run_volume(const trace::Volume& volume,
                         std::string_view policy_name, const SimConfig& config);
 

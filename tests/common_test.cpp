@@ -1,12 +1,15 @@
 // Unit and property tests for src/common: PRNG, Zipfian generators,
-// Fenwick tree, packed bitmaps, zero-page arrays, histograms, thread pool.
+// Fenwick tree, packed bitmaps, zero-page arrays, histograms, thread pool,
+// strict number parsing.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <new>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "common/fenwick.h"
 #include "common/histogram.h"
 #include "common/packed_bitmap.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/zero_page_array.h"
@@ -548,6 +552,53 @@ TEST(ThreadPoolTest, SubmitFromWorker) {
   });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// parse_uint / parse_positive
+// ---------------------------------------------------------------------------
+
+TEST(ParseUintTest, AcceptsDecimalCounts) {
+  EXPECT_EQ(parse_uint("1", 1, 4096), 1u);
+  EXPECT_EQ(parse_uint("4", 1, 4096), 4u);
+  EXPECT_EQ(parse_uint("42", 1, 4096), 42u);
+  EXPECT_EQ(parse_uint("4096", 1, 4096), 4096u);
+  EXPECT_EQ(parse_uint("0", 0, 4096), 0u);
+  EXPECT_EQ(parse_uint("007", 1, 4096), 7u);
+  EXPECT_EQ(parse_uint("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+}
+
+TEST(ParseUintTest, RejectsMalformedText) {
+  EXPECT_THROW(parse_uint("", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("0", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("4097", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("-1", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("+4", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint(" 4", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("4 ", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("4x", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("12x", 0, UINT64_MAX), std::invalid_argument);
+  EXPECT_THROW(parse_uint("4.0", 1, 4096), std::invalid_argument);
+  EXPECT_THROW(parse_uint("0x10", 0, UINT64_MAX), std::invalid_argument);
+  EXPECT_THROW(parse_uint("1e3", 0, UINT64_MAX), std::invalid_argument);
+  EXPECT_THROW(parse_uint("99999999999", 1, 4096), std::invalid_argument);
+  // One past 2^64 - 1 overflows rather than saturating.
+  EXPECT_THROW(parse_uint("18446744073709551616", 0, UINT64_MAX),
+               std::invalid_argument);
+}
+
+TEST(ParsePositiveTest, AcceptsFinitePositiveNumbers) {
+  EXPECT_DOUBLE_EQ(parse_positive("3"), 3.0);
+  EXPECT_DOUBLE_EQ(parse_positive("1.5"), 1.5);
+  EXPECT_DOUBLE_EQ(parse_positive("0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(parse_positive("2e-1"), 0.2);
+}
+
+TEST(ParsePositiveTest, RejectsMalformedOrNonPositiveText) {
+  for (const char* text : {"", "abc", "1.5x", "x1.5", " 1", "1 ", "+1", "-1",
+                           "0", "0.0", "inf", "nan", "1e999", "0x1p3"}) {
+    EXPECT_THROW(parse_positive(text), std::invalid_argument) << text;
+  }
 }
 
 }  // namespace

@@ -13,11 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/shard_stack.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "lss/group_commit.h"
 #include "lss/placement_policy.h"
-#include "proto/prototype.h"
 #include "trace/synthetic.h"
 
 namespace adapt::lss {
@@ -78,6 +78,17 @@ void expect_metrics_equal(const LssMetrics& a, const LssMetrics& b) {
   }
 }
 
+/// The prototype's shard stack for `policy` (greedy victim, no array),
+/// from the builder run_prototype uses.
+ShardFactory stack_factory(std::string policy) {
+  return [policy = std::move(policy)](std::uint32_t /*shard_index*/,
+                                      const LssConfig& shard_config) {
+    core::StackSpec spec;
+    spec.policy = policy;
+    return core::make_shard_parts(spec, shard_config);
+  };
+}
+
 struct DiffCase {
   std::string policy = "sepgc";
   std::uint64_t seed = 1;
@@ -101,10 +112,7 @@ void run_differential(const DiffCase& dc) {
   LssConfig lss_config;
   lss_config.logical_blocks = kWorkingSet;
 
-  proto::PrototypeConfig pc;
-  pc.policy = dc.policy;
-  pc.seed = dc.seed;
-  const ShardFactory factory = proto::make_prototype_shard_factory(pc);
+  const ShardFactory factory = stack_factory(dc.policy);
 
   ConcurrentEngine engine(lss_config, dc.shards, dc.seed, factory,
                           /*record_ops=*/true);
@@ -294,9 +302,7 @@ TEST(ConcurrentCommitDifferentialTest, SingleShardSingleClientStillExact) {
 TEST(ConcurrentEngineTest, RejectsOutOfRangeWrite) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  proto::PrototypeConfig pc;
-  pc.policy = "sepgc";
-  ConcurrentEngine engine(cfg, 2, 1, proto::make_prototype_shard_factory(pc));
+  ConcurrentEngine engine(cfg, 2, 1, stack_factory("sepgc"));
   EXPECT_THROW(engine.write(cfg.logical_blocks, 1, 0), std::out_of_range);
   // A span whose end wraps past 2^64 must not be acknowledged.
   EXPECT_THROW(engine.write(~Lba{0} - 3, 8, 0), std::out_of_range);
@@ -360,10 +366,8 @@ class FaultyPolicy : public PlacementPolicy {
 TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  proto::PrototypeConfig pc;
-  pc.policy = "sepgc";
   FaultyControl ctrl;
-  const ShardFactory inner = proto::make_prototype_shard_factory(pc);
+  const ShardFactory inner = stack_factory("sepgc");
   const ShardFactory factory = [&](std::uint32_t i, const LssConfig& c) {
     ShardParts parts = inner(i, c);
     parts.policy =
@@ -450,9 +454,7 @@ class HoldFirstPolicy : public PlacementPolicy {
 std::unique_ptr<ConcurrentEngine> make_held_engine(FaultyControl* ctrl) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  proto::PrototypeConfig pc;
-  pc.policy = "sepgc";
-  const ShardFactory inner = proto::make_prototype_shard_factory(pc);
+  const ShardFactory inner = stack_factory("sepgc");
   const ShardFactory factory = [inner, ctrl](std::uint32_t i,
                                              const LssConfig& c) {
     ShardParts parts = inner(i, c);
@@ -602,9 +604,7 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
 TEST(ConcurrentEngineTest, LatencyBreakdownTelescopesExactly) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  proto::PrototypeConfig pc;
-  pc.policy = "sepgc";
-  ConcurrentEngine engine(cfg, 1, 1, proto::make_prototype_shard_factory(pc));
+  ConcurrentEngine engine(cfg, 1, 1, stack_factory("sepgc"));
 
   // Virtual device: each submitted batch is durable 100us later on a
   // monotone modeled clock, 40us of it pure service; waits are free.
@@ -668,9 +668,7 @@ class CollectSink final : public TraceSink {
 TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  proto::PrototypeConfig pc;
-  pc.policy = "sepgc";
-  ConcurrentEngine engine(cfg, 1, 1, proto::make_prototype_shard_factory(pc));
+  ConcurrentEngine engine(cfg, 1, 1, stack_factory("sepgc"));
   CollectSink sink;
   engine.set_trace_sink(0, &sink);
   engine.set_device_model(
@@ -734,9 +732,7 @@ TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
 TEST(ConcurrentEngineTest, RecordOpsOffKeepsLogsEmpty) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  proto::PrototypeConfig pc;
-  pc.policy = "sepgc";
-  ConcurrentEngine engine(cfg, 2, 1, proto::make_prototype_shard_factory(pc),
+  ConcurrentEngine engine(cfg, 2, 1, stack_factory("sepgc"),
                           /*record_ops=*/false);
   engine.write(0, 4, 1);
   engine.flush_all();

@@ -1,9 +1,8 @@
 // Replay-determinism regression: the same volume replayed twice with the
 // same seed must produce byte-identical adapt-series-v1 JSONL and identical
-// LssMetrics — with sampling on or off, and through the sharded parallel
-// replay path. Guards against hidden nondeterminism creeping into the
-// engine (iteration order over hash maps, uninitialised state, thread
-// scheduling leaking into results).
+// LssMetrics — with sampling on or off. Guards against hidden
+// nondeterminism creeping into the engine (iteration order over hash maps,
+// uninitialised state).
 #include <sstream>
 #include <string>
 
@@ -21,10 +20,9 @@ trace::Volume test_volume() {
   return model.make_volume(/*index=*/0, /*fill_factor=*/1.5);
 }
 
-sim::SimConfig sampled_config(std::uint32_t shards) {
+sim::SimConfig sampled_config() {
   sim::SimConfig config;
   config.seed = 42;
-  config.shards = shards;
   config.sampling_enabled = true;
   config.sampling.window_blocks = 512;
   config.sampling.max_rows = 64;
@@ -63,7 +61,7 @@ void expect_same_metrics(const lss::LssMetrics& a, const lss::LssMetrics& b) {
 
 TEST(DeterminismTest, RepeatedReplayIsByteIdentical) {
   const trace::Volume volume = test_volume();
-  const sim::SimConfig config = sampled_config(/*shards=*/1);
+  const sim::SimConfig config = sampled_config();
   const sim::VolumeResult first = sim::run_volume(volume, "adapt", config);
   const sim::VolumeResult second = sim::run_volume(volume, "adapt", config);
 
@@ -79,7 +77,7 @@ TEST(DeterminismTest, RepeatedReplayIsByteIdentical) {
 
 TEST(DeterminismTest, SamplingIsPassive) {
   const trace::Volume volume = test_volume();
-  sim::SimConfig sampled = sampled_config(/*shards=*/1);
+  sim::SimConfig sampled = sampled_config();
   sim::SimConfig unsampled = sampled;
   unsampled.sampling_enabled = false;
 
@@ -89,18 +87,6 @@ TEST(DeterminismTest, SamplingIsPassive) {
   EXPECT_EQ(without.series, nullptr);
   expect_same_metrics(with.metrics, without.metrics);
   EXPECT_EQ(with.segments_per_group, without.segments_per_group);
-}
-
-TEST(DeterminismTest, ShardedParallelReplayIsByteIdentical) {
-  const trace::Volume volume = test_volume();
-  const sim::SimConfig config = sampled_config(/*shards=*/2);
-  const sim::VolumeResult first = sim::run_volume(volume, "adapt", config);
-  const sim::VolumeResult second = sim::run_volume(volume, "adapt", config);
-
-  ASSERT_NE(first.series, nullptr);
-  EXPECT_EQ(series_bytes(first), series_bytes(second));
-  expect_same_metrics(first.metrics, second.metrics);
-  EXPECT_EQ(first.segments_per_group, second.segments_per_group);
 }
 
 }  // namespace

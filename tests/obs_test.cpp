@@ -178,45 +178,6 @@ TEST(SamplerTest, ZeroUserBlocksProducesOneFinalRow) {
 }
 
 // ---------------------------------------------------------------------------
-// merge_series error paths
-// ---------------------------------------------------------------------------
-
-TEST(SeriesMergeTest, RejectsEmptyInput) {
-  EXPECT_THROW(obs::merge_series({}), std::invalid_argument);
-}
-
-TEST(SeriesMergeTest, RejectsPartsSampledWithDifferentWindows) {
-  obs::TimeSeries a;
-  a.window_blocks = 1024;
-  obs::TimeSeries b;
-  b.window_blocks = 512;
-  std::vector<obs::TimeSeries> parts;
-  parts.push_back(a);
-  parts.push_back(b);
-  EXPECT_THROW(obs::merge_series(std::move(parts)), std::invalid_argument);
-}
-
-TEST(SeriesMergeTest, RejectsCorruptHeader) {
-  // window_blocks must equal base_window << downsamples; a zero window or
-  // a downsample count that shifts the stride to nothing is corrupt.
-  obs::TimeSeries ok;
-  ok.window_blocks = 1024;
-  for (const auto& [window, downsamples] :
-       {std::pair<std::uint64_t, std::uint32_t>{0, 0},
-        std::pair<std::uint64_t, std::uint32_t>{1024, 60},
-        std::pair<std::uint64_t, std::uint32_t>{1000, 3}}) {
-    obs::TimeSeries bad;
-    bad.window_blocks = window;
-    bad.downsamples = downsamples;
-    std::vector<obs::TimeSeries> parts;
-    parts.push_back(ok);
-    parts.push_back(bad);
-    EXPECT_THROW(obs::merge_series(std::move(parts)), std::invalid_argument)
-        << window << "/" << downsamples;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Exporters and validators
 // ---------------------------------------------------------------------------
 

@@ -238,8 +238,7 @@ TEST(SepBitTest, MemoryScalesWithCapacity) {
 
 TEST(FactoryTest, BuildsEveryBaseline) {
   const PolicyConfig config{.logical_blocks = kBlocks,
-                            .segment_blocks = kSegBlocks,
-                            .seed = 1};
+                            .segment_blocks = kSegBlocks};
   for (const auto name : baseline_names()) {
     const auto policy = make_baseline_policy(name, config);
     EXPECT_EQ(policy->name(), name);
@@ -249,8 +248,7 @@ TEST(FactoryTest, BuildsEveryBaseline) {
 
 TEST(FactoryTest, GroupCountsMatchPaperConfigurations) {
   const PolicyConfig config{.logical_blocks = kBlocks,
-                            .segment_blocks = kSegBlocks,
-                            .seed = 1};
+                            .segment_blocks = kSegBlocks};
   EXPECT_EQ(make_baseline_policy("sepgc", config)->group_count(), 2u);
   EXPECT_EQ(make_baseline_policy("dac", config)->group_count(), 5u);
   EXPECT_EQ(make_baseline_policy("warcip", config)->group_count(), 6u);
@@ -260,15 +258,13 @@ TEST(FactoryTest, GroupCountsMatchPaperConfigurations) {
 
 TEST(FactoryTest, UnknownNameThrows) {
   const PolicyConfig config{.logical_blocks = kBlocks,
-                            .segment_blocks = kSegBlocks,
-                            .seed = 1};
+                            .segment_blocks = kSegBlocks};
   EXPECT_THROW(make_baseline_policy("nope", config), std::invalid_argument);
 }
 
 TEST(FactoryTest, PoliciesStayWithinGroupBounds) {
   const PolicyConfig config{.logical_blocks = kBlocks,
-                            .segment_blocks = kSegBlocks,
-                            .seed = 1};
+                            .segment_blocks = kSegBlocks};
   Rng rng(3);
   for (const auto name : baseline_names()) {
     const auto policy = make_baseline_policy(name, config);

@@ -139,6 +139,18 @@ TEST(PrototypeTest, LatencyHistogramAndTailOrdering) {
   EXPECT_GE(r.latency_p999_us, r.latency_p99_us);
 }
 
+// "<baseline>+agg" names a policy for the prototype as it does for the
+// simulator: the baseline wrapped with ADAPT's aggregation rule.
+TEST(PrototypeTest, RunsAggregatingBaseline) {
+  PrototypeConfig c = tiny_proto();
+  c.policy = "sepbit+agg";
+  c.writes_per_client = 2000;
+  const PrototypeResult r = run_prototype(c);
+  EXPECT_EQ(r.policy, "sepbit+agg");
+  EXPECT_EQ(r.user_blocks, c.num_clients * c.writes_per_client);
+  EXPECT_EQ(r.metrics.groups.size(), 6u);  // SepBIT's groups
+}
+
 TEST(PrototypeTest, GroupCommitStatsPopulated) {
   PrototypeConfig c = tiny_proto();
   c.writes_per_client = 2000;

@@ -1,10 +1,8 @@
-// ShardedEngine tests: shard-count parsing, per-shard config derivation,
-// the LBA range span-split, the 1-shard pass-through identity against a
-// direct LssEngine, scheduling-independence of the in-place parallel
-// replay, merged-observer accounting, and the per-shard series merge.
-#include <cmath>
+// ShardedEngine tests: per-shard config derivation, the LBA range
+// span-split, the 1-shard pass-through identity against a direct
+// LssEngine, the in-place replay and the op list against the synchronous
+// path, and merged-observer accounting.
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -12,10 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "lss/sharded_engine.h"
 #include "lss/victim_policy.h"
-#include "obs/series.h"
 #include "placement/sepbit.h"
 #include "test_support.h"
 
@@ -90,28 +86,8 @@ void expect_metrics_eq(const LssMetrics& a, const LssMetrics& b) {
 }
 
 // ---------------------------------------------------------------------------
-// parse_shard_count / shard_config
+// shard_config
 // ---------------------------------------------------------------------------
-
-TEST(ParseShardCountTest, AcceptsDecimalCounts) {
-  EXPECT_EQ(parse_shard_count("1"), 1u);
-  EXPECT_EQ(parse_shard_count("4"), 4u);
-  EXPECT_EQ(parse_shard_count("42"), 42u);
-  EXPECT_EQ(parse_shard_count("4096"), kMaxShards);
-}
-
-TEST(ParseShardCountTest, RejectsMalformedText) {
-  EXPECT_THROW(parse_shard_count(""), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count("0"), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count("4097"), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count("-1"), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count("+4"), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count(" 4"), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count("4x"), std::invalid_argument);
-  EXPECT_THROW(parse_shard_count("4.0"), std::invalid_argument);
-  // 11 digits: rejected by length before any overflow can occur.
-  EXPECT_THROW(parse_shard_count("99999999999"), std::invalid_argument);
-}
 
 TEST(ShardConfigTest, DividesLogicalSpaceCeil) {
   LssConfig global = sharded_config();
@@ -273,8 +249,7 @@ TEST(ShardedEngineTest, OutOfRangeOpsThrow) {
   const std::vector<ReplayOp> ops = {
       {0, 4, 0, true}, {wrapped, 8, 0, true}, {8, 4, 0, true}};
   EXPECT_THROW(
-      sharded.replay(ops.size(), [&ops](std::size_t i) { return ops[i]; },
-                     nullptr),
+      sharded.replay(ops.size(), [&ops](std::size_t i) { return ops[i]; }),
       std::out_of_range);
   EXPECT_EQ(sharded.merged_metrics().user_blocks, 4u);
   EXPECT_EQ(sharded.shard(0).locate(8), kNowhere);
@@ -293,13 +268,13 @@ TEST(ShardedEngineTest, FactoryContractEnforced) {
 }
 
 // ---------------------------------------------------------------------------
-// In-place replay: scheduling independence
+// In-place replay and the op list
 // ---------------------------------------------------------------------------
 
-/// Drives one engine synchronously, two through the op list (run_queued
-/// inline and on a 4-thread pool) and two through replay() over the op
-/// array itself (inline and pooled) with the same op stream; all five must
-/// agree, under a policy without write hints and under SepBIT.
+/// Drives one engine synchronously, one through the op list (run_queued)
+/// and one through replay() over the op array itself with the same op
+/// stream; all three must agree, under a policy without write hints and
+/// under SepBIT.
 TEST(ShardedEngineTest, RunQueuedMatchesSyncReplayAnyScheduling) {
   const LssConfig config = sharded_config();
   for (const ShardFactory& factory :
@@ -325,36 +300,25 @@ TEST(ShardedEngineTest, RunQueuedMatchesSyncReplayAnyScheduling) {
     const auto op_at = [&ops](std::size_t i) { return ops[i]; };
 
     ShardedEngine sync_engine(config, 4, 1, factory);
-    ShardedEngine inline_queued(config, 4, 1, factory);
-    ShardedEngine pooled_queued(config, 4, 1, factory);
-    ShardedEngine inline_replay(config, 4, 1, factory);
-    ShardedEngine pooled_replay(config, 4, 1, factory);
+    ShardedEngine queued(config, 4, 1, factory);
+    ShardedEngine replayed(config, 4, 1, factory);
     for (const ReplayOp& op : ops) {
       if (op.blocks == 0) continue;
       if (op.is_write) {
         sync_engine.write(op.lba, op.blocks, op.ts_us);
-        inline_queued.enqueue_write(op.lba, op.blocks, op.ts_us);
-        pooled_queued.enqueue_write(op.lba, op.blocks, op.ts_us);
+        queued.enqueue_write(op.lba, op.blocks, op.ts_us);
       } else {
         sync_engine.read(op.lba, op.blocks, op.ts_us);
-        inline_queued.enqueue_read(op.lba, op.blocks, op.ts_us);
-        pooled_queued.enqueue_read(op.lba, op.blocks, op.ts_us);
+        queued.enqueue_read(op.lba, op.blocks, op.ts_us);
       }
     }
-    EXPECT_GT(inline_queued.queued_ops(), 0u);
-    inline_queued.run_queued(nullptr);
-    inline_replay.replay(ops.size(), op_at, nullptr);
-    {
-      ThreadPool pool(4);
-      pooled_queued.run_queued(&pool);
-      pooled_replay.replay(ops.size(), op_at, &pool);
-    }
-    EXPECT_EQ(inline_queued.queued_ops(), 0u);
-    EXPECT_EQ(pooled_queued.queued_ops(), 0u);
+    EXPECT_GT(queued.queued_ops(), 0u);
+    queued.run_queued();
+    replayed.replay(ops.size(), op_at);
+    EXPECT_EQ(queued.queued_ops(), 0u);
 
     sync_engine.flush_all();
-    for (ShardedEngine* engine :
-         {&inline_queued, &pooled_queued, &inline_replay, &pooled_replay}) {
+    for (ShardedEngine* engine : {&queued, &replayed}) {
       engine->flush_all();
       expect_metrics_eq(engine->merged_metrics(),
                         sync_engine.merged_metrics());
@@ -403,127 +367,6 @@ TEST(ShardedEngineTest, MergedObserversSumShards) {
   expect_metrics_eq(sharded.merged_metrics(), expected);
   EXPECT_EQ(sharded.merged_segments_per_group(), expected_segments);
   EXPECT_EQ(sharded.chunks_flushed(), expected_chunks);
-}
-
-// ---------------------------------------------------------------------------
-// merge_series (the per-shard time-series merge used by run_volume)
-// ---------------------------------------------------------------------------
-
-obs::SeriesRow make_row(std::uint64_t vtime, TimeUs wall_us,
-                        std::uint64_t user_blocks, double threshold) {
-  obs::SeriesRow row;
-  row.vtime = vtime;
-  row.wall_us = wall_us;
-  row.user_blocks = user_blocks;
-  row.gc_blocks = user_blocks / 2;
-  row.threshold = threshold;
-  return row;
-}
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-TEST(MergeSeriesTest, EmptyInputThrows) {
-  EXPECT_THROW(obs::merge_series({}), std::invalid_argument);
-}
-
-TEST(MergeSeriesTest, SinglePartPassesThrough) {
-  obs::TimeSeries part;
-  part.window_blocks = 64;
-  part.rows.push_back(make_row(64, 10, 64, 0.5));
-  const obs::TimeSeries merged = obs::merge_series({std::move(part)});
-  EXPECT_EQ(merged.window_blocks, 64u);
-  ASSERT_EQ(merged.rows.size(), 1u);
-  EXPECT_EQ(merged.rows[0].user_blocks, 64u);
-}
-
-TEST(MergeSeriesTest, SumsCountersMaxesWallAveragesThreshold) {
-  obs::TimeSeries a;
-  a.window_blocks = 64;
-  a.rows.push_back(make_row(64, 10, 64, 0.25));
-  a.rows.push_back(make_row(128, 20, 128, 0.75));
-  obs::TimeSeries b;
-  b.window_blocks = 64;
-  b.rows.push_back(make_row(64, 15, 60, kNaN));
-  b.rows.push_back(make_row(128, 18, 120, kNaN));
-
-  const obs::TimeSeries merged =
-      obs::merge_series({std::move(a), std::move(b)});
-  EXPECT_EQ(merged.window_blocks, 128u);  // per-shard stride * shard count
-  EXPECT_EQ(merged.downsamples, 0u);
-  ASSERT_EQ(merged.rows.size(), 2u);
-  EXPECT_EQ(merged.rows[0].user_blocks, 124u);
-  EXPECT_EQ(merged.rows[0].gc_blocks, 62u);
-  EXPECT_EQ(merged.rows[0].wall_us, 15u);   // max across shards
-  EXPECT_DOUBLE_EQ(merged.rows[0].threshold, 0.25);  // NaN shard skipped
-  EXPECT_EQ(merged.rows[1].wall_us, 20u);
-  EXPECT_DOUBLE_EQ(merged.rows[1].threshold, 0.75);
-}
-
-TEST(MergeSeriesTest, AlignsStridesByRedownsampling) {
-  // Part a never downsampled (stride 64, 4 rows); part b downsampled once
-  // (stride 128, 2 rows). The merge must re-downsample a to rows 0 and 2.
-  obs::TimeSeries a;
-  a.window_blocks = 64;
-  a.downsamples = 0;
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    a.rows.push_back(make_row(64 * i, 10 * i, 64 * i, kNaN));
-  }
-  obs::TimeSeries b;
-  b.window_blocks = 128;
-  b.downsamples = 1;
-  b.rows.push_back(make_row(128, 11, 128, kNaN));
-  b.rows.push_back(make_row(256, 22, 256, kNaN));
-
-  const obs::TimeSeries merged =
-      obs::merge_series({std::move(a), std::move(b)});
-  EXPECT_EQ(merged.downsamples, 1u);
-  EXPECT_EQ(merged.window_blocks, 256u);  // (64 << 1) * 2 parts
-  ASSERT_EQ(merged.rows.size(), 2u);
-  // Kept rows of a are vtime 64 and 192 (indices 0 and 2).
-  EXPECT_EQ(merged.rows[0].user_blocks, 64u + 128u);
-  EXPECT_EQ(merged.rows[1].user_blocks, 192u + 256u);
-  EXPECT_TRUE(std::isnan(merged.rows[0].threshold));
-}
-
-TEST(MergeSeriesTest, RunsToTheLongestPartHoldingFinishedParts) {
-  // An almost idle shard (one final row) next to a busy one (8 rows): the
-  // merge keeps all 8 rows, and the idle shard contributes its last,
-  // cumulative row to each of them.
-  obs::TimeSeries idle;
-  idle.window_blocks = 64;
-  idle.rows.push_back(make_row(3, 5, 3, 0.5));
-  obs::TimeSeries busy;
-  busy.window_blocks = 64;
-  for (std::uint64_t i = 1; i <= 8; ++i) {
-    busy.rows.push_back(make_row(64 * i, 10 * i, 64 * i, kNaN));
-  }
-
-  const obs::TimeSeries merged =
-      obs::merge_series({std::move(idle), std::move(busy)});
-  ASSERT_EQ(merged.rows.size(), 8u);
-  for (std::size_t i = 0; i < merged.rows.size(); ++i) {
-    EXPECT_EQ(merged.rows[i].user_blocks, 3u + 64u * (i + 1)) << i;
-    EXPECT_EQ(merged.rows[i].vtime, 3u + 64u * (i + 1)) << i;
-    EXPECT_DOUBLE_EQ(merged.rows[i].threshold, 0.5) << i;
-  }
-  EXPECT_EQ(merged.rows.back().wall_us, 80u);
-}
-
-TEST(MergeSeriesTest, RejectsMisalignedOrCorruptParts) {
-  obs::TimeSeries a;
-  a.window_blocks = 64;
-  obs::TimeSeries mismatched;
-  mismatched.window_blocks = 96;  // different base stride: cannot align
-  EXPECT_THROW(obs::merge_series({a, mismatched}), std::invalid_argument);
-
-  obs::TimeSeries corrupt;
-  corrupt.window_blocks = 8;
-  corrupt.downsamples = 5;  // 8 >> 5 == 0: impossible header
-  EXPECT_THROW(obs::merge_series({a, corrupt}), std::invalid_argument);
-
-  obs::TimeSeries zero;
-  zero.window_blocks = 0;
-  EXPECT_THROW(obs::merge_series({a, zero}), std::invalid_argument);
 }
 
 }  // namespace

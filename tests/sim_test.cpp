@@ -27,10 +27,9 @@ trace::Volume small_ycsb_volume() {
   return trace::make_ycsb_volume(c, 3u << 14);
 }
 
-/// A dense sharding volume (the one DESIGN.md "One partitioning rule"
-/// measures): 90%-write, 1-8-block requests, scrambled zipf 0.99 over
-/// 128Ki blocks, written to fill 3.
-trace::Volume shard_scaling_volume() {
+/// A dense volume: 90%-write, 1-8-block requests, scrambled zipf 0.99
+/// over 128Ki blocks, written to fill 3.
+trace::Volume dense_volume() {
   constexpr std::uint64_t kCapacity = std::uint64_t{1} << 17;
   trace::Volume volume;
   volume.capacity_blocks = kCapacity;
@@ -198,34 +197,17 @@ TEST(SimulatorTest, PolicyMemoryReported) {
   EXPECT_GT(adapt.policy_memory_bytes, sepbit.policy_memory_bytes);
 }
 
-TEST(SimulatorTest, ShardedReplayKeepsOneShardWa) {
-  // Range partitioning keeps each request on one shard and the scaled
-  // coalesce window keeps each shard's open chunks as dense as the single
-  // engine's, so sharding must not cost WA.
-  const trace::Volume volume = shard_scaling_volume();
+// Live stats count every replayed user block.
+TEST(SimulatorTest, LiveStatsCountEveryUserBlock) {
+  const trace::Volume volume = dense_volume();
+  obs::RuntimeStats live;
   SimConfig config;
   config.seed = 42;
-  const double one_shard = run_volume(volume, "adapt", config).wa();
-  config.shards = 4;
-  const double four_shards = run_volume(volume, "adapt", config).wa();
-  EXPECT_NEAR(four_shards, one_shard, 0.02 * one_shard);
-}
-
-// Live stats count every replayed user block, also when a sharded replay's
-// pool threads publish into the one sink concurrently.
-TEST(SimulatorTest, LiveStatsCountEveryUserBlock) {
-  const trace::Volume volume = shard_scaling_volume();
-  for (const std::uint32_t shards : {1u, 4u}) {
-    obs::RuntimeStats live;
-    SimConfig config;
-    config.seed = 42;
-    config.shards = shards;
-    config.live_stats = &live;
-    const VolumeResult r = run_volume(volume, "adapt", config);
-    const obs::RuntimeSnapshot snap = live.snapshot();
-    EXPECT_GT(snap.blocks, 0u) << shards << " shards";
-    EXPECT_EQ(snap.blocks, r.metrics.user_blocks) << shards << " shards";
-  }
+  config.live_stats = &live;
+  const VolumeResult r = run_volume(volume, "adapt", config);
+  const obs::RuntimeSnapshot snap = live.snapshot();
+  EXPECT_GT(snap.blocks, 0u);
+  EXPECT_EQ(snap.blocks, r.metrics.user_blocks);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,18 +15,20 @@
 // "selfcheck FAILED: <artifact>: <reason>" and exits non-zero.
 //
 // Exit codes: 0 success, 1 runtime/selfcheck failure, 2 usage error.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "lss/sharded_engine.h"
+#include "common/parse.h"
 #include "obs/export.h"
 #include "obs/runtime_stats.h"
 #include "obs/trace_log.h"
@@ -48,7 +50,6 @@ struct Options {
   std::uint64_t seed = 42;
   std::uint64_t window = 4096;
   std::uint64_t max_rows = 512;
-  std::uint32_t shards = 1;
   double live_stats = 0.0;  // seconds between live lines; 0 = off
   bool rmw = false;
   bool no_array = false;
@@ -74,10 +75,6 @@ void usage(std::FILE* to) {
                "(default 4096)\n"
                "  --max-rows N       series memory bound in rows "
                "(default 512)\n"
-               "  --shards N         LBA-sharded parallel replay across N "
-               "engine shards\n"
-               "                     (default 1 = single engine, "
-               "bit-identical)\n"
                "  --out DIR          output directory (default "
                "adapt_run_out)\n"
                "  --live-stats SECS  print a live throughput line to stderr\n"
@@ -102,6 +99,25 @@ Options parse_args(int argc, char** argv) {
     }
     return argv[i + 1];
   };
+  // Numeric values parse strictly (common/parse.h): a malformed one is a
+  // usage error naming its option.
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  auto uint_value = [&](int i, std::uint64_t lo) {
+    const char* text = need_value(i);
+    try {
+      return adapt::parse_uint(text, lo, kAny);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(argv[i]) + ": " + e.what());
+    }
+  };
+  auto positive_value = [&](int i) {
+    const char* text = need_value(i);
+    try {
+      return adapt::parse_positive(text);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(argv[i]) + ": " + e.what());
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -120,22 +136,17 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--out") {
       opt.out_dir = need_value(i++);
     } else if (arg == "--volume-id") {
-      opt.volume_id = std::strtoull(need_value(i++), nullptr, 10);
+      opt.volume_id = uint_value(i++, 0);
     } else if (arg == "--fill") {
-      opt.fill = std::strtod(need_value(i++), nullptr);
+      opt.fill = positive_value(i++);
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(need_value(i++), nullptr, 10);
+      opt.seed = uint_value(i++, 0);
     } else if (arg == "--window") {
-      opt.window = std::strtoull(need_value(i++), nullptr, 10);
+      opt.window = uint_value(i++, 1);
     } else if (arg == "--max-rows") {
-      opt.max_rows = std::strtoull(need_value(i++), nullptr, 10);
-    } else if (arg == "--shards") {
-      opt.shards = adapt::lss::parse_shard_count(need_value(i++));
+      opt.max_rows = uint_value(i++, 1);
     } else if (arg == "--live-stats") {
-      opt.live_stats = std::strtod(need_value(i++), nullptr);
-      if (!(opt.live_stats > 0.0)) {
-        throw std::invalid_argument("--live-stats requires seconds > 0");
-      }
+      opt.live_stats = positive_value(i++);
     } else if (arg == "--rmw") {
       opt.rmw = true;
     } else if (arg == "--no-array") {
@@ -222,13 +233,12 @@ int run(const Options& opt) {
   config.victim_policy = opt.victim;
   config.seed = opt.seed;
   config.with_array = !opt.no_array;
-  config.shards = opt.shards;
   if (opt.rmw) {
     config.lss.partial_write_mode =
         adapt::lss::PartialWriteMode::kReadModifyWrite;
   }
   config.sampling_enabled = true;
-  config.sampling.window_blocks = opt.window == 0 ? 4096 : opt.window;
+  config.sampling.window_blocks = opt.window;
   config.sampling.max_rows = static_cast<std::size_t>(opt.max_rows);
   config.sampling.per_group = !opt.no_per_group;
   config.tracing_enabled = opt.trace_events;
@@ -274,10 +284,9 @@ int run(const Options& opt) {
     write_artifact(trace_path, obs::chrome_trace_json(*result.trace, meta));
   }
 
-  std::printf("policy=%s victim=%s workload=%s records=%llu shards=%u\n",
+  std::printf("policy=%s victim=%s workload=%s records=%llu\n",
               result.policy.c_str(), result.victim.c_str(), workload.c_str(),
-              static_cast<unsigned long long>(result.manifest.records),
-              opt.shards);
+              static_cast<unsigned long long>(result.manifest.records));
   std::printf(
       "WA=%.4f padding_ratio=%.4f gc_runs=%llu samples=%zu window=%llu "
       "downsamples=%u\n",
@@ -291,20 +300,13 @@ int run(const Options& opt) {
                 static_cast<unsigned long long>(result.trace->recorded),
                 static_cast<unsigned long long>(result.trace->dropped));
     if (result.trace->dropped > 0) {
-      // Per-shard split on stderr: a wrapped ring means the trace is a
-      // suffix of the run, which changes what the timeline can prove.
-      std::string shards_msg;
-      for (std::size_t i = 0; i < result.trace->per_shard_dropped.size();
-           ++i) {
-        if (i > 0) shards_msg += ' ';
-        shards_msg += std::to_string(result.trace->per_shard_dropped[i]);
-      }
+      // A wrapped ring means the trace is a suffix of the run, which
+      // changes what the timeline can prove.
       std::fprintf(stderr,
                    "adapt_run: warning: trace ring overflowed, %llu events "
-                   "dropped (per shard: %s); raise the ring capacity or "
-                   "shorten the run for a complete timeline\n",
-                   static_cast<unsigned long long>(result.trace->dropped),
-                   shards_msg.c_str());
+                   "dropped; raise the ring capacity or shorten the run "
+                   "for a complete timeline\n",
+                   static_cast<unsigned long long>(result.trace->dropped));
     }
   }
   std::printf("wall=%.3fs records/s=%.0f peak_rss=%llu\n",
