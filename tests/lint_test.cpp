@@ -298,6 +298,31 @@ TEST(LintJsonTest, ReportValidatesAndTamperedSchemaThrows) {
   EXPECT_THROW(validate_lint_json("[]"), std::invalid_argument);
 }
 
+constexpr std::string_view kPinnedFindings =
+    R"({"schema":"adapt-lint-v1","files_scanned":3,"rules":["hot-alloc",)"
+    R"("trace-emit-guard","naked-threading","nondeterminism",)"
+    R"("header-hygiene"],"findings":[{"rule":"hot-alloc",)"
+    R"("file":"src/lss/engine.cpp","line":7,)"
+    R"("message":"allocation call 'push_back' inside an ADAPT_HOT function bo)"
+    R"(dy"},{"rule":"naked-threading","file":"src/obs/\"odd\" name.h",)"
+    R"("line":12,"message":"std::mutex\toutside src/common/"}]})";
+
+// The report's bytes are pinned: key order, separators and escaping.
+TEST(LintJsonTest, FindingsJsonBytesArePinned) {
+  Result result;
+  result.files_scanned = 3;
+  result.findings = {
+      Finding{std::string(kRuleHotAlloc), "src/lss/engine.cpp", 7,
+              "allocation call 'push_back' inside an ADAPT_HOT function "
+              "body"},
+      Finding{std::string(kRuleNakedThreading), "src/obs/\"odd\" name.h", 12,
+              "std::mutex\toutside src/common/"},
+  };
+  const std::string json = findings_json(result);
+  EXPECT_EQ(json, kPinnedFindings);
+  EXPECT_NO_THROW(validate_lint_json(json));
+}
+
 TEST(LintJsonTest, EmptyReportValidates) {
   Result result;
   result.files_scanned = 0;
