@@ -11,9 +11,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "obs/export.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -21,14 +24,37 @@
 
 namespace adapt::bench {
 
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+// Environment knobs parse strictly (common/parse.h): a malformed value is
+// a usage error that names the variable and exits 2, never a run on a
+// truncated value.
+
+[[noreturn]] inline void bad_env(const char* name,
+                                 const std::invalid_argument& e) {
+  std::fprintf(stderr, "%s: %s\n", name, e.what());
+  std::exit(2);
 }
 
+/// An integer knob >= `lo`, or `fallback` when the variable is unset.
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                             std::uint64_t lo = 1) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  try {
+    return parse_uint(v, lo, std::numeric_limits<std::uint64_t>::max());
+  } catch (const std::invalid_argument& e) {
+    bad_env(name, e);
+  }
+}
+
+/// A finite knob > 0, or `fallback` when the variable is unset.
 inline double env_f64(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::strtod(v, nullptr) : fallback;
+  if (v == nullptr) return fallback;
+  try {
+    return parse_positive(v);
+  } catch (const std::invalid_argument& e) {
+    bad_env(name, e);
+  }
 }
 
 inline std::size_t volumes_per_workload() {

@@ -101,7 +101,7 @@ int run() {
   const std::uint64_t measured_ops =
       bench::env_u64("ADAPT_HOTPATH_OPS", 1u << 19);
   const std::uint64_t warmup_ops =
-      bench::env_u64("ADAPT_HOTPATH_WARMUP", 1u << 19);
+      bench::env_u64("ADAPT_HOTPATH_WARMUP", 1u << 19, /*lo=*/0);
 
   lss::LssConfig config;  // 16-block chunks, 256-block segments, 64Ki LBAs
   placement::PolicyConfig pc;

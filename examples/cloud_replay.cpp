@@ -12,25 +12,15 @@
 // With no arguments, a demo trace is synthesised, written to a temp file,
 // and replayed — so the example is runnable out of the box.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/simulator.h"
 #include "trace/reader.h"
 #include "trace/synthetic.h"
 
 namespace {
-
-adapt::trace::TraceFormat parse_format(const char* name) {
-  using adapt::trace::TraceFormat;
-  if (std::strcmp(name, "canonical") == 0) return TraceFormat::kCanonical;
-  if (std::strcmp(name, "alibaba") == 0) return TraceFormat::kAlibaba;
-  if (std::strcmp(name, "tencent") == 0) return TraceFormat::kTencent;
-  if (std::strcmp(name, "msrc") == 0) return TraceFormat::kMsrc;
-  std::fprintf(stderr, "unknown trace format '%s'\n", name);
-  std::exit(2);
-}
 
 void report(const adapt::sim::VolumeResult& r) {
   std::printf("%-8s [%s]  WA=%.3f  gcWA=%.3f  padding=%.1f%%  "
@@ -52,7 +42,14 @@ int main(int argc, char** argv) {
   std::string victim = "greedy";
 
   if (argc > 1) path = argv[1];
-  if (argc > 2) format = parse_format(argv[2]);
+  if (argc > 2) {
+    try {
+      format = trace::format_named(argv[2]);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "cloud_replay: %s\n", e.what());
+      return 2;
+    }
+  }
   if (argc > 3) policy = argv[3];
   if (argc > 4) victim = argv[4];
 

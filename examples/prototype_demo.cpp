@@ -5,31 +5,65 @@
 //
 // Usage: prototype_demo [policy] [clients] [writes_per_client] [manifest.json]
 //
-// The optional 4th argument writes the run's adapt-manifest-v1 record
+// clients is 1-1024 (one thread each), writes_per_client at least 1. The
+// optional 4th argument writes the run's adapt-manifest-v1 record
 // (including the latency_breakdown phase histograms) to the given path —
 // this is what CI's manifest teeth-check consumes.
 //
 // ADAPT_LIVE_STATS=<seconds> prints a "live:" line (throughput, p99 and
 // phase shares) to stderr every <seconds> while the run goes, and one
 // when it ends.
+//
+// Numbers parse strictly: a malformed one is a usage error (exit 2) that
+// names the argument or variable.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
+#include "common/parse.h"
 #include "obs/export.h"
 #include "obs/runtime_stats.h"
 #include "proto/prototype.h"
+
+namespace {
+
+[[noreturn]] void usage_error(const char* what,
+                              const std::invalid_argument& e) {
+  std::fprintf(stderr,
+               "prototype_demo: %s: %s\n"
+               "usage: prototype_demo [policy] [clients] "
+               "[writes_per_client] [manifest.json]\n",
+               what, e.what());
+  std::exit(2);
+}
+
+std::uint64_t uint_arg(const char* what, const char* text, std::uint64_t lo,
+                       std::uint64_t hi) {
+  try {
+    return adapt::parse_uint(text, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    usage_error(what, e);
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace adapt;
 
   proto::PrototypeConfig config;
   config.policy = argc > 1 ? argv[1] : "adapt";
-  config.num_clients =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
+  if (argc > 2) {
+    config.num_clients =
+        static_cast<std::uint32_t>(uint_arg("clients", argv[2], 1, 1024));
+  }
   config.writes_per_client =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 40'000;
+      argc > 3 ? uint_arg("writes_per_client", argv[3], 1,
+                          std::numeric_limits<std::uint64_t>::max())
+               : 40'000;
   config.workload.working_set_blocks = 1u << 16;
   config.workload.zipf_alpha = 0.99;
   config.workload.mean_interarrival_us = 0.0;  // open loop
@@ -44,10 +78,14 @@ int main(int argc, char** argv) {
   obs::RuntimeStats live_stats;
   std::optional<obs::LiveStatsPrinter> live_printer;
   if (const char* env = std::getenv("ADAPT_LIVE_STATS"); env != nullptr) {
-    if (const double interval_s = std::atof(env); interval_s > 0.0) {
-      config.live_stats = &live_stats;
-      live_printer.emplace(live_stats, interval_s);
+    double interval_s = 0.0;
+    try {
+      interval_s = parse_positive(env);
+    } catch (const std::invalid_argument& e) {
+      usage_error("ADAPT_LIVE_STATS", e);
     }
+    config.live_stats = &live_stats;
+    live_printer.emplace(live_stats, interval_s);
   }
   const proto::PrototypeResult r = proto::run_prototype(config);
   if (live_printer) live_printer->stop();

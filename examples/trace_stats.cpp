@@ -6,16 +6,26 @@
 //   trace_stats <trace.csv> [format]     analyse a trace file
 //   trace_stats --profile <name> [n]     analyse n synthetic volumes of
 //                                        profile alibaba|tencent|msrc
+//
+// An unknown format or profile, or a malformed n, is a usage error
+// (exit 2).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
+#include "common/parse.h"
 #include "trace/reader.h"
 #include "trace/synthetic.h"
 #include "trace/workload_stats.h"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: trace_stats <trace.csv> [canonical|alibaba|tencent|msrc] | "
+    "trace_stats --profile <alibaba|tencent|msrc> [n]\n";
 
 void print_distributions(const adapt::trace::WorkloadDistributions& dist,
                          std::size_t volumes) {
@@ -47,16 +57,22 @@ int main(int argc, char** argv) {
   using namespace adapt;
 
   if (argc > 2 && std::strcmp(argv[1], "--profile") == 0) {
-    trace::CloudProfile profile = trace::alibaba_profile();
-    if (std::strcmp(argv[2], "tencent") == 0) {
-      profile = trace::tencent_profile();
-    } else if (std::strcmp(argv[2], "msrc") == 0) {
-      profile = trace::msrc_profile();
+    trace::CloudProfile profile;
+    std::uint64_t n = 20;
+    try {
+      profile = trace::profile_named(argv[2]);
+      if (argc > 3) {
+        n = parse_uint(argv[3], 1, std::numeric_limits<std::uint64_t>::max());
+      }
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "trace_stats: %s\n%s", e.what(), kUsage);
+      return 2;
     }
-    const int n = argc > 3 ? std::atoi(argv[3]) : 20;
     trace::CloudVolumeModel model(profile, 7);
     std::vector<trace::Volume> volumes;
-    for (int i = 0; i < n; ++i) volumes.push_back(model.make_volume(i, 1.0));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      volumes.push_back(model.make_volume(i, 1.0));
+    }
     std::printf("profile: %s\n", profile.name.c_str());
     print_distributions(trace::compute_distributions(volumes),
                         volumes.size());
@@ -64,19 +80,16 @@ int main(int argc, char** argv) {
   }
 
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: trace_stats <trace.csv> [format] | "
-                 "trace_stats --profile <alibaba|tencent|msrc> [n]\n");
+    std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
   trace::TraceFormat format = trace::TraceFormat::kCanonical;
   if (argc > 2) {
-    if (std::strcmp(argv[2], "alibaba") == 0) {
-      format = trace::TraceFormat::kAlibaba;
-    } else if (std::strcmp(argv[2], "tencent") == 0) {
-      format = trace::TraceFormat::kTencent;
-    } else if (std::strcmp(argv[2], "msrc") == 0) {
-      format = trace::TraceFormat::kMsrc;
+    try {
+      format = trace::format_named(argv[2]);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "trace_stats: %s\n%s", e.what(), kUsage);
+      return 2;
     }
   }
   std::ifstream in(argv[1]);

@@ -3,18 +3,21 @@
 // The whole input is fed to obs::json::parse, and — when it parses — the
 // resulting tree is walked through every accessor so latent issues in the
 // Value representation (dangling references, type confusion) surface under
-// ASan. The same bytes are then offered to each artifact validator:
+// ASan. The same bytes are then offered to each artifact validator (the
+// lint report's included):
 // std::invalid_argument is their documented rejection path and is
 // swallowed; anything else — UB, stack exhaustion on deep nesting (bounded
 // by the parser's depth limit), wild exceptions — is a finding.
 //
 // Seed corpus: fuzz/corpus/json/ (a valid manifest, bench report, series
-// header, deep nesting, and assorted malformed fragments).
+// header, trace, lint report, deep nesting, and assorted malformed
+// fragments).
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
 
+#include "lint/lint.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/trace_log.h"
@@ -70,5 +73,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   probe([](std::string_view t) { adapt::obs::validate_bench_json(t); });
   probe([](std::string_view t) { (void)adapt::obs::validate_series_jsonl(t); });
   probe([](std::string_view t) { adapt::obs::validate_trace_json(t); });
+  probe([](std::string_view t) { adapt::lint::validate_lint_json(t); });
   return 0;
 }

@@ -499,99 +499,43 @@ Result lint_tree(const std::vector<std::string>& roots) {
 }
 
 std::string findings_json(const Result& result) {
-  using obs::json::quote;
-  std::string out = "{";
-  out += quote("schema");
-  out += ':';
-  out += quote(kLintSchema);
-  out += ',';
-  out += quote("files_scanned");
-  out += ':';
-  out += std::to_string(result.files_scanned);
-  out += ',';
-  out += quote("rules");
-  out += ":[";
-  bool first = true;
-  for (const std::string_view rule : all_rules()) {
-    if (!first) out += ',';
-    first = false;
-    out += quote(rule);
-  }
-  out += "],";
-  out += quote("findings");
-  out += ":[";
-  first = true;
+  std::string out;
+  obs::json::Writer w(out);
+  w.begin_object()
+      .field("schema", kLintSchema)
+      .field("files_scanned", result.files_scanned)
+      .begin_array("rules");
+  for (const std::string_view rule : all_rules()) w.value(rule);
+  w.end_array().begin_array("findings");
   for (const Finding& f : result.findings) {
-    if (!first) out += ',';
-    first = false;
-    out += '{';
-    out += quote("rule");
-    out += ':';
-    out += quote(f.rule);
-    out += ',';
-    out += quote("file");
-    out += ':';
-    out += quote(f.file);
-    out += ',';
-    out += quote("line");
-    out += ':';
-    out += std::to_string(f.line);
-    out += ',';
-    out += quote("message");
-    out += ':';
-    out += quote(f.message);
-    out += '}';
+    w.begin_object()
+        .field("rule", f.rule)
+        .field("file", f.file)
+        .field("line", f.line)
+        .field("message", f.message)
+        .end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 
 void validate_lint_json(std::string_view text) {
-  const obs::json::Value doc = obs::json::parse(text);
-  if (!doc.is_object()) {
-    throw std::invalid_argument("schema: lint report must be an object");
-  }
-  const obs::json::Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kLintSchema) {
-    throw std::invalid_argument("schema: expected \"" +
-                                std::string(kLintSchema) + '"');
-  }
-  const obs::json::Value* scanned = doc.find("files_scanned");
-  if (scanned == nullptr || !scanned->is_number()) {
-    throw std::invalid_argument("schema: files_scanned must be a number");
-  }
-  const obs::json::Value* rules = doc.find("rules");
-  if (rules == nullptr || !rules->is_array()) {
-    throw std::invalid_argument("schema: rules must be an array");
-  }
-  for (const obs::json::Value& rule : rules->items()) {
+  namespace json = obs::json;
+  const json::Value doc = json::parse(text);
+  json::require_schema(doc, kLintSchema);
+  json::require_number(doc, "files_scanned");
+  for (const json::Value& rule : json::require_array(doc, "rules").items()) {
     if (!rule.is_string()) {
       throw std::invalid_argument("schema: rules entries must be strings");
     }
   }
-  const obs::json::Value* findings = doc.find("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    throw std::invalid_argument("schema: findings must be an array");
-  }
   std::size_t index = 0;
-  for (const obs::json::Value& f : findings->items()) {
+  for (const json::Value& f : json::require_array(doc, "findings").items()) {
     const std::string where = "findings[" + std::to_string(index++) + "]";
-    if (!f.is_object()) {
-      throw std::invalid_argument("schema: " + where + " must be an object");
-    }
     for (const char* key : {"rule", "file", "message"}) {
-      const obs::json::Value* v = f.find(key);
-      if (v == nullptr || !v->is_string()) {
-        throw std::invalid_argument("schema: " + where + '.' + key +
-                                    " must be a string");
-      }
+      json::require_string(f, key, where);
     }
-    const obs::json::Value* line = f.find("line");
-    if (line == nullptr || !line->is_number()) {
-      throw std::invalid_argument("schema: " + where +
-                                  ".line must be a number");
-    }
+    json::require_number(f, "line", where);
   }
 }
 

@@ -68,20 +68,8 @@ void ShardedEngine::read(Lba lba, std::uint32_t blocks, TimeUs now_us) {
                    });
 }
 
-void ShardedEngine::advance_time(TimeUs now_us) {
-  for (Shard& shard : shards_) shard.engine->advance_time(now_us);
-}
-
 void ShardedEngine::flush_all() {
   for (Shard& shard : shards_) shard.engine->flush_all();
-}
-
-bool ShardedEngine::gc_step(TimeUs now_us, std::uint32_t watermark) {
-  bool did_work = false;
-  for (Shard& shard : shards_) {
-    if (shard.engine->gc_step(now_us, watermark)) did_work = true;
-  }
-  return did_work;
 }
 
 void ShardedEngine::enqueue_write(Lba lba, std::uint32_t blocks,

@@ -167,14 +167,8 @@ class ShardedEngine {
   /// Applies a user read of `blocks` consecutive global blocks at `lba`.
   void read(Lba lba, std::uint32_t blocks, TimeUs now_us);
 
-  /// Advances wall time on every shard, firing expired deadlines.
-  void advance_time(TimeUs now_us);
-
   /// Force-pads every partial chunk on every shard (end-of-trace drain).
   void flush_all();
-
-  /// One proactive GC pass per shard. Returns true if any shard did work.
-  bool gc_step(TimeUs now_us, std::uint32_t watermark);
 
   // -- deterministic replay ------------------------------------------------
 

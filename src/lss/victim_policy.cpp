@@ -1,13 +1,14 @@
 #include "lss/victim_policy.h"
 
 #include <bit>
-#include <charconv>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "common/fenwick.h"
+#include "common/parse.h"
 
 namespace adapt::lss {
 namespace {
@@ -434,20 +435,6 @@ class RandomPolicy final : public VictimPolicy {
   SealedIdIndex index_;
 };
 
-std::uint32_t parse_policy_param(std::string_view base,
-                                 std::string_view param) {
-  std::uint32_t value = 0;
-  const char* const first = param.data();
-  const char* const last = param.data() + param.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last || value == 0) {
-    throw std::invalid_argument("bad parameter for victim policy '" +
-                                std::string(base) + "': '" +
-                                std::string(param) + "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 std::unique_ptr<VictimPolicy> make_greedy() {
@@ -476,13 +463,14 @@ std::unique_ptr<VictimPolicy> make_victim_policy(std::string_view name) {
     param = name.substr(colon + 1);
     has_param = true;
   }
-  if (base == "d-choice") {
-    return make_d_choice(has_param ? parse_policy_param(base, param) : 8);
-  }
-  if (base == "windowed") {
-    return make_windowed_greedy(has_param ? parse_policy_param(base, param)
-                                          : 32);
-  }
+  // The parameter is a count in [1, 2^32 - 1] (common/parse.h).
+  const auto count = [&](std::uint32_t fallback) {
+    return has_param ? static_cast<std::uint32_t>(
+                           parse_uint(param, 1, UINT32_MAX))
+                     : fallback;
+  };
+  if (base == "d-choice") return make_d_choice(count(8));
+  if (base == "windowed") return make_windowed_greedy(count(32));
   if (base == "greedy" || base == "cost-benefit" || base == "random") {
     if (has_param) {
       throw std::invalid_argument("victim policy '" + std::string(base) +

@@ -51,67 +51,6 @@ Windowed windowed_of(const SeriesRow* prev, const SeriesRow& row) {
   return w;
 }
 
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += json::quote(key);
-  out += ':';
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, double v) {
-  out += json::quote(key);
-  out += ':';
-  json::append_number(out, v);
-}
-
-void append_kv(std::string& out, const char* key, std::string_view v) {
-  out += json::quote(key);
-  out += ':';
-  out += json::quote(v);
-}
-
-const json::Value& require(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) {
-    throw std::invalid_argument("schema: missing key \"" + std::string(key) +
-                                '"');
-  }
-  return *v;
-}
-
-double require_number(const json::Value& obj, std::string_view key) {
-  const json::Value& v = require(obj, key);
-  if (!v.is_number()) {
-    throw std::invalid_argument("schema: key \"" + std::string(key) +
-                                "\" must be a number");
-  }
-  return v.as_number();
-}
-
-void require_number_or_null(const json::Value& obj, std::string_view key) {
-  const json::Value& v = require(obj, key);
-  if (!v.is_number() && !v.is_null()) {
-    throw std::invalid_argument("schema: key \"" + std::string(key) +
-                                "\" must be a number or null");
-  }
-}
-
-const std::string& require_string(const json::Value& obj,
-                                  std::string_view key) {
-  const json::Value& v = require(obj, key);
-  if (!v.is_string()) {
-    throw std::invalid_argument("schema: key \"" + std::string(key) +
-                                "\" must be a string");
-  }
-  return v.as_string();
-}
-
-void require_schema(const json::Value& obj, std::string_view expected) {
-  if (require_string(obj, "schema") != expected) {
-    throw std::invalid_argument("schema: expected \"" +
-                                std::string(expected) + '"');
-  }
-}
-
 }  // namespace
 
 std::uint64_t current_peak_rss_bytes() {
@@ -146,130 +85,74 @@ void register_lss_metrics(Registry& r, const lss::LssMetrics& m) {
 }
 
 std::string manifest_json(const RunManifest& m) {
-  std::string out = "{";
-  append_kv(out, "schema", kManifestSchema);
-  out += ',';
-  append_kv(out, "tool", m.tool);
-  out += ',';
-  append_kv(out, "policy", m.policy);
-  out += ',';
-  append_kv(out, "victim", m.victim);
-  out += ',';
-  append_kv(out, "workload", m.workload);
-  out += ',';
-  append_kv(out, "volume_id", m.volume_id);
-  out += ',';
-  append_kv(out, "seed", m.seed);
-  out += ',';
-  append_kv(out, "records", m.records);
-  out += ',';
-  append_kv(out, "user_blocks", m.user_blocks);
-  out += ',';
-  append_kv(out, "wall_seconds", m.wall_seconds);
-  out += ',';
-  append_kv(out, "records_per_sec", m.records_per_sec);
-  out += ',';
-  append_kv(out, "peak_rss_bytes", m.peak_rss_bytes);
-  out += ',';
-  out += json::quote("geometry");
-  out += ":{";
-  append_kv(out, "chunk_blocks", static_cast<std::uint64_t>(m.chunk_blocks));
-  out += ',';
-  append_kv(out, "segment_chunks",
-            static_cast<std::uint64_t>(m.segment_chunks));
-  out += ',';
-  append_kv(out, "logical_blocks", m.logical_blocks);
-  out += ',';
-  append_kv(out, "over_provision", m.over_provision);
-  out += "},";
-  out += json::quote("counters");
-  out += ":{";
-  bool first = true;
-  for (const auto& [name, value] : m.counters.entries()) {
-    if (!first) out += ',';
-    first = false;
-    append_kv(out, name.c_str(), value);
-  }
-  out += "},";
+  std::string out;
+  json::Writer w(out);
+  w.begin_object()
+      .field("schema", kManifestSchema)
+      .field("tool", m.tool)
+      .field("policy", m.policy)
+      .field("victim", m.victim)
+      .field("workload", m.workload)
+      .field("volume_id", m.volume_id)
+      .field("seed", m.seed)
+      .field("records", m.records)
+      .field("user_blocks", m.user_blocks)
+      .field("wall_seconds", m.wall_seconds)
+      .field("records_per_sec", m.records_per_sec)
+      .field("peak_rss_bytes", m.peak_rss_bytes);
+  w.begin_object("geometry")
+      .field("chunk_blocks", m.chunk_blocks)
+      .field("segment_chunks", m.segment_chunks)
+      .field("logical_blocks", m.logical_blocks)
+      .field("over_provision", m.over_provision)
+      .end_object();
+  w.begin_object("counters");
+  for (const auto& [name, value] : m.counters.entries()) w.field(name, value);
+  w.end_object();
   append_provenance_json(out, "provenance", m.provenance);
-  out += ',';
   append_histogram_json(out, "block_lifetime", m.block_lifetime);
-  out += ',';
   append_histogram_json(out, "gc_pause_us", m.gc_pause_us);
   if (!m.latency_ns.empty()) {
-    out += ',';
     append_histogram_json(out, "latency_ns", m.latency_ns);
   }
   if (!m.lanes.empty()) {
-    out += ',';
-    out += json::quote("lanes");
-    out += ":{";
-    append_kv(out, "count",
-              static_cast<std::uint64_t>(m.lanes.per_lane.size()));
-    out += ',';
-    append_kv(out, "queue_depth",
-              static_cast<std::uint64_t>(m.lanes.queue_depth));
-    out += ',';
-    out += json::quote("per_lane");
-    out += ":[";
-    for (std::size_t i = 0; i < m.lanes.per_lane.size(); ++i) {
-      if (i != 0) out += ',';
-      const lss::LaneStats& l = m.lanes.per_lane[i];
-      out += '{';
-      append_kv(out, "submits", l.submits);
-      out += ',';
-      append_kv(out, "stalled_submits", l.stalled_submits);
-      out += ',';
-      append_kv(out, "busy_us", l.busy_us);
-      out += ',';
-      append_kv(out, "inflight_high_water", l.inflight_high_water);
-      out += ',';
-      append_kv(out, "busy_until_us", l.busy_until_us);
-      out += '}';
+    w.begin_object("lanes")
+        .field("count", m.lanes.per_lane.size())
+        .field("queue_depth", m.lanes.queue_depth)
+        .begin_array("per_lane");
+    for (const lss::LaneStats& l : m.lanes.per_lane) {
+      w.begin_object()
+          .field("submits", l.submits)
+          .field("stalled_submits", l.stalled_submits)
+          .field("busy_us", l.busy_us)
+          .field("inflight_high_water", l.inflight_high_water)
+          .field("busy_until_us", l.busy_until_us)
+          .end_object();
     }
-    out += "],";
+    w.end_array();
     append_histogram_json(out, "queue_depth_hist", m.lanes.queue_depth_hist);
-    out += ',';
     append_histogram_json(out, "submit_complete_us",
                           m.lanes.submit_complete_us);
-    out += '}';
+    w.end_object();
   }
   if (!m.latency_breakdown.empty()) {
-    out += ',';
-    out += json::quote("latency_breakdown");
-    out += ":{";
-    append_histogram_json(out, "intake_wait_us",
-                          m.latency_breakdown.intake_wait_us);
-    out += ',';
-    append_histogram_json(out, "batch_apply_us",
-                          m.latency_breakdown.batch_apply_us);
-    out += ',';
-    append_histogram_json(out, "lane_queue_us",
-                          m.latency_breakdown.lane_queue_us);
-    out += ',';
-    append_histogram_json(out, "device_service_us",
-                          m.latency_breakdown.device_service_us);
-    out += ',';
-    append_histogram_json(out, "total_us", m.latency_breakdown.total_us);
-    out += '}';
+    const lss::LatencyBreakdown& lat = m.latency_breakdown;
+    w.begin_object("latency_breakdown");
+    append_histogram_json(out, "intake_wait_us", lat.intake_wait_us);
+    append_histogram_json(out, "batch_apply_us", lat.batch_apply_us);
+    append_histogram_json(out, "lane_queue_us", lat.lane_queue_us);
+    append_histogram_json(out, "device_service_us", lat.device_service_us);
+    append_histogram_json(out, "total_us", lat.total_us);
+    w.end_object();
   }
   if (m.trace_present) {
-    out += ',';
-    out += json::quote("trace");
-    out += ":{";
-    append_kv(out, "recorded", m.trace_recorded);
-    out += ',';
-    append_kv(out, "dropped", m.trace_dropped);
-    out += ',';
-    out += json::quote("per_shard_dropped");
-    out += ":[";
-    for (std::size_t i = 0; i < m.trace_per_shard_dropped.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(m.trace_per_shard_dropped[i]);
-    }
-    out += "]}";
+    w.begin_object("trace")
+        .field("recorded", m.trace_recorded)
+        .field("dropped", m.trace_dropped)
+        .field("per_shard_dropped", m.trace_per_shard_dropped)
+        .end_object();
   }
-  out += '}';
+  w.end_object();
   return out;
 }
 
@@ -277,93 +160,61 @@ namespace {
 
 void append_sample_line(std::string& out, const SeriesRow* prev,
                         const SeriesRow& row) {
-  out += '{';
-  append_kv(out, "type", "sample");
-  out += ',';
-  append_kv(out, "vtime", row.vtime);
-  out += ',';
-  append_kv(out, "wall_us", row.wall_us);
-  out += ',';
-  append_kv(out, "user_blocks", row.user_blocks);
-  out += ',';
-  append_kv(out, "gc_blocks", row.gc_blocks);
-  out += ',';
-  append_kv(out, "shadow_blocks", row.shadow_blocks);
-  out += ',';
-  append_kv(out, "padding_blocks", row.padding_blocks);
-  out += ',';
-  append_kv(out, "rmw_blocks", row.rmw_blocks);
-  out += ',';
-  append_kv(out, "chunks_flushed", row.chunks_flushed);
-  out += ',';
-  append_kv(out, "gc_runs", row.gc_runs);
-  out += ',';
-  append_kv(out, "free_segments",
-            static_cast<std::uint64_t>(row.free_segments));
-  out += ',';
-  append_kv(out, "live_shadows", row.live_shadows);
-  out += ',';
-  append_kv(out, "threshold", row.threshold);
-  out += ',';
-  append_kv(out, "wa", ratio(total_blocks(row), row.user_blocks));
-  out += ',';
-  append_kv(out, "padding_ratio",
-            ratio(row.padding_blocks, total_blocks(row)));
-  out += ',';
   const Windowed w = windowed_of(prev, row);
-  out += json::quote("windowed");
-  out += ":{";
-  append_kv(out, "wa", w.wa);
-  out += ',';
-  append_kv(out, "padding_ratio", w.padding_ratio);
-  out += ',';
-  append_kv(out, "gc_rate", w.gc_rate);
-  out += ',';
-  append_kv(out, "shadow_rate", w.shadow_rate);
-  out += '}';
+  json::Writer j(out);
+  j.begin_object()
+      .field("type", "sample")
+      .field("vtime", row.vtime)
+      .field("wall_us", row.wall_us)
+      .field("user_blocks", row.user_blocks)
+      .field("gc_blocks", row.gc_blocks)
+      .field("shadow_blocks", row.shadow_blocks)
+      .field("padding_blocks", row.padding_blocks)
+      .field("rmw_blocks", row.rmw_blocks)
+      .field("chunks_flushed", row.chunks_flushed)
+      .field("gc_runs", row.gc_runs)
+      .field("free_segments", row.free_segments)
+      .field("live_shadows", row.live_shadows)
+      .field("threshold", row.threshold)
+      .field("wa", ratio(total_blocks(row), row.user_blocks))
+      .field("padding_ratio", ratio(row.padding_blocks, total_blocks(row)))
+      .begin_object("windowed")
+      .field("wa", w.wa)
+      .field("padding_ratio", w.padding_ratio)
+      .field("gc_rate", w.gc_rate)
+      .field("shadow_rate", w.shadow_rate)
+      .end_object();
   if (!row.groups.empty()) {
-    out += ',';
-    out += json::quote("groups");
-    out += ":[";
+    j.begin_array("groups");
     for (std::size_t g = 0; g < row.groups.size(); ++g) {
-      if (g != 0) out += ',';
       const GroupSample& gs = row.groups[g];
-      out += '{';
-      append_kv(out, "group", static_cast<std::uint64_t>(g));
-      out += ',';
-      append_kv(out, "user_blocks", gs.user_blocks);
-      out += ',';
-      append_kv(out, "gc_blocks", gs.gc_blocks);
-      out += ',';
-      append_kv(out, "shadow_blocks", gs.shadow_blocks);
-      out += ',';
-      append_kv(out, "padding_blocks", gs.padding_blocks);
-      out += ',';
-      append_kv(out, "valid_blocks", gs.valid_blocks);
-      out += ',';
-      append_kv(out, "segments", static_cast<std::uint64_t>(gs.segments));
-      out += '}';
+      j.begin_object()
+          .field("group", g)
+          .field("user_blocks", gs.user_blocks)
+          .field("gc_blocks", gs.gc_blocks)
+          .field("shadow_blocks", gs.shadow_blocks)
+          .field("padding_blocks", gs.padding_blocks)
+          .field("valid_blocks", gs.valid_blocks)
+          .field("segments", gs.segments)
+          .end_object();
     }
-    out += ']';
+    j.end_array();
   }
-  out += '}';
+  j.end_object();
 }
 
 }  // namespace
 
 void write_series_jsonl(std::ostream& out, const TimeSeries& series) {
-  std::string line = "{";
-  append_kv(line, "type", "header");
-  line += ',';
-  append_kv(line, "schema", kSeriesSchema);
-  line += ',';
-  append_kv(line, "window_blocks", series.window_blocks);
-  line += ',';
-  append_kv(line, "downsamples",
-            static_cast<std::uint64_t>(series.downsamples));
-  line += ',';
-  append_kv(line, "rows", static_cast<std::uint64_t>(series.rows.size()));
-  line += '}';
+  std::string line;
+  json::Writer(line)
+      .begin_object()
+      .field("type", "header")
+      .field("schema", kSeriesSchema)
+      .field("window_blocks", series.window_blocks)
+      .field("downsamples", series.downsamples)
+      .field("rows", series.rows.size())
+      .end_object();
   out << line << '\n';
   for (std::size_t i = 0; i < series.rows.size(); ++i) {
     line.clear();
@@ -420,73 +271,59 @@ void write_series_csv(std::ostream& out, const TimeSeries& series) {
 
 void validate_manifest_json(std::string_view text) {
   const json::Value doc = json::parse(text);
-  if (!doc.is_object()) {
-    throw std::invalid_argument("schema: manifest must be an object");
+  json::require_schema(doc, kManifestSchema);
+  for (const char* key : {"tool", "policy", "victim", "workload"}) {
+    json::require_string(doc, key);
   }
-  require_schema(doc, kManifestSchema);
-  require_string(doc, "tool");
-  require_string(doc, "policy");
-  require_string(doc, "victim");
-  require_string(doc, "workload");
   for (const char* key : {"volume_id", "seed", "records", "user_blocks",
                           "wall_seconds", "records_per_sec",
                           "peak_rss_bytes"}) {
-    require_number(doc, key);
+    json::require_number(doc, key);
   }
-  const json::Value& geometry = require(doc, "geometry");
-  if (!geometry.is_object()) {
-    throw std::invalid_argument("schema: geometry must be an object");
-  }
+  const json::Value& geometry = json::require_object(doc, "geometry");
   for (const char* key :
        {"chunk_blocks", "segment_chunks", "logical_blocks",
         "over_provision"}) {
-    require_number(geometry, key);
+    json::require_number(geometry, key, "geometry");
   }
-  const json::Value& counters = require(doc, "counters");
-  if (!counters.is_object()) {
-    throw std::invalid_argument("schema: counters must be an object");
-  }
+  const json::Value& counters = json::require_object(doc, "counters");
   for (const auto& [name, value] : counters.members()) {
     if (!value.is_number()) {
-      throw std::invalid_argument("schema: counter \"" + name +
-                                  "\" must be a number");
+      throw std::invalid_argument("schema: counters." + name +
+                                  " must be a number");
     }
   }
   validate_provenance_json(
-      require(doc, "provenance"),
-      static_cast<std::uint64_t>(require_number(geometry, "chunk_blocks")));
-  validate_histogram_json(require(doc, "block_lifetime"), "block_lifetime");
-  validate_histogram_json(require(doc, "gc_pause_us"), "gc_pause_us");
+      json::require(doc, "provenance"),
+      json::require_count(geometry, "chunk_blocks", "geometry"));
+  validate_histogram_json(json::require(doc, "block_lifetime"),
+                          "block_lifetime");
+  validate_histogram_json(json::require(doc, "gc_pause_us"), "gc_pause_us");
   // Optional: only prototype manifests carry per-op latency.
   if (const json::Value* latency = doc.find("latency_ns");
       latency != nullptr) {
     validate_histogram_json(*latency, "latency_ns");
   }
   // Optional: only prototype manifests carry device-lane stats.
-  if (const json::Value* lanes = doc.find("lanes"); lanes != nullptr) {
-    if (!lanes->is_object()) {
-      throw std::invalid_argument("schema: lanes must be an object");
-    }
-    const auto count =
-        static_cast<std::uint64_t>(require_number(*lanes, "count"));
-    require_number(*lanes, "queue_depth");
-    const json::Value& per_lane = require(*lanes, "per_lane");
-    if (!per_lane.is_array()) {
-      throw std::invalid_argument("schema: lanes.per_lane must be an array");
-    }
-    if (per_lane.items().size() != count) {
+  if (doc.find("lanes") != nullptr) {
+    const json::Value& lanes = json::require_object(doc, "lanes");
+    const double count = json::require_number(lanes, "count", "lanes");
+    json::require_number(lanes, "queue_depth", "lanes");
+    const json::Value& per_lane =
+        json::require_array(lanes, "per_lane", "lanes");
+    if (static_cast<double>(per_lane.items().size()) != count) {
       throw std::invalid_argument(
           "schema: lanes.count disagrees with the per_lane array length");
     }
     for (const json::Value& l : per_lane.items()) {
       for (const char* key : {"submits", "stalled_submits", "busy_us",
                               "inflight_high_water", "busy_until_us"}) {
-        require_number(l, key);
+        json::require_number(l, key, "lanes.per_lane");
       }
     }
-    validate_histogram_json(require(*lanes, "queue_depth_hist"),
+    validate_histogram_json(json::require(lanes, "queue_depth_hist"),
                             "lanes.queue_depth_hist");
-    validate_histogram_json(require(*lanes, "submit_complete_us"),
+    validate_histogram_json(json::require(lanes, "submit_complete_us"),
                             "lanes.submit_complete_us");
   }
   // Optional: only concurrent-engine manifests carry the phase-attributed
@@ -495,27 +332,23 @@ void validate_manifest_json(std::string_view text) {
   // and the four phase sums telescope exactly to total's sum. A manifest
   // whose phases don't explain its total is rejected, like a provenance
   // matrix that doesn't balance.
-  if (const json::Value* lat = doc.find("latency_breakdown");
-      lat != nullptr) {
-    if (!lat->is_object()) {
-      throw std::invalid_argument(
-          "schema: latency_breakdown must be an object");
-    }
-    const json::Value& total = require(*lat, "total_us");
+  if (doc.find("latency_breakdown") != nullptr) {
+    const json::Value& lat = json::require_object(doc, "latency_breakdown");
+    const json::Value& total = json::require(lat, "total_us");
     validate_histogram_json(total, "latency_breakdown.total_us");
-    const double total_count = require_number(total, "count");
-    const double total_sum = require_number(total, "sum");
+    const double total_count = json::require_number(total, "count");
+    const double total_sum = json::require_number(total, "sum");
     double phase_sum = 0.0;
     for (const char* key : {"intake_wait_us", "batch_apply_us",
                             "lane_queue_us", "device_service_us"}) {
-      const json::Value& phase = require(*lat, key);
+      const json::Value& phase = json::require(lat, key, "latency_breakdown");
       validate_histogram_json(phase, "latency_breakdown." + std::string(key));
-      if (require_number(phase, "count") != total_count) {
+      if (json::require_number(phase, "count") != total_count) {
         throw std::invalid_argument("schema: latency_breakdown." +
                                     std::string(key) +
                                     ".count must equal total_us.count");
       }
-      phase_sum += require_number(phase, "sum");
+      phase_sum += json::require_number(phase, "sum");
     }
     if (phase_sum != total_sum) {
       throw std::invalid_argument(
@@ -523,31 +356,42 @@ void validate_manifest_json(std::string_view text) {
     }
   }
   // Optional trace capture summary: per-shard drops must sum to the total.
-  if (const json::Value* trace = doc.find("trace"); trace != nullptr) {
-    if (!trace->is_object()) {
-      throw std::invalid_argument("schema: trace must be an object");
-    }
-    require_number(*trace, "recorded");
-    const double dropped = require_number(*trace, "dropped");
-    const json::Value& per_shard = require(*trace, "per_shard_dropped");
-    if (!per_shard.is_array()) {
-      throw std::invalid_argument(
-          "schema: trace.per_shard_dropped must be an array");
-    }
-    double shard_sum = 0.0;
-    for (const json::Value& v : per_shard.items()) {
-      if (!v.is_number()) {
-        throw std::invalid_argument(
-            "schema: trace.per_shard_dropped entries must be numbers");
+  if (doc.find("trace") != nullptr) {
+    const json::Value& trace = json::require_object(doc, "trace");
+    json::require_number(trace, "recorded", "trace");
+    json::require_sum(trace, "per_shard_dropped", "dropped", "trace");
+  }
+}
+
+namespace {
+
+/// One sample line of the series (the header is checked by the caller).
+void validate_sample(const json::Value& doc) {
+  for (const char* key :
+       {"vtime", "wall_us", "user_blocks", "gc_blocks", "shadow_blocks",
+        "padding_blocks", "rmw_blocks", "chunks_flushed", "gc_runs",
+        "free_segments", "live_shadows"}) {
+    json::require_number(doc, key);
+  }
+  for (const char* key : {"threshold", "wa", "padding_ratio"}) {
+    json::require_number_or_null(doc, key);
+  }
+  const json::Value& windowed = json::require_object(doc, "windowed");
+  for (const char* key : {"wa", "padding_ratio", "gc_rate", "shadow_rate"}) {
+    json::require_number_or_null(windowed, key, "windowed");
+  }
+  if (doc.find("groups") != nullptr) {
+    for (const json::Value& g : json::require_array(doc, "groups").items()) {
+      for (const char* key :
+           {"group", "user_blocks", "gc_blocks", "shadow_blocks",
+            "padding_blocks", "valid_blocks", "segments"}) {
+        json::require_number(g, key, "groups");
       }
-      shard_sum += v.as_number();
-    }
-    if (shard_sum != dropped) {
-      throw std::invalid_argument(
-          "schema: trace.per_shard_dropped must sum to trace.dropped");
     }
   }
 }
+
+}  // namespace
 
 std::size_t validate_series_jsonl(std::string_view text) {
   std::size_t samples = 0;
@@ -563,62 +407,27 @@ std::size_t validate_series_jsonl(std::string_view text) {
     start = end == std::string_view::npos ? text.size() + 1 : end + 1;
     ++line_no;
     if (line.empty()) continue;
-    json::Value doc;
     try {
-      doc = json::parse(line);
+      const json::Value doc = json::parse(line);
+      const std::string& type = json::require_string(doc, "type");
+      if (!saw_header) {
+        if (type != "header") {
+          throw std::invalid_argument("first line must be the series header");
+        }
+        json::require_schema(doc, kSeriesSchema);
+        json::require_number(doc, "window_blocks");
+        json::require_number(doc, "downsamples");
+        declared_rows = json::require_count(doc, "rows");
+        saw_header = true;
+        continue;
+      }
+      if (type != "sample") {
+        throw std::invalid_argument("unknown row type \"" + type + '"');
+      }
+      validate_sample(doc);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("line " + std::to_string(line_no) + ": " +
                                   e.what());
-    }
-    if (!doc.is_object()) {
-      throw std::invalid_argument("line " + std::to_string(line_no) +
-                                  ": not an object");
-    }
-    const std::string& type = require_string(doc, "type");
-    if (!saw_header) {
-      if (type != "header") {
-        throw std::invalid_argument("first line must be the series header");
-      }
-      require_schema(doc, kSeriesSchema);
-      require_number(doc, "window_blocks");
-      require_number(doc, "downsamples");
-      declared_rows = static_cast<std::uint64_t>(require_number(doc, "rows"));
-      saw_header = true;
-      continue;
-    }
-    if (type != "sample") {
-      throw std::invalid_argument("line " + std::to_string(line_no) +
-                                  ": unknown row type \"" + type + '"');
-    }
-    for (const char* key :
-         {"vtime", "wall_us", "user_blocks", "gc_blocks", "shadow_blocks",
-          "padding_blocks", "rmw_blocks", "chunks_flushed", "gc_runs",
-          "free_segments", "live_shadows"}) {
-      require_number(doc, key);
-    }
-    require_number_or_null(doc, "threshold");
-    require_number_or_null(doc, "wa");
-    require_number_or_null(doc, "padding_ratio");
-    const json::Value& windowed = require(doc, "windowed");
-    if (!windowed.is_object()) {
-      throw std::invalid_argument("line " + std::to_string(line_no) +
-                                  ": windowed must be an object");
-    }
-    for (const char* key : {"wa", "padding_ratio", "gc_rate", "shadow_rate"}) {
-      require_number_or_null(windowed, key);
-    }
-    if (const json::Value* groups = doc.find("groups"); groups != nullptr) {
-      if (!groups->is_array()) {
-        throw std::invalid_argument("line " + std::to_string(line_no) +
-                                    ": groups must be an array");
-      }
-      for (const json::Value& g : groups->items()) {
-        for (const char* key :
-             {"group", "user_blocks", "gc_blocks", "shadow_blocks",
-              "padding_blocks", "valid_blocks", "segments"}) {
-          require_number(g, key);
-        }
-      }
     }
     ++samples;
   }
@@ -644,32 +453,21 @@ void BenchReport::add(std::string_view metric, Params params, double value,
 }
 
 std::string BenchReport::json() const {
-  std::string out = "{";
-  append_kv(out, "schema", kBenchSchema);
-  out += ',';
-  append_kv(out, "bench", name_);
-  out += ',';
-  out += json::quote("rows");
-  out += ":[";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (i != 0) out += ',';
-    const Row& row = rows_[i];
-    out += '{';
-    append_kv(out, "metric", row.metric);
-    out += ',';
-    out += json::quote("params");
-    out += ":{";
-    for (std::size_t p = 0; p < row.params.size(); ++p) {
-      if (p != 0) out += ',';
-      append_kv(out, row.params[p].first.c_str(), row.params[p].second);
-    }
-    out += "},";
-    append_kv(out, "value", row.value);
-    out += ',';
-    append_kv(out, "unit", row.unit);
-    out += '}';
+  std::string out;
+  json::Writer w(out);
+  w.begin_object()
+      .field("schema", kBenchSchema)
+      .field("bench", name_)
+      .begin_array("rows");
+  for (const Row& row : rows_) {
+    w.begin_object().field("metric", row.metric).begin_object("params");
+    for (const auto& [key, value] : row.params) w.field(key, value);
+    w.end_object()
+        .field("value", row.value)
+        .field("unit", row.unit)
+        .end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 
@@ -686,33 +484,21 @@ std::string BenchReport::write_file(const std::string& dir) const {
 
 void validate_bench_json(std::string_view text) {
   const json::Value doc = json::parse(text);
-  if (!doc.is_object()) {
-    throw std::invalid_argument("schema: bench report must be an object");
-  }
-  require_schema(doc, kBenchSchema);
-  require_string(doc, "bench");
-  const json::Value& rows = require(doc, "rows");
-  if (!rows.is_array()) {
-    throw std::invalid_argument("schema: rows must be an array");
-  }
+  json::require_schema(doc, kBenchSchema);
+  json::require_string(doc, "bench");
+  const json::Value& rows = json::require_array(doc, "rows");
   if (rows.items().empty()) {
     throw std::invalid_argument("schema: rows must not be empty");
   }
   for (const json::Value& row : rows.items()) {
-    if (!row.is_object()) {
-      throw std::invalid_argument("schema: each row must be an object");
-    }
-    require_string(row, "metric");
-    require_string(row, "unit");
-    require_number_or_null(row, "value");
-    const json::Value& params = require(row, "params");
-    if (!params.is_object()) {
-      throw std::invalid_argument("schema: params must be an object");
-    }
+    json::require_string(row, "metric", "rows");
+    json::require_string(row, "unit", "rows");
+    json::require_number_or_null(row, "value", "rows");
+    const json::Value& params = json::require_object(row, "params", "rows");
     for (const auto& [name, value] : params.members()) {
       if (!value.is_string()) {
-        throw std::invalid_argument("schema: param \"" + name +
-                                    "\" must be a string");
+        throw std::invalid_argument("schema: rows.params." + name +
+                                    " must be a string");
       }
     }
   }

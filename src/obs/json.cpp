@@ -324,9 +324,9 @@ class Parser {
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
-std::string quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -363,6 +363,14 @@ std::string quote(std::string_view s) {
     }
   }
   out.push_back('"');
+}
+
+}  // namespace
+
+std::string quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
   return out;
 }
 
@@ -374,6 +382,184 @@ void append_number(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   out += buf;
+}
+
+// -- Writer ----------------------------------------------------------------
+
+void Writer::separate() {
+  if (out_.empty()) return;
+  switch (out_.back()) {
+    case '{':
+    case '[':
+    case ':':
+      return;
+    default:
+      out_ += ',';
+  }
+}
+
+Writer& Writer::name(std::string_view key) {
+  separate();
+  append_quoted(out_, key);
+  out_ += ':';
+  return *this;
+}
+
+Writer& Writer::integer(std::uint64_t v) {
+  separate();
+  out_ += std::to_string(v);
+  return *this;
+}
+
+Writer& Writer::begin_object() {
+  separate();
+  out_ += '{';
+  return *this;
+}
+
+Writer& Writer::begin_object(std::string_view key) {
+  return name(key).begin_object();
+}
+
+Writer& Writer::end_object() {
+  out_ += '}';
+  return *this;
+}
+
+Writer& Writer::begin_array() {
+  separate();
+  out_ += '[';
+  return *this;
+}
+
+Writer& Writer::begin_array(std::string_view key) {
+  return name(key).begin_array();
+}
+
+Writer& Writer::end_array() {
+  out_ += ']';
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  separate();
+  append_number(out_, v);
+  return *this;
+}
+
+Writer& Writer::value(std::string_view v) {
+  separate();
+  append_quoted(out_, v);
+  return *this;
+}
+
+Writer& Writer::field(std::string_view key,
+                      std::span<const std::uint64_t> values) {
+  begin_array(key);
+  for (const std::uint64_t v : values) integer(v);
+  return end_array();
+}
+
+// -- Schema checks -----------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void schema_error(std::string_view path, std::string_view key,
+                               std::string_view problem) {
+  std::string message = "schema: ";
+  if (!path.empty()) {
+    message += path;
+    message += '.';
+  }
+  message += key;
+  message += ' ';
+  message += problem;
+  throw std::invalid_argument(message);
+}
+
+}  // namespace
+
+const Value& require(const Value& obj, std::string_view key,
+                     std::string_view path) {
+  if (!obj.is_object()) {
+    throw std::invalid_argument(
+        "schema: " + std::string(path.empty() ? "document" : path) +
+        " must be an object");
+  }
+  const Value* v = obj.find(key);
+  if (v == nullptr) schema_error(path, key, "is missing");
+  return *v;
+}
+
+const Value& require_object(const Value& obj, std::string_view key,
+                            std::string_view path) {
+  const Value& v = require(obj, key, path);
+  if (!v.is_object()) schema_error(path, key, "must be an object");
+  return v;
+}
+
+const Value& require_array(const Value& obj, std::string_view key,
+                           std::string_view path) {
+  const Value& v = require(obj, key, path);
+  if (!v.is_array()) schema_error(path, key, "must be an array");
+  return v;
+}
+
+const std::string& require_string(const Value& obj, std::string_view key,
+                                  std::string_view path) {
+  const Value& v = require(obj, key, path);
+  if (!v.is_string()) schema_error(path, key, "must be a string");
+  return v.as_string();
+}
+
+double require_number(const Value& obj, std::string_view key,
+                      std::string_view path) {
+  const Value& v = require(obj, key, path);
+  if (!v.is_number()) schema_error(path, key, "must be a number");
+  return v.as_number();
+}
+
+void require_number_or_null(const Value& obj, std::string_view key,
+                            std::string_view path) {
+  const Value& v = require(obj, key, path);
+  if (!v.is_number() && !v.is_null()) {
+    schema_error(path, key, "must be a number or null");
+  }
+}
+
+std::uint64_t require_count(const Value& obj, std::string_view key,
+                            std::string_view path) {
+  const double v = require_number(obj, key, path);
+  if (!(v >= 0 && v <= 0x1p53) || v != std::floor(v)) {
+    schema_error(path, key, "must be a count");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+void require_schema(const Value& obj, std::string_view expected) {
+  if (require_string(obj, "schema") != expected) {
+    throw std::invalid_argument("schema: expected \"" +
+                                std::string(expected) + '"');
+  }
+}
+
+void require_sum(const Value& obj, std::string_view array_key,
+                 std::string_view total_key, std::string_view path) {
+  const double total = require_number(obj, total_key, path);
+  double sum = 0.0;
+  for (const Value& v : require_array(obj, array_key, path).items()) {
+    if (!v.is_number()) schema_error(path, array_key, "must hold numbers");
+    sum += v.as_number();
+  }
+  if (sum != total) {
+    std::string problem = "must sum to ";
+    if (!path.empty()) {
+      problem += path;
+      problem += '.';
+    }
+    problem += total_key;
+    schema_error(path, array_key, problem);
+  }
 }
 
 }  // namespace adapt::obs::json

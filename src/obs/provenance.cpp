@@ -14,21 +14,6 @@ void grow_merge(std::vector<std::uint64_t>& into,
   for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
 }
 
-void append_u64(std::string& out, const char* key, std::uint64_t v) {
-  out += json::quote(key);
-  out += ':';
-  out += std::to_string(v);
-}
-
-std::uint64_t field_u64(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw std::invalid_argument("schema: provenance key \"" +
-                                std::string(key) + "\" must be a number");
-  }
-  return static_cast<std::uint64_t>(v->as_number());
-}
-
 }  // namespace
 
 void ProvenanceRow::merge_from(const ProvenanceRow& other) {
@@ -77,120 +62,72 @@ ManifestProvenance provenance_of(const lss::LssMetrics& metrics,
 
 void append_provenance_json(std::string& out, const char* key,
                             const ManifestProvenance& provenance) {
-  out += json::quote(key);
-  out += ":{";
-  append_u64(out, "pending_blocks", provenance.pending_blocks);
-  out += ',';
-  out += json::quote("groups");
-  out += ":[";
+  json::Writer w(out);
+  w.begin_object(key)
+      .field("pending_blocks", provenance.pending_blocks)
+      .begin_array("groups");
   for (std::size_t g = 0; g < provenance.groups.size(); ++g) {
-    if (g != 0) out += ',';
     const ProvenanceRow& row = provenance.groups[g];
-    out += '{';
-    append_u64(out, "group", g);
-    out += ',';
-    append_u64(out, "user", row.user_blocks);
-    out += ',';
-    append_u64(out, "gc", row.gc_blocks);
-    out += ',';
-    append_u64(out, "shadow", row.shadow_blocks);
-    out += ',';
-    append_u64(out, "padding", row.padding_blocks);
-    out += ',';
-    append_u64(out, "rmw", row.rmw_blocks);
-    out += ',';
-    append_u64(out, "full_flushes", row.full_flushes);
-    out += ',';
-    append_u64(out, "padded_flushes", row.padded_flushes);
-    out += ',';
-    append_u64(out, "rmw_flushes", row.rmw_flushes);
-    out += ',';
-    out += json::quote("gc_from");
-    out += ":[";
-    for (std::size_t s = 0; s < row.gc_from.size(); ++s) {
-      if (s != 0) out += ',';
-      out += std::to_string(row.gc_from[s]);
-    }
-    out += "]}";
+    w.begin_object()
+        .field("group", g)
+        .field("user", row.user_blocks)
+        .field("gc", row.gc_blocks)
+        .field("shadow", row.shadow_blocks)
+        .field("padding", row.padding_blocks)
+        .field("rmw", row.rmw_blocks)
+        .field("full_flushes", row.full_flushes)
+        .field("padded_flushes", row.padded_flushes)
+        .field("rmw_flushes", row.rmw_flushes)
+        .field("gc_from", row.gc_from)
+        .end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
 }
 
 void append_histogram_json(std::string& out, const char* key,
                            const Log2Histogram& histogram) {
-  out += json::quote(key);
-  out += ":{";
-  append_u64(out, "count", histogram.count());
-  out += ',';
-  append_u64(out, "sum", histogram.sum());
-  out += ',';
-  append_u64(out, "max", histogram.max_value());
-  out += ',';
-  out += json::quote("buckets");
-  out += ":[";
-  bool first = true;
+  json::Writer w(out);
+  w.begin_object(key)
+      .field("count", histogram.count())
+      .field("sum", histogram.sum())
+      .field("max", histogram.max_value())
+      .begin_array("buckets");
   for (std::size_t b = 0; b < Log2Histogram::kBuckets; ++b) {
     if (histogram.bucket(b) == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '{';
-    append_u64(out, "b", b);
-    out += ',';
-    append_u64(out, "floor", Log2Histogram::bucket_floor(b));
-    out += ',';
-    append_u64(out, "count", histogram.bucket(b));
-    out += '}';
+    w.begin_object()
+        .field("b", b)
+        .field("floor", Log2Histogram::bucket_floor(b))
+        .field("count", histogram.bucket(b))
+        .end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
 }
 
 void validate_provenance_json(const json::Value& provenance,
                               std::uint64_t chunk_blocks) {
-  if (!provenance.is_object()) {
-    throw std::invalid_argument("schema: provenance must be an object");
-  }
-  const std::uint64_t pending = field_u64(provenance, "pending_blocks");
-  const json::Value* groups = provenance.find("groups");
-  if (groups == nullptr || !groups->is_array()) {
-    throw std::invalid_argument(
-        "schema: provenance.groups must be an array");
-  }
-  std::uint64_t appended = 0;
-  std::uint64_t chunks_flushed = 0;
-  std::uint64_t rmw_blocks = 0;
-  for (const json::Value& row : groups->items()) {
-    if (!row.is_object()) {
-      throw std::invalid_argument(
-          "schema: provenance group must be an object");
+  constexpr std::string_view kGroups = "provenance.groups";
+  const double pending =
+      json::require_number(provenance, "pending_blocks", "provenance");
+  double appended = 0;
+  double chunks_flushed = 0;
+  double rmw_blocks = 0;
+  for (const json::Value& row :
+       json::require_array(provenance, "groups", "provenance").items()) {
+    for (const char* key : {"user", "gc", "shadow", "padding"}) {
+      appended += json::require_number(row, key, kGroups);
     }
-    const std::uint64_t gc = field_u64(row, "gc");
-    appended += field_u64(row, "user") + gc + field_u64(row, "shadow") +
-                field_u64(row, "padding");
-    rmw_blocks += field_u64(row, "rmw");
-    chunks_flushed +=
-        field_u64(row, "full_flushes") + field_u64(row, "padded_flushes");
-    (void)field_u64(row, "rmw_flushes");
-    (void)field_u64(row, "group");
-    const json::Value* gc_from = row.find("gc_from");
-    if (gc_from == nullptr || !gc_from->is_array()) {
-      throw std::invalid_argument("schema: gc_from must be an array");
+    rmw_blocks += json::require_number(row, "rmw", kGroups);
+    for (const char* key : {"full_flushes", "padded_flushes"}) {
+      chunks_flushed += json::require_number(row, key, kGroups);
     }
-    std::uint64_t from_total = 0;
-    for (const json::Value& n : gc_from->items()) {
-      if (!n.is_number()) {
-        throw std::invalid_argument(
-            "schema: gc_from entries must be numbers");
-      }
-      from_total += static_cast<std::uint64_t>(n.as_number());
-    }
-    if (from_total != gc) {
-      throw std::invalid_argument(
-          "schema: sum(gc_from) != gc blocks — provenance rows must tile "
-          "the group's GC traffic");
-    }
+    json::require_number(row, "rmw_flushes", kGroups);
+    json::require_number(row, "group", kGroups);
+    // The group's rows of the matrix tile its GC traffic.
+    json::require_sum(row, "gc_from", "gc", kGroups);
   }
   // The PR-2 write-accounting identity, checked from the artifact alone.
-  if (appended != chunk_blocks * chunks_flushed + rmw_blocks + pending) {
+  if (appended != static_cast<double>(chunk_blocks) * chunks_flushed +
+                      rmw_blocks + pending) {
     throw std::invalid_argument(
         "schema: provenance breaks the write-accounting identity "
         "(user+gc+shadow+padding != chunk_blocks*chunks_flushed + "
@@ -200,26 +137,16 @@ void validate_provenance_json(const json::Value& provenance,
 
 void validate_histogram_json(const json::Value& histogram,
                              const std::string& name) {
-  if (!histogram.is_object()) {
-    throw std::invalid_argument("schema: " + name + " must be an object");
-  }
-  const std::uint64_t count = field_u64(histogram, "count");
-  (void)field_u64(histogram, "sum");
-  (void)field_u64(histogram, "max");
-  const json::Value* buckets = histogram.find("buckets");
-  if (buckets == nullptr || !buckets->is_array()) {
-    throw std::invalid_argument("schema: " + name +
-                                ".buckets must be an array");
-  }
-  std::uint64_t bucket_total = 0;
-  for (const json::Value& b : buckets->items()) {
-    if (!b.is_object()) {
-      throw std::invalid_argument("schema: " + name +
-                                  " bucket must be an object");
-    }
-    (void)field_u64(b, "b");
-    (void)field_u64(b, "floor");
-    bucket_total += field_u64(b, "count");
+  const double count = json::require_number(histogram, "count", name);
+  json::require_number(histogram, "sum", name);
+  json::require_number(histogram, "max", name);
+  const std::string buckets = name + ".buckets";
+  double bucket_total = 0;
+  for (const json::Value& b :
+       json::require_array(histogram, "buckets", name).items()) {
+    json::require_number(b, "b", buckets);
+    json::require_number(b, "floor", buckets);
+    bucket_total += json::require_number(b, "count", buckets);
   }
   if (bucket_total != count) {
     throw std::invalid_argument("schema: " + name +

@@ -62,13 +62,13 @@ struct ManifestProvenance {
 ManifestProvenance provenance_of(const lss::LssMetrics& metrics,
                                  std::uint64_t pending_blocks);
 
-/// Appends `"<key>":{...}` rendering the provenance matrix (no braces
-/// around the key added by the caller).
+/// Appends `"<key>":{...}` rendering the provenance matrix as a member of
+/// the object open at the end of `out` (json::Writer places the ',').
 void append_provenance_json(std::string& out, const char* key,
                             const ManifestProvenance& provenance);
 
-/// Appends `"<key>":{"count":..,"sum":..,"max":..,"buckets":[{"b":..,
-/// "floor":..,"count":..},...]}` — nonzero buckets only.
+/// Appends the member `"<key>":{"count":..,"sum":..,"max":..,"buckets":
+/// [{"b":..,"floor":..,"count":..},...]}` — nonzero buckets only.
 void append_histogram_json(std::string& out, const char* key,
                            const Log2Histogram& histogram);
 

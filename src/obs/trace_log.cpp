@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "common/annotations.h"
 #include "obs/json.h"
@@ -12,172 +13,85 @@ namespace adapt::obs {
 
 namespace {
 
-/// Display name + category + phase for each event kind.
+/// Display name, category and phase of each event kind, plus the args
+/// names of its a/b/c payload fields (nullptr: the kind has no such field).
 struct KindInfo {
   const char* name;
   const char* cat;
   char ph;
+  const char* a;
+  const char* b;
+  const char* c;
 };
 
 KindInfo kind_info(lss::TraceEventKind kind) {
   using lss::TraceEventKind;
   switch (kind) {
     case TraceEventKind::kUserWrite:
-      return {"user_write", "user", 'i'};
+      return {"user_write", "user", 'i', "lba", nullptr, nullptr};
     case TraceEventKind::kChunkFlush:
-      return {"chunk_flush", "flush", 'i'};
+      return {"chunk_flush", "flush", 'i', "fill_blocks", "padded", "chunk"};
     case TraceEventKind::kRmwFlush:
-      return {"rmw_flush", "flush", 'i'};
+      return {"rmw_flush", "flush", 'i', "blocks", nullptr, "chunk"};
     case TraceEventKind::kShadowAppend:
-      return {"shadow_append", "aggregation", 'i'};
+      return {"shadow_append", "aggregation", 'i', "donor", "blocks", nullptr};
     case TraceEventKind::kShadowExpire:
-      return {"shadow_expire", "aggregation", 'i'};
+      return {"shadow_expire", "aggregation", 'i', "count", nullptr, nullptr};
     case TraceEventKind::kSegmentAlloc:
-      return {"segment_alloc", "segment", 'i'};
+      return {"segment_alloc", "segment", 'i', "segment", nullptr, nullptr};
     case TraceEventKind::kSegmentSeal:
-      return {"segment_seal", "segment", 'i'};
+      return {"segment_seal", "segment", 'i', "segment", "valid_blocks",
+              nullptr};
     case TraceEventKind::kGcRun:
-      return {"gc_run", "gc", 'X'};
+      return {"gc_run", "gc", 'X', "victim", "migrated", "forced_flushes"};
     case TraceEventKind::kThresholdAdapt:
-      return {"threshold_adapt", "adapt", 'i'};
+      return {"threshold_adapt", "adapt", 'i', "threshold", "adoptions",
+              nullptr};
     case TraceEventKind::kGroupCommit:
-      return {"group_commit", "commit", 'i'};
+      return {"group_commit", "commit", 'i', "batch_ops", "batch_blocks",
+              "chunks_flushed"};
     case TraceEventKind::kLaneSubmit:
-      return {"lane_submit", "device", 'i'};
+      return {"lane_submit", "device", 'i', "seq", "inflight", "admit_us"};
     case TraceEventKind::kLaneComplete:
-      return {"lane_complete", "device", 'i'};
+      return {"lane_complete", "device", 'i', "seq", "service_us",
+              "complete_us"};
     case TraceEventKind::kOpSubmit:
-      return {"op_submit", "op", 'X'};
+      return {"op_submit", "op", 'X', "lba", "blocks", nullptr};
     case TraceEventKind::kOpDurable:
-      return {"op_durable", "op", 'X'};
+      return {"op_durable", "op", 'X', "lba", "blocks", "durable_us"};
   }
   throw std::logic_error("unknown trace event kind");
 }
 
-void append_kv_u64(std::string& out, const char* key, std::uint64_t v) {
-  out += json::quote(key);
-  out += ':';
-  out += std::to_string(v);
-}
-
-void append_kv_str(std::string& out, const char* key, std::string_view v) {
-  out += json::quote(key);
-  out += ':';
-  out += json::quote(v);
-}
-
-/// The kind-specific payload rendered into the event's args object.
-void append_args(std::string& out, const lss::TraceEvent& e) {
-  using lss::TraceEventKind;
-  append_kv_u64(out, "wall_us", e.wall_us);
-  if (e.group != kInvalidGroup) {
-    out += ',';
-    append_kv_u64(out, "group", e.group);
-  }
-  out += ',';
-  switch (e.kind) {
-    case TraceEventKind::kUserWrite:
-      append_kv_u64(out, "lba", e.a);
-      break;
-    case TraceEventKind::kChunkFlush:
-      append_kv_u64(out, "fill_blocks", e.a);
-      out += ',';
-      append_kv_u64(out, "padded", e.b);
-      out += ',';
-      append_kv_u64(out, "chunk", e.c);
-      break;
-    case TraceEventKind::kRmwFlush:
-      append_kv_u64(out, "blocks", e.a);
-      out += ',';
-      append_kv_u64(out, "chunk", e.c);
-      break;
-    case TraceEventKind::kShadowAppend:
-      append_kv_u64(out, "donor", e.a);
-      out += ',';
-      append_kv_u64(out, "blocks", e.b);
-      break;
-    case TraceEventKind::kShadowExpire:
-      append_kv_u64(out, "count", e.a);
-      break;
-    case TraceEventKind::kSegmentAlloc:
-      append_kv_u64(out, "segment", e.a);
-      break;
-    case TraceEventKind::kSegmentSeal:
-      append_kv_u64(out, "segment", e.a);
-      out += ',';
-      append_kv_u64(out, "valid_blocks", e.b);
-      break;
-    case TraceEventKind::kGcRun:
-      append_kv_u64(out, "victim", e.a);
-      out += ',';
-      append_kv_u64(out, "migrated", e.b);
-      out += ',';
-      append_kv_u64(out, "forced_flushes", e.c);
-      break;
-    case TraceEventKind::kThresholdAdapt:
-      append_kv_u64(out, "threshold", e.a);
-      out += ',';
-      append_kv_u64(out, "adoptions", e.b);
-      break;
-    case TraceEventKind::kGroupCommit:
-      append_kv_u64(out, "batch_ops", e.a);
-      out += ',';
-      append_kv_u64(out, "batch_blocks", e.b);
-      out += ',';
-      append_kv_u64(out, "chunks_flushed", e.c);
-      break;
-    case TraceEventKind::kLaneSubmit:
-      append_kv_u64(out, "seq", e.a);
-      out += ',';
-      append_kv_u64(out, "inflight", e.b);
-      out += ',';
-      append_kv_u64(out, "admit_us", e.c);
-      break;
-    case TraceEventKind::kLaneComplete:
-      append_kv_u64(out, "seq", e.a);
-      out += ',';
-      append_kv_u64(out, "service_us", e.b);
-      out += ',';
-      append_kv_u64(out, "complete_us", e.c);
-      break;
-    case TraceEventKind::kOpSubmit:
-      append_kv_u64(out, "lba", e.a);
-      out += ',';
-      append_kv_u64(out, "blocks", e.b);
-      break;
-    case TraceEventKind::kOpDurable:
-      append_kv_u64(out, "lba", e.a);
-      out += ',';
-      append_kv_u64(out, "blocks", e.b);
-      out += ',';
-      append_kv_u64(out, "durable_us", e.c);
-      break;
+/// The event's args object: wall clock, group, the kind's payload fields
+/// and the flow id.
+void append_args(json::Writer& w, const lss::TraceEvent& e,
+                 const KindInfo& info) {
+  w.begin_object("args").field("wall_us", e.wall_us);
+  if (e.group != kInvalidGroup) w.field("group", e.group);
+  for (const auto& [key, v] : {std::pair{info.a, e.a}, std::pair{info.b, e.b},
+                               std::pair{info.c, e.c}}) {
+    if (key != nullptr) w.field(key, v);
   }
   // Causal-flow correlation id (batch id in the concurrent engine). Only
   // flow participants carry it, so id-free traces render byte-identically
   // to pre-flow exports.
-  if (e.id != 0) {
-    out += ',';
-    append_kv_u64(out, "flow_id", e.id);
-  }
+  if (e.id != 0) w.field("flow_id", e.id);
+  w.end_object();
 }
 
-void append_metadata_event(std::string& out, std::uint32_t tid,
+void append_metadata_event(json::Writer& w, std::uint32_t tid,
                            std::string_view meta_name,
                            std::string_view value) {
-  out += '{';
-  append_kv_str(out, "name", meta_name);
-  out += ',';
-  append_kv_str(out, "ph", "M");
-  out += ',';
-  append_kv_u64(out, "pid", 0);
-  out += ',';
-  append_kv_u64(out, "tid", tid);
-  out += ',';
-  out += json::quote("args");
-  out += ":{";
-  append_kv_str(out, "name", value);
-  out += "}}";
+  w.begin_object()
+      .field("name", meta_name)
+      .field("ph", "M")
+      .field("pid", 0u)
+      .field("tid", tid)
+      .begin_object("args")
+      .field("name", value)
+      .end_object()
+      .end_object();
 }
 
 }  // namespace
@@ -238,42 +152,29 @@ TraceData merge_trace_logs(const std::vector<const TraceLog*>& shards) {
 }
 
 std::string chrome_trace_json(const TraceData& data, const TraceMeta& meta) {
-  std::string out = "{";
-  append_kv_str(out, "schema", kTraceSchema);
-  out += ',';
-  append_kv_str(out, "displayTimeUnit", "ms");
-  out += ',';
-  out += json::quote("otherData");
-  out += ":{";
-  append_kv_str(out, "tool", meta.tool);
-  out += ',';
-  append_kv_str(out, "policy", meta.policy);
-  out += ',';
-  append_kv_str(out, "workload", meta.workload);
-  out += ',';
-  append_kv_u64(out, "seed", meta.seed);
-  out += ',';
-  append_kv_u64(out, "shards", data.shard_count);
-  out += ',';
-  append_kv_u64(out, "recorded", data.recorded);
-  out += ',';
-  append_kv_u64(out, "dropped", data.dropped);
-  out += ',';
-  out += json::quote("per_shard_dropped");
-  out += ":[";
+  std::string out;
+  json::Writer w(out);
+  w.begin_object()
+      .field("schema", kTraceSchema)
+      .field("displayTimeUnit", "ms")
+      .begin_object("otherData")
+      .field("tool", meta.tool)
+      .field("policy", meta.policy)
+      .field("workload", meta.workload)
+      .field("seed", meta.seed)
+      .field("shards", data.shard_count)
+      .field("recorded", data.recorded)
+      .field("dropped", data.dropped)
+      .begin_array("per_shard_dropped");
   for (std::uint32_t shard = 0; shard < data.shard_count; ++shard) {
-    if (shard > 0) out += ',';
-    out += std::to_string(shard < data.per_shard_dropped.size()
-                              ? data.per_shard_dropped[shard]
-                              : 0);
+    w.value(shard < data.per_shard_dropped.size()
+                ? data.per_shard_dropped[shard]
+                : 0u);
   }
-  out += "]},";
-  out += json::quote("traceEvents");
-  out += ":[";
-  append_metadata_event(out, 0, "process_name", "adapt-lss");
+  w.end_array().end_object().begin_array("traceEvents");
+  append_metadata_event(w, 0, "process_name", "adapt-lss");
   for (std::uint32_t shard = 0; shard < data.shard_count; ++shard) {
-    out += ',';
-    append_metadata_event(out, shard, "thread_name",
+    append_metadata_event(w, shard, "thread_name",
                           "shard " + std::to_string(shard));
   }
   // Pre-pass for Perfetto flow arrows: each nonzero event id is one causal
@@ -295,180 +196,77 @@ std::string chrome_trace_json(const TraceData& data, const TraceMeta& meta) {
     // participant must render as a complete span: instants carrying an id
     // are promoted to width-1 slices.
     const char ph = (e.id != 0 && info.ph == 'i') ? 'X' : info.ph;
-    out += ",{";
-    append_kv_str(out, "name", info.name);
-    out += ',';
-    append_kv_str(out, "cat", info.cat);
-    out += ',';
-    append_kv_str(out, "ph", std::string_view(&ph, 1));
-    out += ',';
-    append_kv_u64(out, "pid", 0);
-    out += ',';
-    append_kv_u64(out, "tid", entry.shard);
-    out += ',';
-    append_kv_u64(out, "ts", e.ts);
-    out += ',';
+    w.begin_object()
+        .field("name", info.name)
+        .field("cat", info.cat)
+        .field("ph", std::string_view(&ph, 1))
+        .field("pid", 0u)
+        .field("tid", entry.shard)
+        .field("ts", e.ts);
     if (ph == 'X') {
       // Pseudo-duration: GC runs use migrated blocks, so victim quality
       // reads directly off the span width (vtime units, like ts); every
       // other slice is nominal width 1.
       const std::uint64_t dur =
           e.kind == lss::TraceEventKind::kGcRun && e.b > 0 ? e.b : 1;
-      append_kv_u64(out, "dur", dur);
-      out += ',';
+      w.field("dur", dur);
     }
-    if (ph == 'i') {
-      append_kv_str(out, "s", "t");
-      out += ',';
-    }
-    out += json::quote("args");
-    out += ":{";
-    append_args(out, e);
-    out += "}}";
+    if (ph == 'i') w.field("s", "t");
+    append_args(w, e, info);
+    w.end_object();
     if (e.id != 0) {
       FlowCount& fc = flows[e.id];
       const char* flow_ph = fc.emitted == 0             ? "s"
                             : fc.emitted + 1 == fc.total ? "f"
                                                          : "t";
       ++fc.emitted;
-      out += ",{";
-      append_kv_str(out, "name", "op_flow");
-      out += ',';
-      append_kv_str(out, "cat", "flow");
-      out += ',';
-      append_kv_str(out, "ph", flow_ph);
-      out += ',';
-      append_kv_u64(out, "pid", 0);
-      out += ',';
-      append_kv_u64(out, "tid", entry.shard);
-      out += ',';
-      append_kv_u64(out, "ts", e.ts);
-      out += ',';
-      append_kv_u64(out, "id", e.id);
-      out += ',';
-      out += json::quote("args");
-      out += ":{}}";
+      w.begin_object()
+          .field("name", "op_flow")
+          .field("cat", "flow")
+          .field("ph", flow_ph)
+          .field("pid", 0u)
+          .field("tid", entry.shard)
+          .field("ts", e.ts)
+          .field("id", e.id)
+          .begin_object("args")
+          .end_object()
+          .end_object();
     }
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 
 void validate_trace_json(std::string_view text) {
   const json::Value doc = json::parse(text);
-  if (!doc.is_object()) {
-    throw std::invalid_argument("schema: trace must be an object");
-  }
-  const json::Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kTraceSchema) {
-    throw std::invalid_argument("schema: expected \"" +
-                                std::string(kTraceSchema) + '"');
-  }
-  const json::Value* other = doc.find("otherData");
-  if (other == nullptr || !other->is_object()) {
-    throw std::invalid_argument("schema: otherData must be an object");
-  }
+  json::require_schema(doc, kTraceSchema);
+  const json::Value& other = json::require_object(doc, "otherData");
   for (const char* key : {"tool", "policy", "workload"}) {
-    const json::Value* v = other->find(key);
-    if (v == nullptr || !v->is_string()) {
-      throw std::invalid_argument("schema: otherData." + std::string(key) +
-                                  " must be a string");
-    }
+    json::require_string(other, key, "otherData");
   }
-  for (const char* key : {"seed", "shards", "recorded", "dropped"}) {
-    const json::Value* v = other->find(key);
-    if (v == nullptr || !v->is_number()) {
-      throw std::invalid_argument("schema: otherData." + std::string(key) +
-                                  " must be a number");
-    }
+  for (const char* key : {"seed", "shards", "recorded"}) {
+    json::require_number(other, key, "otherData");
   }
-  {
-    const json::Value* per_shard = other->find("per_shard_dropped");
-    if (per_shard == nullptr || !per_shard->is_array()) {
-      throw std::invalid_argument(
-          "schema: otherData.per_shard_dropped must be an array");
-    }
-    double shard_sum = 0.0;
-    for (const json::Value& v : per_shard->items()) {
-      if (!v.is_number()) {
-        throw std::invalid_argument(
-            "schema: otherData.per_shard_dropped entries must be numbers");
-      }
-      shard_sum += v.as_number();
-    }
-    if (shard_sum != other->find("dropped")->as_number()) {
-      throw std::invalid_argument(
-          "schema: otherData.per_shard_dropped must sum to otherData.dropped");
-    }
-  }
-  const json::Value* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    throw std::invalid_argument("schema: traceEvents must be an array");
-  }
+  json::require_sum(other, "per_shard_dropped", "dropped", "otherData");
   std::size_t index = 0;
-  for (const json::Value& event : events->items()) {
+  for (const json::Value& event :
+       json::require_array(doc, "traceEvents").items()) {
     const std::string where = "traceEvents[" + std::to_string(index++) + "]";
-    if (!event.is_object()) {
-      throw std::invalid_argument("schema: " + where + " must be an object");
-    }
-    const json::Value* name = event.find("name");
-    if (name == nullptr || !name->is_string()) {
-      throw std::invalid_argument("schema: " + where +
-                                  ".name must be a string");
-    }
-    const json::Value* ph = event.find("ph");
-    if (ph == nullptr || !ph->is_string()) {
-      throw std::invalid_argument("schema: " + where +
-                                  ".ph must be a string");
-    }
-    const std::string& phase = ph->as_string();
+    json::require_string(event, "name", where);
+    const std::string& phase = json::require_string(event, "ph", where);
     const bool flow_phase = phase == "s" || phase == "t" || phase == "f";
     if (phase != "M" && phase != "i" && phase != "X" && phase != "C" &&
         !flow_phase) {
       throw std::invalid_argument("schema: " + where + " has unknown phase \"" +
                                   phase + '"');
     }
-    if (flow_phase) {
-      const json::Value* id = event.find("id");
-      if (id == nullptr || !id->is_number()) {
-        throw std::invalid_argument("schema: " + where +
-                                    ".id must be a number on flow events");
-      }
-    }
-    for (const char* key : {"pid", "tid"}) {
-      const json::Value* v = event.find(key);
-      if (v == nullptr || !v->is_number()) {
-        throw std::invalid_argument("schema: " + where + '.' + key +
-                                    " must be a number");
-      }
-    }
-    if (phase != "M") {
-      const json::Value* ts = event.find("ts");
-      if (ts == nullptr || !ts->is_number()) {
-        throw std::invalid_argument("schema: " + where +
-                                    ".ts must be a number");
-      }
-    }
-    if (phase == "X") {
-      const json::Value* dur = event.find("dur");
-      if (dur == nullptr || !dur->is_number()) {
-        throw std::invalid_argument("schema: " + where +
-                                    ".dur must be a number");
-      }
-    }
-    if (phase == "i") {
-      const json::Value* scope = event.find("s");
-      if (scope == nullptr || !scope->is_string()) {
-        throw std::invalid_argument("schema: " + where +
-                                    ".s must be a string");
-      }
-    }
-    const json::Value* args = event.find("args");
-    if (args == nullptr || !args->is_object()) {
-      throw std::invalid_argument("schema: " + where +
-                                  ".args must be an object");
-    }
+    if (flow_phase) json::require_number(event, "id", where);
+    json::require_number(event, "pid", where);
+    json::require_number(event, "tid", where);
+    if (phase != "M") json::require_number(event, "ts", where);
+    if (phase == "X") json::require_number(event, "dur", where);
+    if (phase == "i") json::require_string(event, "s", where);
+    json::require_object(event, "args", where);
   }
 }
 

@@ -139,6 +139,14 @@ TimeUs seconds_to_us(double seconds, const char* what) {
 
 }  // namespace
 
+TraceFormat format_named(std::string_view name) {
+  if (name == "canonical") return TraceFormat::kCanonical;
+  if (name == "alibaba") return TraceFormat::kAlibaba;
+  if (name == "tencent") return TraceFormat::kTencent;
+  if (name == "msrc") return TraceFormat::kMsrc;
+  throw std::invalid_argument("unknown trace format: " + std::string(name));
+}
+
 std::optional<Record> parse_line(std::string_view line, TraceFormat format,
                                  std::uint32_t block_size) {
   line = trim(line);

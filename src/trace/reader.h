@@ -23,6 +23,10 @@ namespace adapt::trace {
 
 enum class TraceFormat { kCanonical, kAlibaba, kTencent, kMsrc };
 
+/// The format called `name` (canonical|alibaba|tencent|msrc); throws
+/// std::invalid_argument for any other name.
+TraceFormat format_named(std::string_view name);
+
 /// Structured parse failure: which line (1-based; 0 when unknown, e.g. from
 /// parse_line on a free-standing string) and why. Malformed or overflowing
 /// fields always raise this — a trace reader that silently skips or

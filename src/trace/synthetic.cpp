@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace adapt::trace {
 
@@ -103,6 +105,13 @@ CloudProfile msrc_profile() {
       .min_ws_blocks = 1u << 15,
       .max_ws_blocks = 1u << 17,
   };
+}
+
+CloudProfile profile_named(std::string_view name) {
+  if (name == "alibaba") return alibaba_profile();
+  if (name == "tencent") return tencent_profile();
+  if (name == "msrc") return msrc_profile();
+  throw std::invalid_argument("unknown profile: " + std::string(name));
 }
 
 std::uint32_t draw_request_blocks(const std::array<double, 6>& weights,

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -99,6 +100,10 @@ struct CloudProfile {
 CloudProfile alibaba_profile();
 CloudProfile tencent_profile();
 CloudProfile msrc_profile();
+
+/// The profile called `name` (alibaba|tencent|msrc); throws
+/// std::invalid_argument for any other name.
+CloudProfile profile_named(std::string_view name);
 
 /// Per-volume parameters drawn from a profile.
 struct VolumeParams {

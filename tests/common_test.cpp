@@ -2,8 +2,6 @@
 // Fenwick tree, packed bitmaps, zero-page arrays, histograms, thread pool,
 // strict number parsing.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -20,7 +18,6 @@
 #include "common/packed_bitmap.h"
 #include "common/parse.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/zero_page_array.h"
 #include "common/zipf.h"
 
@@ -493,65 +490,6 @@ TEST(ZeroPageArrayTest, EmptyHoldsNoMapping) {
   EXPECT_EQ(empty.data(), nullptr);
   EXPECT_EQ(empty.bytes(), 0u);
   EXPECT_THROW(ZeroPageArray<std::uint64_t>(~std::size_t{0}), std::bad_alloc);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<int> counter{0};
-  pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrently) {
-  ThreadPool pool(4);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&] {
-      const int now = concurrent.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (now > expected &&
-             !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      concurrent.fetch_sub(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_GT(peak.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitFromWorker) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    pool.submit([&] { counter.fetch_add(1); });
-    counter.fetch_add(1);
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -204,9 +204,13 @@ void run_sharded_stress(std::uint64_t seed) {
       engine.read(lba, static_cast<std::uint32_t>(1 + rng.below(8)), now);
     } else if (kind < 90) {
       now += 200 + rng.below(2000);
-      engine.advance_time(now);
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        engine.shard(s).advance_time(now);
+      }
     } else {
-      engine.gc_step(now, watermark);
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        engine.shard(s).gc_step(now, watermark);
+      }
     }
     if ((op + 1) % kFullAuditEvery == 0) {
       for (std::uint32_t s = 0; s < kShards; ++s) {

@@ -1,7 +1,8 @@
 // ThreadPool contract tests, written to run under TSan (CI runs this
-// binary in the thread-sanitizer job): concurrent submitters, the
-// wait_idle barrier (including tasks that submit more tasks), drain-on-
-// destruction, and the experiment runner's first-error propagation pattern.
+// binary in the thread-sanitizer job): concurrent submitters and
+// concurrent tasks, the wait_idle barrier (including an empty pool and
+// tasks that submit more tasks), drain-on-destruction, and the experiment
+// runner's first-error propagation pattern.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -34,6 +35,31 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   pool.submit([&done] { ++done; });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 1);
+}
+
+TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
+  ThreadPool pool(2);
+  pool.wait_idle();  // must not hang
+  SUCCEED();
+}
+
+TEST(ThreadPoolTest, TasksRunConcurrently) {
+  ThreadPool pool(4);
+  std::atomic<int> concurrent{0};
+  std::atomic<int> peak{0};
+  for (int i = 0; i < 16; ++i) {
+    pool.submit([&] {
+      const int now = concurrent.fetch_add(1) + 1;
+      int expected = peak.load();
+      while (now > expected &&
+             !peak.compare_exchange_weak(expected, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      concurrent.fetch_sub(1);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_GT(peak.load(), 1);
 }
 
 TEST(ThreadPoolTest, ManyConcurrentSubmitters) {

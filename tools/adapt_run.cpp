@@ -166,22 +166,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-adapt::trace::TraceFormat parse_format(const std::string& name) {
-  using adapt::trace::TraceFormat;
-  if (name == "canonical") return TraceFormat::kCanonical;
-  if (name == "alibaba") return TraceFormat::kAlibaba;
-  if (name == "tencent") return TraceFormat::kTencent;
-  if (name == "msrc") return TraceFormat::kMsrc;
-  throw std::invalid_argument("unknown trace format: " + name);
-}
-
-adapt::trace::CloudProfile parse_profile(const std::string& name) {
-  if (name == "alibaba") return adapt::trace::alibaba_profile();
-  if (name == "tencent") return adapt::trace::tencent_profile();
-  if (name == "msrc") return adapt::trace::msrc_profile();
-  throw std::invalid_argument("unknown profile: " + name);
-}
-
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path.string());
@@ -220,11 +204,11 @@ int run(const Options& opt) {
                    opt.trace_path.c_str());
       return 1;
     }
-    volume = trace::read_trace(in, parse_format(opt.format));
+    volume = trace::read_trace(in, trace::format_named(opt.format));
     volume.id = opt.volume_id;
     workload = opt.trace_path;
   } else {
-    trace::CloudVolumeModel model(parse_profile(opt.profile), opt.seed);
+    trace::CloudVolumeModel model(trace::profile_named(opt.profile), opt.seed);
     volume = model.make_volume(opt.volume_id, opt.fill);
     workload = opt.profile;
   }
