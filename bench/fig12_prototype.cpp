@@ -1,7 +1,7 @@
 // Figure 12 — prototype evaluation: (a) client throughput at 1 / 4 / 8
 // clients for every scheme on the bandwidth-modelled RAID-5 backend
-// (YCSB-A, IO depth 8, background GC threads = clients), and (b) memory
-// overhead of ADAPT vs SepBIT.
+// (YCSB-A, IO depth 8, one store with one background GC thread), and (b)
+// memory overhead of ADAPT vs SepBIT.
 //
 // Paper reference points: with one client all schemes are close (device
 // not saturated) and SepGC is slightly ahead; at 4 and 8 clients ADAPT is

@@ -1,7 +1,7 @@
 // Drive the multithreaded storage prototype: client threads replay YCSB-A
-// against the LSS with a bandwidth-modelled RAID-5 backend and background
-// GC threads, printing live-measured throughput — a scaled-down version of
-// the paper's §4.4 testbed run.
+// against one LSS with a bandwidth-modelled RAID-5 backend and a
+// background GC thread, printing live-measured throughput — a scaled-down
+// version of the paper's §4.4 testbed run.
 //
 // Usage: prototype_demo [policy] [clients] [writes_per_client] [manifest.json]
 //
@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/parse.h"
+#include "lss/device_lanes.h"
 #include "obs/export.h"
 #include "obs/runtime_stats.h"
 #include "proto/prototype.h"
@@ -69,11 +70,13 @@ int main(int argc, char** argv) {
   config.workload.mean_interarrival_us = 0.0;  // open loop
   config.lss.coalesce_window_us = 300;  // scaled with the modelled BW
 
+  const lss::DeviceLanesConfig lanes;  // the lanes run_prototype models
   std::printf("prototype: policy=%s clients=%u writes/client=%llu "
-              "array=%.0f MB/s io-depth=%u\n",
+              "array=%.0f MB/s lanes=%u io-depth=%u\n",
               config.policy.c_str(), config.num_clients,
               static_cast<unsigned long long>(config.writes_per_client),
-              config.array_bandwidth_mb_per_s, config.io_depth);
+              config.array_bandwidth_mb_per_s, lanes.lanes,
+              lanes.queue_depth);
 
   obs::RuntimeStats live_stats;
   std::optional<obs::LiveStatsPrinter> live_printer;

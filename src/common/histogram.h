@@ -20,7 +20,7 @@ namespace adapt {
 /// counts values whose bit width is b (bucket 0 holds zeros, bucket b >= 1
 /// covers [2^(b-1), 2^b)), plus exact count/sum/max. Suitable for per-block
 /// hot paths — add() is a shift, three adds, and a max — and mergeable
-/// across shards like the other LssMetrics counters.
+/// across threads and volumes.
 class Log2Histogram {
  public:
   /// bit_width of a uint64 ranges over [0, 64].
@@ -89,7 +89,7 @@ class Log2Histogram {
     return static_cast<double>(max_);
   }
 
-  /// Element-wise accumulation (shard-merge).
+  /// Element-wise accumulation.
   void merge_from(const Log2Histogram& other) noexcept {
     for (std::size_t b = 0; b < kBuckets; ++b) {
       buckets_[b] += other.buckets_[b];

@@ -66,7 +66,7 @@ class ChunkWriter {
 
   /// Attaches a flush-record collector (nullptr detaches): every chunk and
   /// RMW flush appends a PendingFlush to `*out`. The owner drains the
-  /// vector after each batch (ConcurrentEngine::lead does, under the shard
+  /// vector after each batch (ConcurrentEngine::lead does, under the engine
   /// lock) and models durability outside the critical section; leaving a
   /// collector attached without draining grows it unboundedly. Detached —
   /// the default, and the serial simulator's mode — the flush paths cost

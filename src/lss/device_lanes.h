@@ -136,7 +136,7 @@ class DeviceLanes {
 
   /// Attaches a trace sink to lane `lane` (nullptr detaches). Emission
   /// happens under the lane mutex, so an unsynchronised per-lane ring is
-  /// safe, mirroring ConcurrentEngine's per-shard sinks.
+  /// safe, mirroring ConcurrentEngine's sink under its engine lock.
   void set_trace_sink(std::uint32_t lane, TraceSink* sink);
 
   /// Submits `bytes` to `lane` at wall time `now_us`; thread-safe across

@@ -6,7 +6,7 @@
 // the host clock):
 //
 //   submit    the client called write()
-//   joined    the leader applied the op (its per-shard-monotonised ts)
+//   joined    the leader applied the op (its monotonised ts)
 //   applied   the whole batch left the engine critical section
 //   lane      the batch's flushes started device service on their lanes
 //   durable   the last flush of the batch completed
@@ -50,7 +50,7 @@ struct LatencyBreakdown {
   Log2Histogram total_us;           ///< submit -> durable
 
   /// Records one op from its raw milestones. Clamping makes the sequence
-  /// monotone (clock skew between a client's submit stamp and the shard
+  /// monotone (clock skew between a client's submit stamp and the engine
   /// clock otherwise produces negative phases) and keeps the telescoping
   /// identity exact: the five adds always satisfy
   /// intake+apply+queue+service == total, value for value.
@@ -84,7 +84,6 @@ struct LatencyBreakdown {
 /// by the batch leader right after the batch's durable time is known. The
 /// breakdown covers exactly this batch's applied ops.
 struct BatchSample {
-  std::uint32_t shard = 0;
   std::uint64_t ops = 0;
   std::uint64_t blocks = 0;
   LatencyBreakdown breakdown;

@@ -24,15 +24,15 @@ enum class TraceEventKind : std::uint8_t {
   kGcRun,           ///< group = victim group, a = victim segment,
                     ///< b = migrated blocks, c = forced lazy flushes
   kThresholdAdapt,  ///< a = new threshold, b = total adoptions so far
-  kGroupCommit,     ///< group = shard index, a = batched ops, b = blocks,
+  kGroupCommit,     ///< group = 0, a = batched ops, b = blocks,
                     ///< c = chunks flushed by the batch
   kLaneSubmit,      ///< group = lane, a = seq, b = inflight after admission,
                     ///< c = admit_us (>= wall_us when the queue was full)
   kLaneComplete,    ///< group = lane, a = seq, b = service_us,
                     ///< c = complete_us (virtual durable time)
-  kOpSubmit,        ///< group = shard, a = lba, b = blocks (op applied into
+  kOpSubmit,        ///< group = 0, a = lba, b = blocks (op applied into
                     ///< a batch; id carries the batch flow id)
-  kOpDurable,       ///< group = shard, a = lba, b = blocks, c = durable_us
+  kOpDurable,       ///< group = 0, a = lba, b = blocks, c = durable_us
 };
 
 /// POD event record. `ts` is the engine's deterministic virtual clock

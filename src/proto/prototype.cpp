@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,13 +13,16 @@
 #include "adapt/shard_stack.h"
 #include "common/histogram.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "obs/provenance.h"
 
 namespace adapt::proto {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Per-request client-side cost (request handling, network). Keeps a
+/// single client below device saturation, as in the paper's Fig. 12a.
+constexpr double kClientThinkUs = 20.0;
 
 /// Simulated microsecond clock fed to the engine (coalescing windows, GC
 /// timestamps). Host latency and elapsed time are measured separately in
@@ -53,43 +55,26 @@ double safe_rate(double amount, double elapsed_seconds) {
   return std::isfinite(rate) ? rate : 0.0;
 }
 
-std::uint32_t resolve_shards(const PrototypeConfig& config) {
-  if (config.shards != 0) return config.shards;
-  // Auto: one shard per client up to 8, but never shrink a shard below
-  // lss::kMinShardBlocks — tiny working sets would fail
-  // LssConfig::validate (op segments must cover the GC watermark).
-  const std::uint64_t ws = config.workload.working_set_blocks;
-  const std::uint64_t floor_cap =
-      std::max<std::uint64_t>(1, ws / lss::kMinShardBlocks);
-  const std::uint64_t want =
-      std::min<std::uint64_t>(std::max<std::uint32_t>(config.num_clients, 1),
-                              8);
-  return static_cast<std::uint32_t>(std::min(want, floor_cap));
-}
-
 PrototypeResult run_prototype(const PrototypeConfig& config) {
   lss::LssConfig lss_config = config.lss;
   lss_config.logical_blocks = config.workload.working_set_blocks;
 
-  const std::uint32_t shards = resolve_shards(config);
   core::StackSpec stack;
   stack.policy = config.policy;
   stack.victim = config.victim_policy;
   stack.adapt.sample_rate = config.adapt_sample_rate;
 
   // Device model: lss::DeviceLanes — one submission/completion queue per
-  // modeled SSD, each serving at its share of the aggregate bandwidth with
-  // an io_depth-bounded queue. Flush records are submitted round-robin
-  // across the lanes (byte-accurate: RMW flushes charge their sub-chunk
-  // payload, chunk flushes a full chunk) and the thread that owes the
-  // durability sleeps until the modeled completion, so aggregate write
-  // throughput is capped at the configured array bandwidth no matter how
-  // many threads submit.
+  // modeled SSD (DeviceLanesConfig's lane count and queue depth), each
+  // serving at its share of the aggregate bandwidth. Flush records are
+  // submitted round-robin across the lanes (byte-accurate: RMW flushes
+  // charge their sub-chunk payload, chunk flushes a full chunk) and the
+  // thread that owes the durability sleeps until the modeled completion,
+  // so aggregate write throughput is capped at the configured array
+  // bandwidth no matter how many threads submit.
   const std::uint64_t chunk_bytes =
       std::uint64_t{lss_config.chunk_blocks} * lss_config.block_bytes;
   lss::DeviceLanesConfig lanes_config;
-  lanes_config.lanes = std::max<std::uint32_t>(config.device_lanes, 1);
-  lanes_config.queue_depth = std::max<std::uint32_t>(config.io_depth, 1);
   lanes_config.lane_bandwidth_mb_per_s =
       config.array_bandwidth_mb_per_s / lanes_config.lanes;
   lss::DeviceLanes lanes(lanes_config);
@@ -101,13 +86,11 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   // FlushOutcome of its last-completing record (durable time + that
   // record's pure service time, which the phase breakdown uses to split
   // lane queueing from media time). Thread-safe (atomic rotor + per-lane
-  // locks inside DeviceLanes); the shard index is deliberately unused —
-  // the lanes are one global resource shared by every shard, like the
-  // physical array. Each record's causal-flow id rides into the lane's
-  // trace events, correlating batch -> flush -> lane in the trace.
-  auto submit_flushes =
-      [&](std::uint32_t /*shard*/,
-          const std::vector<lss::PendingFlush>& flushes) -> lss::FlushOutcome {
+  // locks inside DeviceLanes): batch leaders and the GC thread both
+  // submit. Each record's causal-flow id rides into the lane's trace
+  // events, correlating batch -> flush -> lane in the trace.
+  auto submit_flushes = [&](const std::vector<lss::PendingFlush>& flushes)
+      -> lss::FlushOutcome {
     const TimeUs now = wall_now_us(start);
     lss::FlushOutcome out;
     for (const lss::PendingFlush& f : flushes) {
@@ -138,7 +121,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   std::vector<ClientSpan> spans(config.num_clients);
   std::atomic<bool> done{false};
   // GC wake-up: clients bump after every write (new garbage may have
-  // crossed the watermark) and once more at shutdown; an idle GC task
+  // crossed the watermark) and once more at shutdown; an idle GC thread
   // parks on the signal instead of burning a 50 us poll loop. The timeout
   // is a safety net for missed transitions, not the scheduling mechanism.
   WorkSignal gc_signal;
@@ -147,12 +130,11 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   PrototypeResult result;
   result.policy = config.policy;
   result.num_clients = config.num_clients;
-  result.shards = shards;
 
   lss::ConcurrentEngine engine(
-      lss_config, shards, config.seed,
-      [&stack](std::uint32_t /*shard_index*/, const lss::LssConfig& shard) {
-        return core::make_shard_parts(stack, shard);
+      lss_config, config.seed,
+      [&stack](std::uint32_t /*shard_index*/, const lss::LssConfig& c) {
+        return core::make_shard_parts(stack, c);
       },
       /*record_ops=*/false);
   // Apply/durable split: batch leaders submit their drained flushes to the
@@ -166,30 +148,24 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   }
   const std::uint32_t watermark =
       lss_config.free_segment_reserve +
-      engine.shard_for_inspection(0).group_count() + 4;
+      engine.engine_for_inspection().group_count() + 4;
 
-  std::unique_ptr<ThreadPool> gc_pool;
-  if (config.background_gc) {
-    gc_pool = std::make_unique<ThreadPool>(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) {
-      gc_pool->submit([&, i] {
-        std::vector<lss::PendingFlush> flushes;
-        while (!done.load(std::memory_order_relaxed)) {
-          // Snapshot the signal BEFORE probing for work: a write that
-          // lands between the probe and the park bumps the version, so
-          // wait_change returns immediately instead of losing the wakeup.
-          const std::uint64_t seen = gc_signal.version();
-          const bool worked = engine.gc_step(i, wall_now_us(start),
-                                             watermark, nullptr, &flushes);
-          if (worked && !flushes.empty()) {
-            wait_until(submit_flushes(i, flushes).durable_us);
-          } else if (!worked) {
-            gc_signal.wait_change(seen, kGcIdleWaitUs);
-          }
-        }
-      });
+  auto gc_fn = [&] {
+    std::vector<lss::PendingFlush> flushes;
+    while (!done.load(std::memory_order_relaxed)) {
+      // Snapshot the signal BEFORE probing for work: a write that lands
+      // between the probe and the park bumps the version, so wait_change
+      // returns immediately instead of losing the wakeup.
+      const std::uint64_t seen = gc_signal.version();
+      const bool worked =
+          engine.gc_step(wall_now_us(start), watermark, &flushes);
+      if (worked && !flushes.empty()) {
+        wait_until(submit_flushes(flushes).durable_us);
+      } else if (!worked) {
+        gc_signal.wait_change(seen, kGcIdleWaitUs);
+      }
     }
-  }
+  };
 
   auto client_fn = [&](std::uint32_t client_id) {
     trace::YcsbConfig wc = config.workload;
@@ -210,7 +186,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
       engine.write(r.lba, r.blocks, submit_us);
       gc_signal.bump();
       latency.add(monotonic_now_ns() - submit_ns);
-      think_debt_us += config.client_think_us;
+      think_debt_us += kClientThinkUs;
       if (think_debt_us >= 1000.0) {
         sleep_for_us(static_cast<std::uint64_t>(think_debt_us));
         think_debt_us = 0.0;
@@ -220,21 +196,23 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
     spans[client_id].end_ns = monotonic_now_ns();
   };
   {
-    std::vector<Thread> clients;
-    clients.reserve(config.num_clients);
-    for (std::uint32_t i = 0; i < config.num_clients; ++i) {
-      clients.emplace_back(client_fn, i);
-    }
-  }  // joins the clients
-  done.store(true, std::memory_order_relaxed);
-  gc_signal.bump();
-  if (gc_pool != nullptr) gc_pool->shutdown();
+    const Thread gc(gc_fn);
+    {
+      std::vector<Thread> clients;
+      clients.reserve(config.num_clients);
+      for (std::uint32_t i = 0; i < config.num_clients; ++i) {
+        clients.emplace_back(client_fn, i);
+      }
+    }  // joins the clients
+    done.store(true, std::memory_order_relaxed);
+    gc_signal.bump();
+  }  // joins the GC thread
 
-  result.metrics = engine.merged_metrics();
-  result.group_commit = engine.merged_stats();
+  result.metrics = engine.metrics();
+  result.group_commit = engine.stats();
   result.breakdown = engine.latency_breakdown();
   result.policy_memory_bytes = engine.policy_memory_bytes();
-  const std::uint64_t pending_blocks_total = engine.merged_pending_blocks();
+  const std::uint64_t pending_blocks_total = engine.pending_blocks();
   result.engine_memory_bytes = engine.engine_memory_bytes();
 
   // ---- result assembly ----
@@ -274,7 +252,6 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   m.over_provision = lss_config.over_provision;
   obs::register_lss_metrics(m.counters, result.metrics);
   *m.counters.slot("proto.clients") = config.num_clients;
-  *m.counters.slot("proto.shards") = shards;
   *m.counters.slot("proto.commit_groups") = result.group_commit.groups;
   *m.counters.slot("proto.commit_ops") = result.group_commit.ops;
   *m.counters.slot("proto.commit_max_batch") = result.group_commit.max_batch;

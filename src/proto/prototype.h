@@ -1,20 +1,21 @@
 // Log-structured storage prototype (paper §4.4).
 //
-// The paper's prototype runs on a real mdraid RAID-5 of four NVMe SSDs; we
-// substitute lss::DeviceLanes: one submission/completion queue per modeled
-// device, each serving at its share of the aggregate bandwidth with an
-// io_depth-bounded queue. Flushes are SUBMITTED to a lane (virtual-time
-// accounting, outside every engine lock) and the thread that owes the
-// durability sleeps until the modeled completion. GC chunk traffic
-// therefore steals real wall-clock bandwidth from clients exactly as on
-// hardware, which is the effect behind Figure 12a: once the device
+// The paper's prototype runs one log-structured store on a real mdraid
+// RAID-5 of four NVMe SSDs; we substitute lss::DeviceLanes: one
+// submission/completion queue per modeled device (DeviceLanesConfig's 4
+// lanes, each with a queue depth of 8, the paper's io_depth), each serving
+// at its share of the aggregate bandwidth. Flushes are SUBMITTED to a lane
+// (virtual-time accounting, outside every engine lock) and the thread that
+// owes the durability sleeps until the modeled completion. GC chunk
+// traffic therefore steals real wall-clock bandwidth from clients exactly
+// as on hardware, which is the effect behind Figure 12a: once the device
 // saturates, the scheme with the lowest WA sustains the highest client
 // throughput.
 //
 // Client threads replay independent YCSB-A streams against the concurrent
-// front-end (lss::ConcurrentEngine): a per-shard writer queue whose head
-// applies every write queued behind it in a single engine pass. Background
-// GC runs on a ThreadPool, one task per shard.
+// front-end (lss::ConcurrentEngine) over one engine: a writer queue whose
+// head applies every write queued behind it in a single engine pass.
+// Background GC runs on one thread of its own.
 //
 // Per-op latency (submit -> durable) is captured in nanoseconds into
 // fixed-memory Log2Histograms (one per client thread, merged at the end)
@@ -42,34 +43,17 @@ struct PrototypeConfig {
   std::string policy = "adapt";
   std::string victim_policy = "greedy";
   std::uint32_t num_clients = 4;
-  /// Per-lane submission queue depth (the paper's io_depth=8 setting):
-  /// DeviceLanesConfig::queue_depth. The old model amortised this into the
-  /// bandwidth figure; now it bounds each lane's outstanding submissions.
-  std::uint32_t io_depth = 8;
-  /// Modeled devices (lanes), matching the paper's 4-SSD array. The
-  /// aggregate bandwidth below is split evenly across them.
-  std::uint32_t device_lanes = 4;
   std::uint64_t writes_per_client = 50'000;  ///< blocks written per client
   trace::YcsbConfig workload;          ///< per-client generator (seed+i)
-  /// Aggregate array bandwidth to model. Scaled down from real hardware so
-  /// that service times dominate simulation compute and the saturation
-  /// effect is visible in short runs.
+  /// Aggregate array bandwidth to model, split evenly across the lanes.
+  /// Scaled down from real hardware so that service times dominate
+  /// simulation compute and the saturation effect is visible in short
+  /// runs.
   double array_bandwidth_mb_per_s = 600.0;
-  /// Per-request client-side cost (request handling, network). Keeps a
-  /// single client below device saturation, as in the paper's Fig. 12a.
-  double client_think_us = 20.0;
-  bool background_gc = true;
   /// Spatial sampling rate handed to ADAPT (0 = auto). The paper's
   /// production setting is 0.001.
   double adapt_sample_rate = 0.0;
   std::uint64_t seed = 1;
-  /// LBA shard count for the group-commit front-end. 0 = auto:
-  /// min(num_clients, 8), capped so each shard keeps at least
-  /// lss::kMinShardBlocks logical blocks (the floor the simulator applies
-  /// to its one engine). An explicit
-  /// value is used as-is and may throw from LssConfig::validate when the
-  /// per-shard geometry gets too small.
-  std::uint32_t shards = 0;
   /// Live runtime stats: when set, every batch leader publishes its
   /// BatchSample into this sink, so an obs::LiveStatsPrinter can report
   /// the run while it goes (mirrors sim::SimConfig::live_stats). Not owned;
@@ -80,7 +64,7 @@ struct PrototypeConfig {
 struct PrototypeResult {
   std::string policy;
   std::uint32_t num_clients = 0;
-  std::uint32_t shards = 1;
+  std::uint32_t shards = 1;  ///< always 1: one engine per run
   double elapsed_seconds = 0.0;  ///< client-span envelope (see ClientSpan)
   std::uint64_t user_blocks = 0;
   /// Client-visible write throughput; 0 when the run was too short for the
@@ -105,8 +89,8 @@ struct PrototypeResult {
   lss::DeviceLanesStats lanes;
   lss::LssMetrics metrics;
   std::size_t policy_memory_bytes = 0;
-  /// LssEngine::memory_usage_bytes() over every shard: block map, shadow
-  /// table, segment headers and bitmaps, slot-LBA arena.
+  /// LssEngine::memory_usage_bytes(): block map, shadow table, segment
+  /// headers and bitmaps, slot-LBA arena.
   std::size_t engine_memory_bytes = 0;
   /// adapt-manifest-v1 provenance record (tool = "prototype"), carrying
   /// the merged lss.* counters, proto.* front-end counters, and the
@@ -130,9 +114,6 @@ double spans_elapsed_seconds(const std::vector<ClientSpan>& spans);
 /// not finite), so a run shorter than the clock tick never reports
 /// inf/garbage throughput; the regression tests in proto_test.cpp pin it.
 double safe_rate(double amount, double elapsed_seconds);
-
-/// Resolved shard count for `config` (applies the auto rule above).
-std::uint32_t resolve_shards(const PrototypeConfig& config);
 
 /// Runs the prototype to completion and reports measured throughput.
 PrototypeResult run_prototype(const PrototypeConfig& config);

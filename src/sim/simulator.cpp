@@ -57,7 +57,7 @@ VolumeResult run_volume(const trace::Volume& volume,
   std::optional<obs::TraceLog> trace_log;
   if (config.tracing_enabled) {
     trace_log.emplace(config.tracing);
-    engine.set_trace_sink(0, &*trace_log);
+    engine.set_trace_sink(&*trace_log);
     // The policy's re-adaptation events land in the engine's ring, keeping
     // the timeline's order deterministic.
     if (adapt_policy != nullptr) adapt_policy->set_trace_sink(&*trace_log);

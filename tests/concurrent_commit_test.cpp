@@ -1,7 +1,7 @@
 // Tests for the group-commit front-end (lss/group_commit.h): the writer
 // queue's batching and leader handoff, the failure and latency contracts,
 // and the differential linearization oracle — the concurrent path records
-// its per-shard op order, a serial engine replays it, and final state +
+// its op order, a serial engine replays it, and final state +
 // deterministic metrics must match bit-exactly.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "adapt/shard_stack.h"
-#include "common/rng.h"
 #include "common/sync.h"
 #include "lss/group_commit.h"
 #include "lss/placement_policy.h"
@@ -78,35 +77,32 @@ void expect_metrics_equal(const LssMetrics& a, const LssMetrics& b) {
   }
 }
 
-/// The prototype's shard stack for `policy` (greedy victim, no array),
-/// from the builder run_prototype uses.
+/// The prototype's stack for `policy` (greedy victim, no array), built by
+/// core::make_shard_parts as run_prototype builds it.
 ShardFactory stack_factory(std::string policy) {
   return [policy = std::move(policy)](std::uint32_t /*shard_index*/,
-                                      const LssConfig& shard_config) {
+                                      const LssConfig& config) {
     core::StackSpec spec;
     spec.policy = policy;
-    return core::make_shard_parts(spec, shard_config);
+    return core::make_shard_parts(spec, config);
   };
 }
 
 struct DiffCase {
   std::string policy = "sepgc";
   std::uint64_t seed = 1;
-  std::uint32_t shards = 2;
   std::uint32_t clients = 4;
-  /// Default exceeds the 2^16-block working set (4 x 20000 > 65536) so the
-  /// log wraps and background GC genuinely migrates — a differential test
-  /// that never reclaims a segment would not be testing the GC interleave.
-  std::uint64_t writes_per_client = 20'000;
+  /// Default writes about twice the engine's physical log (4 x 40000
+  /// blocks against 2^16 x 1.25 = 81,920), so the log wraps and GC
+  /// genuinely migrates whatever the interleave — a differential test that
+  /// never reclaims a segment would not be testing the GC interleave.
+  std::uint64_t writes_per_client = 40'000;
   bool background_gc = true;
-  /// Mixes 8–64-block spans that cross a blocks_per_shard() boundary into
-  /// the 1-block YCSB stream, so writes split across shards.
-  bool straddle = false;
 };
 
-/// Runs `dc.clients` threads of YCSB writes (plus GC threads) through a
-/// ConcurrentEngine, then replays every shard's recorded linearized log
-/// through a fresh serial engine and asserts bit-identical final state.
+/// Runs `dc.clients` threads of YCSB writes (plus a GC thread) through a
+/// ConcurrentEngine, then replays the recorded linearized log through a
+/// fresh serial engine and asserts bit-identical final state.
 void run_differential(const DiffCase& dc) {
   constexpr std::uint64_t kWorkingSet = std::uint64_t{1} << 16;
   LssConfig lss_config;
@@ -114,14 +110,13 @@ void run_differential(const DiffCase& dc) {
 
   const ShardFactory factory = stack_factory(dc.policy);
 
-  ConcurrentEngine engine(lss_config, dc.shards, dc.seed, factory,
-                          /*record_ops=*/true);
+  ConcurrentEngine engine(lss_config, dc.seed, factory, /*record_ops=*/true);
   const std::uint32_t watermark =
       lss_config.free_segment_reserve +
-      engine.shard_for_inspection(0).group_count() + 4;
+      engine.engine_for_inspection().group_count() + 4;
 
   // The simulated clock only needs to be shared and non-decreasing-ish;
-  // the leader monotonises per shard and records the applied value, so the
+  // the leader monotonises it and records the applied value, so the
   // oracle is exact regardless of what we feed here.
   std::atomic<std::uint64_t> clock{0};
   std::atomic<std::uint64_t> submitted_blocks{0};
@@ -132,110 +127,82 @@ void run_differential(const DiffCase& dc) {
     wc.working_set_blocks = kWorkingSet;
     wc.seed = dc.seed * 7919 + client_id;
     trace::YcsbGenerator gen(wc);
-    Rng rng(wc.seed);
-    const std::uint64_t bps = engine.blocks_per_shard();
     std::uint64_t written = 0;
     while (written < dc.writes_per_client) {
-      Lba lba = 0;
-      std::uint32_t blocks = 0;
-      if (dc.straddle && rng.below(4) == 0) {
-        // [lba, lba + blocks) covers boundary - 1 and boundary.
-        blocks = static_cast<std::uint32_t>(8 + rng.below(57));
-        const Lba boundary = (1 + rng.below(dc.shards - 1)) * bps;
-        lba = boundary - 1 - rng.below(blocks - 1);
-      } else {
-        const trace::Record r = gen.next();
-        if (r.op != trace::OpType::kWrite) continue;
-        lba = r.lba;
-        blocks = r.blocks;
-      }
-      engine.write(lba, blocks, clock.fetch_add(1, std::memory_order_relaxed));
-      written += blocks;
+      const trace::Record r = gen.next();
+      if (r.op != trace::OpType::kWrite) continue;
+      engine.write(r.lba, r.blocks,
+                   clock.fetch_add(1, std::memory_order_relaxed));
+      written += r.blocks;
     }
     submitted_blocks.fetch_add(written, std::memory_order_relaxed);
   };
-  auto gc_fn = [&](std::uint32_t shard) {
+  auto gc_fn = [&] {
     while (!done.load(std::memory_order_relaxed)) {
       const bool worked = engine.gc_step(
-          shard, clock.fetch_add(1, std::memory_order_relaxed), watermark);
+          clock.fetch_add(1, std::memory_order_relaxed), watermark);
       if (!worked) yield_now();
     }
   };
 
   {
-    std::vector<Thread> threads;
-    threads.reserve(dc.clients + (dc.background_gc ? dc.shards : 0));
-    for (std::uint32_t i = 0; i < dc.clients; ++i) {
-      threads.emplace_back(client_fn, i);
-    }
-    if (dc.background_gc) {
-      for (std::uint32_t i = 0; i < dc.shards; ++i) {
-        threads.emplace_back(gc_fn, i);
+    Thread gc;
+    if (dc.background_gc) gc = Thread(gc_fn);
+    {
+      std::vector<Thread> clients;
+      clients.reserve(dc.clients);
+      for (std::uint32_t i = 0; i < dc.clients; ++i) {
+        clients.emplace_back(client_fn, i);
       }
-    }
-    for (std::uint32_t i = 0; i < dc.clients; ++i) threads[i].join();
+    }  // joins the clients
     done.store(true, std::memory_order_relaxed);
-  }  // joins GC threads
+  }  // joins the GC thread
   engine.flush_all();
 
   // Sanity: contention must have actually formed multi-op batches, or this
   // test is not exercising the group path at all.
-  const GroupCommitStats stats = engine.merged_stats();
+  const GroupCommitStats stats = engine.stats();
   EXPECT_GT(stats.groups, 0u);
   EXPECT_GE(stats.ops, stats.groups);
   if (dc.background_gc) {
-    // The write volume exceeds the working set, so the log wraps and the GC
-    // threads must have migrated blocks concurrently with client writes —
+    // The write volume is twice the physical log, so the log wraps and GC
+    // must have migrated blocks concurrently with client writes —
     // otherwise the oracle never sees a write/GC interleave.
-    EXPECT_GT(engine.merged_metrics().gc_runs, 0u);
+    EXPECT_GT(engine.metrics().gc_runs, 0u);
   }
-  if (dc.straddle) {
-    // Every submitted block is in exactly one shard's log, and spans were
-    // really split: shard 0 logged a sub-span ending at its upper edge.
-    std::uint64_t logged_blocks = 0;
-    bool split_seen = false;
-    for (std::uint32_t i = 0; i < dc.shards; ++i) {
-      for (const RecordedOp& op : engine.recorded_ops(i)) {
-        if (op.kind != RecordedOp::Kind::kWrite) continue;
-        logged_blocks += op.blocks;
-        if (i == 0 && op.lba + op.blocks == engine.blocks_per_shard()) {
-          split_seen = true;
-        }
-      }
-    }
-    EXPECT_EQ(logged_blocks, submitted_blocks.load());
-    EXPECT_TRUE(split_seen);
+  engine.check_invariants(audit::Level::kFull);
+
+  const std::vector<RecordedOp> log = engine.recorded_ops();
+  ASSERT_FALSE(log.empty());
+  // Every submitted block is in the log, once.
+  std::uint64_t logged_blocks = 0;
+  for (const RecordedOp& op : log) {
+    if (op.kind == RecordedOp::Kind::kWrite) logged_blocks += op.blocks;
   }
+  EXPECT_EQ(logged_blocks, submitted_blocks.load());
 
-  for (std::uint32_t i = 0; i < dc.shards; ++i) {
-    SCOPED_TRACE("shard " + std::to_string(i));
-    const std::vector<RecordedOp> log = engine.recorded_ops(i);
-    ASSERT_FALSE(log.empty());
+  // Serial oracle: same factory, same config, same seed.
+  ShardParts parts = factory(0, engine.config());
+  LssEngine serial(engine.config(), *parts.policy, *parts.victim, nullptr,
+                   dc.seed);
+  if (parts.hook != nullptr) serial.set_aggregation_hook(parts.hook);
+  ConcurrentEngine::replay_log(serial, log);
 
-    // Serial oracle: same factory, same per-shard config, same seed law.
-    ShardParts parts = factory(i, engine.per_shard_config());
-    LssEngine serial(engine.per_shard_config(), *parts.policy, *parts.victim,
-                     nullptr, dc.seed + i);
-    if (parts.hook != nullptr) serial.set_aggregation_hook(parts.hook);
-    ConcurrentEngine::replay_log(serial, log);
-
-    const LssEngine& concurrent = engine.shard_for_inspection(i);
-    expect_metrics_equal(concurrent.metrics(), serial.metrics());
-    EXPECT_EQ(concurrent.chunks_flushed(), serial.chunks_flushed());
-    EXPECT_EQ(concurrent.vtime(), serial.vtime());
-    EXPECT_EQ(concurrent.free_segments(), serial.free_segments());
-    EXPECT_EQ(concurrent.segments_per_group(), serial.segments_per_group());
-    for (GroupId g = 0; g < concurrent.group_count(); ++g) {
-      EXPECT_EQ(concurrent.pending_blocks(g), serial.pending_blocks(g))
-          << "group " << g;
-    }
-    // Every logical block maps to the same physical location.
-    for (Lba lba = 0; lba < engine.per_shard_config().logical_blocks;
-         ++lba) {
-      const BlockLocation cl = concurrent.locate(lba);
-      const BlockLocation sl = serial.locate(lba);
-      ASSERT_EQ(cl, sl) << "lba " << lba;
-    }
+  const LssEngine& concurrent = engine.engine_for_inspection();
+  expect_metrics_equal(concurrent.metrics(), serial.metrics());
+  EXPECT_EQ(concurrent.chunks_flushed(), serial.chunks_flushed());
+  EXPECT_EQ(concurrent.vtime(), serial.vtime());
+  EXPECT_EQ(concurrent.free_segments(), serial.free_segments());
+  EXPECT_EQ(concurrent.segments_per_group(), serial.segments_per_group());
+  for (GroupId g = 0; g < concurrent.group_count(); ++g) {
+    EXPECT_EQ(concurrent.pending_blocks(g), serial.pending_blocks(g))
+        << "group " << g;
+  }
+  // Every logical block maps to the same physical location.
+  for (Lba lba = 0; lba < engine.config().logical_blocks; ++lba) {
+    const BlockLocation cl = concurrent.locate(lba);
+    const BlockLocation sl = serial.locate(lba);
+    ASSERT_EQ(cl, sl) << "lba " << lba;
   }
 }
 
@@ -249,11 +216,10 @@ TEST(ConcurrentCommitDifferentialTest, SepgcFourClientsSeed2) {
   run_differential(dc);
 }
 
-TEST(ConcurrentCommitDifferentialTest, SepgcSixClientsFourShardsSeed3) {
+TEST(ConcurrentCommitDifferentialTest, SepgcSixClientsSeed3) {
   DiffCase dc;
   dc.seed = 3;
   dc.clients = 6;
-  dc.shards = 4;
   run_differential(dc);
 }
 
@@ -272,23 +238,8 @@ TEST(ConcurrentCommitDifferentialTest, AdaptFourClientsSeed2NoGc) {
   run_differential(dc);
 }
 
-TEST(ConcurrentCommitDifferentialTest, StraddlingSpansTwoShards) {
+TEST(ConcurrentCommitDifferentialTest, SingleClientStillExact) {
   DiffCase dc;
-  dc.straddle = true;
-  run_differential(dc);
-}
-
-TEST(ConcurrentCommitDifferentialTest, StraddlingSpansFourShardsSeed5) {
-  DiffCase dc;
-  dc.straddle = true;
-  dc.seed = 5;
-  dc.shards = 4;
-  run_differential(dc);
-}
-
-TEST(ConcurrentCommitDifferentialTest, SingleShardSingleClientStillExact) {
-  DiffCase dc;
-  dc.shards = 1;
   dc.clients = 1;
   dc.writes_per_client = 2000;
   // Too small to wrap the log; a GC thread would only spin idle.
@@ -302,10 +253,15 @@ TEST(ConcurrentCommitDifferentialTest, SingleShardSingleClientStillExact) {
 TEST(ConcurrentEngineTest, RejectsOutOfRangeWrite) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  ConcurrentEngine engine(cfg, 2, 1, stack_factory("sepgc"));
+  ConcurrentEngine engine(cfg, 1, stack_factory("sepgc"));
   EXPECT_THROW(engine.write(cfg.logical_blocks, 1, 0), std::out_of_range);
-  // A span whose end wraps past 2^64 must not be acknowledged.
+  // A span that runs past the end, and one whose end wraps past 2^64,
+  // must not be acknowledged.
+  EXPECT_THROW(engine.write(cfg.logical_blocks - 2, 4, 0), std::out_of_range);
   EXPECT_THROW(engine.write(~Lba{0} - 3, 8, 0), std::out_of_range);
+  // The span is checked before it joins a batch: none was led or logged.
+  EXPECT_EQ(engine.stats().groups, 0u);
+  EXPECT_TRUE(engine.recorded_ops().empty());
 }
 
 // Fault injection for the batch-abort contract: delegates to the real
@@ -374,7 +330,7 @@ TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
         std::make_unique<FaultyPolicy>(std::move(parts.policy), &ctrl);
     return parts;
   };
-  ConcurrentEngine engine(cfg, 1, 1, factory);
+  ConcurrentEngine engine(cfg, 1, factory);
 
   std::atomic<int> ok{0}, injected{0}, aborted{0};
   auto classify = [&](Lba lba) {
@@ -405,8 +361,8 @@ TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
   EXPECT_EQ(injected.load(), 1);
   EXPECT_EQ(aborted.load(), 1);
   // Exactly the applied prefix is in the engine and the linearized log.
-  EXPECT_EQ(engine.merged_metrics().user_blocks, 1u);
-  EXPECT_EQ(engine.recorded_ops(0).size(), 1u);
+  EXPECT_EQ(engine.metrics().user_blocks, 1u);
+  EXPECT_EQ(engine.recorded_ops().size(), 1u);
 }
 
 // Delegating policy that parks call #1 inside the leader's apply (same
@@ -449,7 +405,7 @@ class HoldFirstPolicy : public PlacementPolicy {
   FaultyControl* ctrl_;
 };
 
-/// One-shard sepgc engine whose first placement call parks until
+/// A sepgc engine whose first placement call parks until
 /// `ctrl->release`, holding the first leader inside its apply.
 std::unique_ptr<ConcurrentEngine> make_held_engine(FaultyControl* ctrl) {
   LssConfig cfg;
@@ -462,7 +418,7 @@ std::unique_ptr<ConcurrentEngine> make_held_engine(FaultyControl* ctrl) {
         std::make_unique<HoldFirstPolicy>(std::move(parts.policy), ctrl);
     return parts;
   };
-  return std::make_unique<ConcurrentEngine>(cfg, 1, 1, factory);
+  return std::make_unique<ConcurrentEngine>(cfg, 1, factory);
 }
 
 // Batches form in arrival order: while the first leader is parked inside
@@ -485,12 +441,12 @@ TEST(ConcurrentEngineTest, BatchesFormInArrivalOrder) {
     }
     ctrl.release.store(true, std::memory_order_release);
   }  // joins every writer
-  const std::vector<RecordedOp> log = engine->recorded_ops(0);
+  const std::vector<RecordedOp> log = engine->recorded_ops();
   ASSERT_EQ(log.size(), 4u);
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(log[i].lba, i) << "op " << i;
   }
-  const GroupCommitStats stats = engine->merged_stats();
+  const GroupCommitStats stats = engine->stats();
   EXPECT_EQ(stats.groups, 2u);
   EXPECT_EQ(stats.ops, 4u);
   EXPECT_EQ(stats.max_batch, 3u);
@@ -505,8 +461,8 @@ thread_local int tl_writer = -1;
 TEST(ConcurrentEngineTest, WriterArrivingDuringApplyLeadsNextBatch) {
   FaultyControl ctrl;
   const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
-  // (leader thread, batch size) per batch, in commit order. Batches of one
-  // shard commit one after another, so no lock is needed.
+  // (leader thread, batch size) per batch, in commit order. Batches commit
+  // one after another, so no lock is needed.
   std::vector<std::pair<int, std::uint64_t>> batches;
   engine->set_batch_hook([&batches](const BatchSample& s) {
     batches.emplace_back(tl_writer, s.ops);
@@ -530,7 +486,7 @@ TEST(ConcurrentEngineTest, WriterArrivingDuringApplyLeadsNextBatch) {
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0], (std::pair<int, std::uint64_t>{0, 1}));
   EXPECT_EQ(batches[1], (std::pair<int, std::uint64_t>{1, 1}));
-  EXPECT_EQ(engine->recorded_ops(0).size(), 2u);
+  EXPECT_EQ(engine->recorded_ops().size(), 2u);
 }
 
 // Regression for a latency-attribution bug: under a leader-absorbs-the-
@@ -552,8 +508,7 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
   constexpr TimeUs kServiceUs = 50'000;
   std::atomic<int> submits{0}, waits{0};
   engine->set_device_model(
-      [&](std::uint32_t,
-          const std::vector<PendingFlush>& flushes) -> FlushOutcome {
+      [&](const std::vector<PendingFlush>& flushes) -> FlushOutcome {
         EXPECT_FALSE(flushes.empty());
         submits.fetch_add(1, std::memory_order_relaxed);
         return {kServiceUs, kServiceUs};
@@ -565,7 +520,7 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
 
   // sepgc routes every user write to one fixed group, so a chunk-sized
   // write always tips exactly one full-chunk flush inside its own batch.
-  const std::uint32_t chunk = engine->per_shard_config().chunk_blocks;
+  const std::uint32_t chunk = engine->config().chunk_blocks;
   std::uint64_t latency_ns[3] = {0, 0, 0};
   auto timed_write = [&](int idx, Lba lba) {
     const std::uint64_t begin_ns = monotonic_now_ns();
@@ -604,14 +559,13 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
 TEST(ConcurrentEngineTest, LatencyBreakdownTelescopesExactly) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  ConcurrentEngine engine(cfg, 1, 1, stack_factory("sepgc"));
+  ConcurrentEngine engine(cfg, 1, stack_factory("sepgc"));
 
   // Virtual device: each submitted batch is durable 100us later on a
   // monotone modeled clock, 40us of it pure service; waits are free.
   std::atomic<TimeUs> device_clock{0};
   engine.set_device_model(
-      [&](std::uint32_t,
-          const std::vector<PendingFlush>& flushes) -> FlushOutcome {
+      [&](const std::vector<PendingFlush>& flushes) -> FlushOutcome {
         EXPECT_FALSE(flushes.empty());
         const TimeUs durable =
             device_clock.fetch_add(100, std::memory_order_relaxed) + 100;
@@ -621,7 +575,7 @@ TEST(ConcurrentEngineTest, LatencyBreakdownTelescopesExactly) {
 
   constexpr int kThreads = 4;
   constexpr int kWritesPerThread = 400;
-  const std::uint32_t chunk = engine.per_shard_config().chunk_blocks;
+  const std::uint32_t chunk = engine.config().chunk_blocks;
   {
     std::vector<Thread> clients;
     clients.reserve(kThreads);
@@ -664,16 +618,15 @@ class CollectSink final : public TraceSink {
 // the kGroupCommit batch event, the chunk flushes it tipped (and their
 // PendingFlush records, which the prototype forwards to the device lanes),
 // and the per-op kOpDurable records. Single-threaded, so batches are size
-// one and the per-shard ids are exactly 1..N.
+// one and the ids are exactly 1..N.
 TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  ConcurrentEngine engine(cfg, 1, 1, stack_factory("sepgc"));
+  ConcurrentEngine engine(cfg, 1, stack_factory("sepgc"));
   CollectSink sink;
-  engine.set_trace_sink(0, &sink);
+  engine.set_trace_sink(&sink);
   engine.set_device_model(
-      [](std::uint32_t,
-         const std::vector<PendingFlush>& flushes) -> FlushOutcome {
+      [](const std::vector<PendingFlush>& flushes) -> FlushOutcome {
         for (const PendingFlush& f : flushes) {
           EXPECT_NE(f.id, 0u) << "traced batch flush lost its flow id";
         }
@@ -682,7 +635,7 @@ TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
       [](TimeUs) {});
 
   static constexpr std::uint64_t kOps = 8;
-  const std::uint32_t chunk = engine.per_shard_config().chunk_blocks;
+  const std::uint32_t chunk = engine.config().chunk_blocks;
   for (std::uint64_t i = 0; i < kOps; ++i) {
     engine.write(i * chunk, chunk, static_cast<TimeUs>(i + 1));
   }
@@ -729,16 +682,15 @@ TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
   }
 }
 
-TEST(ConcurrentEngineTest, RecordOpsOffKeepsLogsEmpty) {
+TEST(ConcurrentEngineTest, RecordOpsOffKeepsLogEmpty) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
-  ConcurrentEngine engine(cfg, 2, 1, stack_factory("sepgc"),
+  ConcurrentEngine engine(cfg, 1, stack_factory("sepgc"),
                           /*record_ops=*/false);
   engine.write(0, 4, 1);
   engine.flush_all();
-  EXPECT_TRUE(engine.recorded_ops(0).empty());
-  EXPECT_TRUE(engine.recorded_ops(1).empty());
-  EXPECT_GT(engine.merged_metrics().user_blocks, 0u);
+  EXPECT_TRUE(engine.recorded_ops().empty());
+  EXPECT_GT(engine.metrics().user_blocks, 0u);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "common/zipf.h"
 #include "flash/ftl.h"
 #include "lss/engine.h"
-#include "lss/sharded_engine.h"
 #include "lss/victim_policy.h"
 
 namespace adapt {
@@ -145,101 +144,6 @@ TEST_P(OracleStressTest, RmwModeAgreesWithOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleStressTest,
                          ::testing::Values(1u, 7u, 42u, 20250805u));
-
-// -- Sharded engine vs per-shard oracles -------------------------------------
-
-// Drives a 4-shard ShardedEngine with mixed global traffic while an
-// independent OracleModel mirrors each shard's slice of the LBA space. The
-// span-split must deliver every block to exactly the shard the oracle
-// expects, and each shard must keep all single-engine invariants under the
-// full ADAPT policy stack (threshold adaptation + aggregation + demotion).
-void run_sharded_stress(std::uint64_t seed) {
-  constexpr std::uint32_t kShards = 4;
-  lss::LssConfig global = stress_config(lss::PartialWriteMode::kZeroPad);
-  // Per shard this divides back to the single-engine stress geometry.
-  global.logical_blocks *= kShards;
-
-  const auto factory = [&](std::uint32_t,
-                           const lss::LssConfig& shard_lss) {
-    lss::ShardParts parts;
-    auto policy = core::make_adapt_policy(stress_adapt_config(shard_lss));
-    parts.hook = policy.get();
-    parts.policy = std::move(policy);
-    parts.victim = lss::make_victim_policy(
-        seed % 2 == 0 ? "greedy" : "cost-benefit");
-    return parts;
-  };
-  lss::ShardedEngine engine(global, kShards, seed, factory);
-  ASSERT_EQ(engine.per_shard_config().logical_blocks,
-            stress_config(lss::PartialWriteMode::kZeroPad).logical_blocks);
-
-  std::vector<audit::OracleModel> oracles;
-  oracles.reserve(kShards);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    oracles.emplace_back(engine.per_shard_config());
-  }
-
-  const std::uint32_t watermark =
-      engine.per_shard_config().free_segment_reserve +
-      engine.shard(0).group_count() + 2;
-  Rng rng(seed);
-  ZipfianGenerator zipf(global.logical_blocks, 0.99);
-  TimeUs now = 0;
-  constexpr std::uint64_t kOps = 60000;
-  for (std::uint64_t op = 0; op < kOps; ++op) {
-    const std::uint64_t kind = rng.below(100);
-    if (kind < 70) {
-      const Lba lba =
-          std::min<Lba>(zipf.next(rng), global.logical_blocks - 4);
-      const auto blocks = static_cast<std::uint32_t>(1 + rng.below(4));
-      now += rng.below(150);
-      engine.write(lba, blocks, now);
-      for (Lba l = lba; l < lba + blocks; ++l) {
-        oracles[engine.shard_of(l)].on_write(engine.local_of(l), 1);
-      }
-      const std::uint32_t s = engine.shard_of(lba);
-      oracles[s].verify_op(engine.shard(s), engine.local_of(lba));
-    } else if (kind < 80) {
-      const Lba lba = rng.below(global.logical_blocks - 8);
-      engine.read(lba, static_cast<std::uint32_t>(1 + rng.below(8)), now);
-    } else if (kind < 90) {
-      now += 200 + rng.below(2000);
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        engine.shard(s).advance_time(now);
-      }
-    } else {
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        engine.shard(s).gc_step(now, watermark);
-      }
-    }
-    if ((op + 1) % kFullAuditEvery == 0) {
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        oracles[s].verify_full(engine.shard(s));
-      }
-      engine.check_invariants(audit::Level::kFull);
-    }
-  }
-
-  engine.flush_all();
-  std::uint64_t oracle_user_blocks = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    oracles[s].verify_drained(engine.shard(s));
-    oracle_user_blocks += oracles[s].user_blocks();
-  }
-  engine.check_invariants(audit::Level::kFull);
-  EXPECT_EQ(engine.merged_metrics().user_blocks, oracle_user_blocks);
-  EXPECT_GE(engine.merged_metrics().wa(), 1.0);
-}
-
-class ShardedOracleStressTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ShardedOracleStressTest, FourShardsAgreeWithPerShardOracles) {
-  run_sharded_stress(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedOracleStressTest,
-                         ::testing::Values(5u, 42u));
 
 // -- FTL oracle --------------------------------------------------------------
 

@@ -26,7 +26,6 @@ namespace {
 lss::BatchSample make_sample(std::uint64_t ops, std::uint64_t blocks,
                              TimeUs total_each) {
   lss::BatchSample s;
-  s.shard = 0;
   s.ops = ops;
   s.blocks = blocks;
   for (std::uint64_t i = 0; i < ops; ++i) {

@@ -1,7 +1,6 @@
-// ShardedEngine tests: per-shard config derivation, the LBA range
-// span-split, the 1-shard pass-through identity against a direct
-// LssEngine, the in-place replay and the op list against the synchronous
-// path, and merged-observer accounting.
+// ShardedEngine tests: the pass-through identity against a direct
+// LssEngine, the range check, the constructor's contract, and the in-place
+// replay and the op list against the synchronous path.
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -21,8 +20,7 @@ namespace {
 using testing::TwoGroupPolicy;
 using testing::small_config;
 
-/// small_config with a logical space big enough that a 4-way split still
-/// validates (each shard needs op segments >= reserve + 2*groups + 2).
+/// small_config over a 2048-block logical space.
 LssConfig sharded_config() {
   LssConfig c = small_config();
   c.logical_blocks = 2048;
@@ -32,7 +30,7 @@ LssConfig sharded_config() {
 /// Factory building the same deterministic TwoGroupPolicy + greedy stack a
 /// direct-engine test would use.
 ShardParts two_group_parts(std::uint32_t /*shard_index*/,
-                           const LssConfig& /*shard_config*/) {
+                           const LssConfig& /*config*/) {
   ShardParts parts;
   parts.policy = std::make_unique<TwoGroupPolicy>();
   parts.victim = make_greedy();
@@ -42,10 +40,10 @@ ShardParts two_group_parts(std::uint32_t /*shard_index*/,
 /// Same, placed by SepBIT, whose per-LBA last-write map takes the replay's
 /// write hints (PlacementPolicy::prefetch_user_write).
 ShardParts sepbit_parts(std::uint32_t /*shard_index*/,
-                        const LssConfig& shard_config) {
+                        const LssConfig& config) {
   ShardParts parts;
   parts.policy = std::make_unique<placement::SepBitPolicy>(
-      shard_config.logical_blocks, shard_config.segment_blocks());
+      config.logical_blocks, config.segment_blocks());
   parts.victim = make_greedy();
   return parts;
 }
@@ -86,45 +84,7 @@ void expect_metrics_eq(const LssMetrics& a, const LssMetrics& b) {
 }
 
 // ---------------------------------------------------------------------------
-// shard_config
-// ---------------------------------------------------------------------------
-
-TEST(ShardConfigTest, DividesLogicalSpaceCeil) {
-  LssConfig global = sharded_config();
-  EXPECT_EQ(shard_config(global, 1).logical_blocks, 2048u);
-  EXPECT_EQ(shard_config(global, 4).logical_blocks, 512u);
-  global.logical_blocks = 2049;  // remainder: every shard gets the ceiling
-  EXPECT_EQ(shard_config(global, 4).logical_blocks, 513u);
-}
-
-TEST(ShardConfigTest, PreservesChunkAndSegmentGeometry) {
-  const LssConfig global = sharded_config();
-  const LssConfig per_shard = shard_config(global, 4);
-  EXPECT_EQ(per_shard.chunk_blocks, global.chunk_blocks);
-  EXPECT_EQ(per_shard.segment_chunks, global.segment_chunks);
-  EXPECT_EQ(per_shard.free_segment_reserve, global.free_segment_reserve);
-  EXPECT_DOUBLE_EQ(per_shard.over_provision, global.over_provision);
-}
-
-TEST(ShardConfigTest, ScalesCoalesceWindowByShardCount) {
-  const LssConfig global = sharded_config();
-  EXPECT_EQ(shard_config(global, 1).coalesce_window_us,
-            global.coalesce_window_us);
-  EXPECT_EQ(shard_config(global, 4).coalesce_window_us,
-            4 * global.coalesce_window_us);
-}
-
-TEST(ShardConfigTest, RejectsBadShardCounts) {
-  const LssConfig global = sharded_config();
-  EXPECT_THROW(shard_config(global, 0), std::invalid_argument);
-  EXPECT_THROW(shard_config(global, kMaxShards + 1), std::invalid_argument);
-  LssConfig tiny = global;
-  tiny.logical_blocks = 3;
-  EXPECT_THROW(shard_config(tiny, 4), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// 1-shard pass-through identity
+// Pass-through identity
 // ---------------------------------------------------------------------------
 
 TEST(ShardedEngineTest, OneShardMatchesDirectEngineBitIdentically) {
@@ -160,7 +120,7 @@ TEST(ShardedEngineTest, OneShardMatchesDirectEngineBitIdentically) {
   EXPECT_EQ(sharded.chunks_flushed(), direct.chunks_flushed());
   EXPECT_EQ(sharded.merged_segments_per_group(),
             direct.segments_per_group());
-  // Same mapping, block by block: shard 0 at N == 1 is the whole space.
+  // Same mapping, block by block.
   for (Lba lba = 0; lba < config.logical_blocks; ++lba) {
     ASSERT_EQ(sharded.shard(0).locate(lba), direct.locate(lba))
         << "lba " << lba;
@@ -169,65 +129,11 @@ TEST(ShardedEngineTest, OneShardMatchesDirectEngineBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Span-split routing
+// Contract
 // ---------------------------------------------------------------------------
 
-TEST(ShardedEngineTest, RangeRuleMapsContiguousSpans) {
-  ShardedEngine sharded(sharded_config(), 4, /*base_seed=*/1,
-                        two_group_parts);
-  const std::uint64_t bps = sharded.blocks_per_shard();
-  ASSERT_EQ(bps, 512u);
-  EXPECT_EQ(sharded.shard_of(bps - 1), 0u);
-  EXPECT_EQ(sharded.shard_of(bps), 1u);
-  EXPECT_EQ(sharded.local_of(bps), 0u);
-
-  // A span over the boundary lands as the top of shard 0 and the bottom
-  // of shard 1; no other shard sees it.
-  sharded.write(bps - 2, 4, 0);
-  sharded.flush_all();
-  for (Lba local = 0; local < bps; ++local) {
-    const bool on0 = local >= bps - 2;
-    const bool on1 = local < 2;
-    ASSERT_EQ(sharded.shard(0).locate(local) != kNowhere, on0) << local;
-    ASSERT_EQ(sharded.shard(1).locate(local) != kNowhere, on1) << local;
-    ASSERT_EQ(sharded.shard(2).locate(local), kNowhere) << local;
-    ASSERT_EQ(sharded.shard(3).locate(local), kNowhere) << local;
-  }
-  EXPECT_EQ(sharded.shard(0).metrics().user_blocks, 2u);
-  EXPECT_EQ(sharded.shard(1).metrics().user_blocks, 2u);
-}
-
-TEST(ShardedEngineTest, SpanSplitCoversEveryBlockExactlyOnce) {
-  const LssConfig config = sharded_config();
-  ShardedEngine sharded(config, 4, /*base_seed=*/1, two_group_parts);
-  EXPECT_EQ(sharded.per_shard_config().logical_blocks, 512u);
-
-  // Random spans, some of them crossing a shard boundary.
-  std::vector<bool> written(config.logical_blocks, false);
-  Rng rng(223);
-  std::uint64_t blocks_issued = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const Lba lba = rng.below(config.logical_blocks - 9);
-    const auto blocks = static_cast<std::uint32_t>(1 + rng.below(9));
-    sharded.write(lba, blocks, 0);
-    blocks_issued += blocks;
-    for (Lba l = lba; l < lba + blocks; ++l) written[l] = true;
-  }
-  sharded.flush_all();
-
-  // Every written global block is mapped on exactly the shard the range
-  // partition assigns it; untouched blocks stay unmapped everywhere.
-  for (Lba lba = 0; lba < config.logical_blocks; ++lba) {
-    const LssEngine& owner = sharded.shard(sharded.shard_of(lba));
-    ASSERT_EQ(owner.locate(sharded.local_of(lba)) != kNowhere, written[lba])
-        << "lba " << lba;
-  }
-  EXPECT_EQ(sharded.merged_metrics().user_blocks, blocks_issued);
-  sharded.check_invariants(audit::Level::kFull);
-}
-
 TEST(ShardedEngineTest, OutOfRangeOpsThrow) {
-  ShardedEngine sharded(sharded_config(), 4, 1, two_group_parts);
+  ShardedEngine sharded(sharded_config(), 1, 1, two_group_parts);
   EXPECT_THROW(sharded.write(2047, 2, 0), std::out_of_range);
   EXPECT_THROW(sharded.read(2048, 1, 0), std::out_of_range);
   EXPECT_THROW(sharded.enqueue_write(2040, 16, 0), std::out_of_range);
@@ -239,8 +145,8 @@ TEST(ShardedEngineTest, OutOfRangeOpsThrow) {
   EXPECT_THROW(sharded.enqueue_write(wrapped, 8, 0), std::out_of_range);
   EXPECT_EQ(sharded.queued_ops(), 0u);
 
-  // replay stops every shard at the first bad op: the op before it
-  // landed, the op after it did not.
+  // replay stops at the first bad op: the op before it landed, the op
+  // after it did not.
   const std::vector<ReplayOp> ops = {
       {0, 4, 0, true}, {wrapped, 8, 0, true}, {8, 4, 0, true}};
   EXPECT_THROW(
@@ -251,15 +157,36 @@ TEST(ShardedEngineTest, OutOfRangeOpsThrow) {
 }
 
 TEST(ShardedEngineTest, FactoryContractEnforced) {
-  EXPECT_THROW(ShardedEngine(sharded_config(), 2, 1, ShardFactory{}),
+  EXPECT_THROW(ShardedEngine(sharded_config(), 1, 1, ShardFactory{}),
                std::invalid_argument);
   const auto null_policy = [](std::uint32_t, const LssConfig&) {
     ShardParts parts;
     parts.victim = make_greedy();
     return parts;  // policy left null
   };
-  EXPECT_THROW(ShardedEngine(sharded_config(), 2, 1, null_policy),
+  EXPECT_THROW(ShardedEngine(sharded_config(), 1, 1, null_policy),
                std::invalid_argument);
+}
+
+// One engine over the whole logical space: every other shard count is
+// refused before the factory runs, and shard(i) has only index 0.
+TEST(ShardedEngineTest, RejectsMoreThanOneShard) {
+  int factory_calls = 0;
+  const ShardFactory counting = [&](std::uint32_t i, const LssConfig& c) {
+    ++factory_calls;
+    return two_group_parts(i, c);
+  };
+  for (const std::uint32_t shards : {0u, 2u, 4u}) {
+    EXPECT_THROW(ShardedEngine(sharded_config(), shards, 1, counting),
+                 std::invalid_argument)
+        << shards << " shards";
+  }
+  EXPECT_EQ(factory_calls, 0);
+  ShardedEngine one(sharded_config(), 1, 1, counting);
+  EXPECT_EQ(factory_calls, 1);
+  EXPECT_EQ(one.config().logical_blocks, sharded_config().logical_blocks);
+  EXPECT_NO_THROW(one.shard(0));
+  EXPECT_THROW(one.shard(1), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,9 +201,8 @@ TEST(ShardedEngineTest, RunQueuedMatchesSyncReplayAnyScheduling) {
   const LssConfig config = sharded_config();
   for (const ShardFactory& factory :
        {ShardFactory(two_group_parts), ShardFactory(sepbit_parts)}) {
-    // Spans up to 6 blocks, some crossing a shard boundary; one op in 16
-    // is a clamped zero-block op, some of them past the logical capacity,
-    // which replay skips.
+    // Spans up to 6 blocks; one op in 16 is a clamped zero-block op, some
+    // of them past the logical capacity, which replay skips.
     std::vector<ReplayOp> ops;
     Rng rng(227);
     TimeUs now = 0;
@@ -294,9 +220,9 @@ TEST(ShardedEngineTest, RunQueuedMatchesSyncReplayAnyScheduling) {
     }
     const auto op_at = [&ops](std::size_t i) { return ops[i]; };
 
-    ShardedEngine sync_engine(config, 4, 1, factory);
-    ShardedEngine queued(config, 4, 1, factory);
-    ShardedEngine replayed(config, 4, 1, factory);
+    ShardedEngine sync_engine(config, 1, 1, factory);
+    ShardedEngine queued(config, 1, 1, factory);
+    ShardedEngine replayed(config, 1, 1, factory);
     for (const ReplayOp& op : ops) {
       if (op.blocks == 0) continue;
       if (op.is_write) {
@@ -321,47 +247,6 @@ TEST(ShardedEngineTest, RunQueuedMatchesSyncReplayAnyScheduling) {
       engine->check_invariants(audit::Level::kFull);
     }
   }
-}
-
-TEST(ShardedEngineTest, MergedObserversSumShards) {
-  const LssConfig config = sharded_config();
-  ShardedEngine sharded(config, 4, 1, two_group_parts);
-  Rng rng(229);
-  for (int i = 0; i < 6000; ++i) {
-    sharded.write(rng.below(config.logical_blocks), 1,
-                  static_cast<TimeUs>(i) * 20);
-  }
-  std::uint64_t expected_pending = 0;
-  for (std::uint32_t s = 0; s < sharded.shard_count(); ++s) {
-    for (GroupId g = 0; g < sharded.shard(s).group_count(); ++g) {
-      expected_pending += sharded.shard(s).pending_blocks(g);
-    }
-  }
-  EXPECT_GT(expected_pending, 0u);
-  EXPECT_EQ(sharded.merged_pending_blocks(), expected_pending);
-  sharded.flush_all();
-  EXPECT_EQ(sharded.merged_pending_blocks(), 0u);
-
-  LssMetrics expected;
-  std::vector<std::uint32_t> expected_segments;
-  std::uint64_t expected_chunks = 0;
-  for (std::uint32_t s = 0; s < sharded.shard_count(); ++s) {
-    const LssEngine& shard = sharded.shard(s);
-    expected.merge_from(shard.metrics());
-    const auto counts = shard.segments_per_group();
-    if (expected_segments.size() < counts.size()) {
-      expected_segments.resize(counts.size(), 0);
-    }
-    for (std::size_t g = 0; g < counts.size(); ++g) {
-      expected_segments[g] += counts[g];
-    }
-    expected_chunks += shard.chunks_flushed();
-    // Every shard saw real traffic: uniform writes reach every range.
-    EXPECT_GT(shard.metrics().user_blocks, 0u) << "shard " << s;
-  }
-  expect_metrics_eq(sharded.merged_metrics(), expected);
-  EXPECT_EQ(sharded.merged_segments_per_group(), expected_segments);
-  EXPECT_EQ(sharded.chunks_flushed(), expected_chunks);
 }
 
 }  // namespace
