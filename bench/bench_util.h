@@ -107,10 +107,17 @@ inline std::string fmt(double v) {
 /// operator. The JSON is self-validated through the adapt-bench-v1 schema
 /// checker before it hits disk, so a bench can never publish an artifact
 /// that tools/check_bench_json (or the adapt_compare gate) would reject.
+/// A failed write exits 1, naming the file.
 inline void write_report(const obs::BenchReport& report) {
   obs::validate_bench_json(report.json());
-  std::printf("\nwrote %s (%zu rows)\n", report.write_file().c_str(),
-              report.row_count());
+  std::string path;
+  try {
+    path = report.write_file();
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s: %s\n", report.name().c_str(), e.what());
+    std::exit(1);
+  }
+  std::printf("\nwrote %s (%zu rows)\n", path.c_str(), report.row_count());
 }
 
 inline void print_policy_row_header(const char* label) {

@@ -107,14 +107,12 @@ int main(int argc, char** argv) {
   std::printf("engine metadata    : %.2f MiB\n",
               static_cast<double>(r.engine_memory_bytes) / (1 << 20));
   if (argc > 4) {
-    const std::string json = obs::manifest_json(r.manifest);
-    std::FILE* f = std::fopen(argv[4], "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "prototype_demo: cannot open %s\n", argv[4]);
+    try {
+      obs::write_artifact(argv[4], obs::manifest_json(r.manifest));
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "prototype_demo: %s\n", e.what());
       return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("manifest           : %s\n", argv[4]);
   }
   return 0;

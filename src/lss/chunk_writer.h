@@ -41,9 +41,10 @@ struct PendingFlush {
   GroupId group = kInvalidGroup;
   std::uint32_t blocks = 0;  ///< real payload blocks in the flush
   bool rmw = false;          ///< sub-chunk RMW write, not a full chunk
-  /// Causal-flow id of the batch whose apply produced this flush (see
-  /// TraceEvent::id); 0 outside a traced group-commit batch. Device models
-  /// forward it to DeviceLanes::submit so lane events join the op's flow.
+  /// Causal-flow id of the write whose apply produced this flush (see
+  /// TraceEvent::id); 0 outside a traced ConcurrentEngine write. Device
+  /// models forward it to DeviceLanes::submit so lane events join the op's
+  /// flow.
   std::uint64_t id = 0;
 };
 
@@ -66,7 +67,7 @@ class ChunkWriter {
 
   /// Attaches a flush-record collector (nullptr detaches): every chunk and
   /// RMW flush appends a PendingFlush to `*out`. The owner drains the
-  /// vector after each batch (ConcurrentEngine::lead does, under the engine
+  /// vector after each op (ConcurrentEngine::write does, under the engine
   /// lock) and models durability outside the critical section; leaving a
   /// collector attached without draining grows it unboundedly. Detached —
   /// the default, and the serial simulator's mode — the flush paths cost
@@ -76,9 +77,9 @@ class ChunkWriter {
   }
 
   /// Sets the causal-flow id stamped into every flush event and collected
-  /// PendingFlush until the next call (0 = no flow). ConcurrentEngine's
-  /// batch leader sets the batch id before applying and the GC/drain paths
-  /// reset it, so a flush is attributed to the batch that tipped it.
+  /// PendingFlush until the next call (0 = no flow). ConcurrentEngine::write
+  /// sets the write's id before applying and the GC/drain paths reset it,
+  /// so a flush is attributed to the write that tipped it.
   void set_flow_id(std::uint64_t id) noexcept { flow_id_ = id; }
 
   /// Appends one block to `g`'s open chunk, flushing at chunk boundaries

@@ -15,8 +15,8 @@
 //   * complete: complete_us = max(admit_us, lane busy_until) + service.
 //               The caller decides what "waiting for durability" means —
 //               the prototype sleeps the submitting thread until
-//               complete_us; the group-commit engine stamps it into every
-//               ticket of the batch so each op waits out its own share.
+//               complete_us, so each write waits out the flushes it
+//               tipped on its own thread.
 //
 // Determinism: a lane's completion times are a pure function of its
 // submission sequence (bytes, now_us in admission order); no host clocks or

@@ -1,15 +1,17 @@
 // Op-lifecycle timeline: phase-attributed latency for the concurrent write
 // path.
 //
-// Every op that rides a group-commit batch passes through five milestones,
-// all in deterministic virtual time (the simulated microsecond clock, never
-// the host clock):
+// Every write through lss::ConcurrentEngine passes through five
+// milestones, all in deterministic virtual time (the simulated microsecond
+// clock, never the host clock):
 //
 //   submit    the client called write()
-//   joined    the leader applied the op (its monotonised ts)
-//   applied   the whole batch left the engine critical section
-//   lane      the batch's flushes started device service on their lanes
-//   durable   the last flush of the batch completed
+//   joined    the write was applied under the engine lock (its
+//             monotonised ts)
+//   applied   the write left the engine critical section — the same ts as
+//             joined, since each write commits alone, so batch_apply is 0
+//   lane      the write's flushes started device service on their lanes
+//   durable   the last flush of the write completed
 //
 // LatencyBreakdown turns consecutive milestone gaps into one Log2Histogram
 // per phase. The milestones are clamped into a monotone sequence before
@@ -32,7 +34,7 @@
 
 namespace adapt::lss {
 
-/// Result of submitting one batch's drained flushes to the device model.
+/// Result of submitting one write's drained flushes to the device model.
 /// `durable_us` is the modeled completion time of the LAST flush (0 when
 /// nothing was flushed); `service_us` is that flush's pure device service
 /// time, which splits the post-apply wait into lane queueing vs media time.
@@ -43,8 +45,8 @@ struct FlushOutcome {
 
 /// Phase-attributed latency histograms (all microseconds, virtual time).
 struct LatencyBreakdown {
-  Log2Histogram intake_wait_us;     ///< submit -> joined (link/park wait)
-  Log2Histogram batch_apply_us;     ///< joined -> batch applied
+  Log2Histogram intake_wait_us;     ///< submit -> joined (lock wait, clamp)
+  Log2Histogram batch_apply_us;     ///< joined -> applied (0: one write)
   Log2Histogram lane_queue_us;      ///< applied -> device service start
   Log2Histogram device_service_us;  ///< service start -> durable
   Log2Histogram total_us;           ///< submit -> durable
@@ -80,9 +82,9 @@ struct LatencyBreakdown {
   bool empty() const noexcept { return total_us.empty(); }
 };
 
-/// One committed batch, as published to live observers (obs::RuntimeStats)
-/// by the batch leader right after the batch's durable time is known. The
-/// breakdown covers exactly this batch's applied ops.
+/// One committed write (ops = 1), as published to live observers
+/// (obs::RuntimeStats) by its writer right after its durable time is
+/// known. The name and the ops field stay for RuntimeStats::publish.
 struct BatchSample {
   std::uint64_t ops = 0;
   std::uint64_t blocks = 0;

@@ -5,7 +5,7 @@
 // the whole logical space, as the paper's do: sim::run_volume replays a
 // volume through replay(), which walks the caller's op stream in place on
 // the calling thread, and lss::ConcurrentEngine fronts the engine with its
-// group-commit intake. enqueue_*/run_queued keep an op list for callers
+// one-lock concurrent intake. enqueue_*/run_queued keep an op list for callers
 // that build the stream op by op, and hand it to the same replay().
 //
 // The name, the shard-count argument (which must be 1), shard(i), the

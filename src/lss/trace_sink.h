@@ -24,14 +24,14 @@ enum class TraceEventKind : std::uint8_t {
   kGcRun,           ///< group = victim group, a = victim segment,
                     ///< b = migrated blocks, c = forced lazy flushes
   kThresholdAdapt,  ///< a = new threshold, b = total adoptions so far
-  kGroupCommit,     ///< group = 0, a = batched ops, b = blocks,
-                    ///< c = chunks flushed by the batch
+  kGroupCommit,     ///< group = 0, a = ops committed (1), b = blocks,
+                    ///< c = chunks flushed by the commit
   kLaneSubmit,      ///< group = lane, a = seq, b = inflight after admission,
                     ///< c = admit_us (>= wall_us when the queue was full)
   kLaneComplete,    ///< group = lane, a = seq, b = service_us,
                     ///< c = complete_us (virtual durable time)
-  kOpSubmit,        ///< group = 0, a = lba, b = blocks (op applied into
-                    ///< a batch; id carries the batch flow id)
+  kOpSubmit,        ///< group = 0, a = lba, b = blocks (op applied; id
+                    ///< carries the write's flow id)
   kOpDurable,       ///< group = 0, a = lba, b = blocks, c = durable_us
 };
 
@@ -48,7 +48,7 @@ struct TraceEvent {
   std::uint64_t c = 0;
   /// Causal-flow correlation id: events of one op's lifecycle (op submit ->
   /// group commit -> chunk flush -> lane submit/complete -> op durable)
-  /// share the batch's nonzero id; 0 means "not part of a flow". The
+  /// share the write's nonzero id; 0 means "not part of a flow". The
   /// chrome-trace exporter renders matching ids as Perfetto flow arrows.
   std::uint64_t id = 0;
 };

@@ -440,6 +440,18 @@ std::size_t validate_series_jsonl(std::string_view text) {
   return samples;
 }
 
+void write_artifact(const std::filesystem::path& path,
+                    std::string_view text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    throw std::runtime_error("cannot open " + path.string() +
+                             " for writing");
+  }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.flush();
+  if (!out) throw std::runtime_error("write failed: " + path.string());
+}
+
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
   if (name_.empty()) {
     throw std::invalid_argument("BenchReport: empty bench name");
@@ -474,11 +486,7 @@ std::string BenchReport::json() const {
 std::string BenchReport::write_file(const std::string& dir) const {
   const std::filesystem::path path =
       std::filesystem::path(dir) / ("BENCH_" + name_ + ".json");
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("BenchReport: cannot open " + path.string());
-  }
-  out << json() << '\n';
+  write_artifact(path, json() + '\n');
   return path.string();
 }
 

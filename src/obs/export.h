@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -108,6 +109,12 @@ void validate_manifest_json(std::string_view text);
 std::size_t validate_series_jsonl(std::string_view text);
 void validate_bench_json(std::string_view text);
 
+/// Checked artifact write: replaces `path` with `text`. Throws
+/// std::runtime_error when the file cannot be opened or the write or its
+/// flush fails, so a bad output path never yields a truncated or empty
+/// artifact behind a zero exit code.
+void write_artifact(const std::filesystem::path& path, std::string_view text);
+
 /// Schema-stable bench result emitter. Every figure bench creates one,
 /// `add()`s its headline series as (metric, params, value, unit) rows and
 /// `write_file()`s a `BENCH_<name>.json` into the working directory, seeding
@@ -123,7 +130,8 @@ class BenchReport {
 
   std::string json() const;
 
-  /// Writes `<dir>/BENCH_<name>.json`; returns the path.
+  /// Writes `<dir>/BENCH_<name>.json` through write_artifact (so it throws
+  /// on a failed write); returns the path.
   std::string write_file(const std::string& dir = ".") const;
 
   const std::string& name() const noexcept { return name_; }

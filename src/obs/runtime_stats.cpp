@@ -8,7 +8,6 @@ namespace adapt::obs {
 
 void RuntimeStats::publish(const lss::BatchSample& sample) {
   LockGuard g(mu_);
-  ++snap_.batches;
   snap_.ops += sample.ops;
   snap_.blocks += sample.blocks;
   snap_.intake_wait_us += sample.breakdown.intake_wait_us.sum();

@@ -1,13 +1,14 @@
 // Live runtime stats: one cumulative RuntimeSnapshot under one Mutex, plus
 // the printer that turns it into periodic stderr lines.
 //
-// Batch leaders call publish() with their BatchSample (group_commit's
-// set_batch_hook), the sim path calls publish_progress() through
-// LiveStatsObserver, and a LiveStatsPrinter thread calls snapshot() once
-// per interval. All three take the same mutex, so every snapshot is a
-// state some writer actually published. Publication is batch- or
-// stride-granular, far off the per-op hot path, and the reader takes the
-// lock once per interval, so the lock costs writers nothing measurable.
+// The prototype's writers call publish() with a one-op BatchSample
+// (group_commit's set_batch_hook), the sim path calls publish_progress()
+// through LiveStatsObserver, and a LiveStatsPrinter thread calls
+// snapshot() once per interval. All three take the same mutex, so every
+// snapshot is a state some writer actually published. The prototype
+// publishes once per write, after that write's critical section and
+// device submit; the sim path once per stride; the reader once per
+// interval.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@ namespace adapt::obs {
 /// ops published with a full BatchSample; progress published through
 /// publish_progress() advances ops/blocks alone.
 struct RuntimeSnapshot {
-  std::uint64_t batches = 0;
   std::uint64_t ops = 0;
   std::uint64_t blocks = 0;
   std::uint64_t intake_wait_us = 0;     ///< cumulative phase sums (virtual us)
@@ -46,7 +46,7 @@ class RuntimeStats {
   RuntimeStats(const RuntimeStats&) = delete;
   RuntimeStats& operator=(const RuntimeStats&) = delete;
 
-  /// Accumulates one committed batch (thread-safe; called by batch leaders
+  /// Accumulates one committed sample (thread-safe; called by writers
   /// concurrently). Matches group_commit's batch-hook signature.
   void publish(const lss::BatchSample& sample);
 

@@ -86,9 +86,9 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   // FlushOutcome of its last-completing record (durable time + that
   // record's pure service time, which the phase breakdown uses to split
   // lane queueing from media time). Thread-safe (atomic rotor + per-lane
-  // locks inside DeviceLanes): batch leaders and the GC thread both
+  // locks inside DeviceLanes): client writes and the GC thread all
   // submit. Each record's causal-flow id rides into the lane's trace
-  // events, correlating batch -> flush -> lane in the trace.
+  // events, correlating write -> flush -> lane in the trace.
   auto submit_flushes = [&](const std::vector<lss::PendingFlush>& flushes)
       -> lss::FlushOutcome {
     const TimeUs now = wall_now_us(start);
@@ -137,9 +137,8 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
         return core::make_shard_parts(stack, c);
       },
       /*record_ops=*/false);
-  // Apply/durable split: batch leaders submit their drained flushes to the
-  // lanes and stamp the completion into every ticket; each op then sleeps
-  // out its own share on its own thread.
+  // Apply/durable split: each write submits the flushes it tipped to the
+  // lanes and sleeps out their completion on its own thread.
   engine.set_device_model(submit_flushes,
                           [&](TimeUs durable_us) { wait_until(durable_us); });
   if (obs::RuntimeStats* live = config.live_stats; live != nullptr) {
@@ -252,9 +251,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   m.over_provision = lss_config.over_provision;
   obs::register_lss_metrics(m.counters, result.metrics);
   *m.counters.slot("proto.clients") = config.num_clients;
-  *m.counters.slot("proto.commit_groups") = result.group_commit.groups;
   *m.counters.slot("proto.commit_ops") = result.group_commit.ops;
-  *m.counters.slot("proto.commit_max_batch") = result.group_commit.max_batch;
   m.provenance = obs::provenance_of(result.metrics, pending_blocks_total);
   m.block_lifetime = result.metrics.block_lifetime;
   m.gc_pause_us = result.metrics.gc_pause_us;

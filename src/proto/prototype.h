@@ -13,9 +13,9 @@
 // throughput.
 //
 // Client threads replay independent YCSB-A streams against the concurrent
-// front-end (lss::ConcurrentEngine) over one engine: a writer queue whose
-// head applies every write queued behind it in a single engine pass.
-// Background GC runs on one thread of its own.
+// front-end (lss::ConcurrentEngine) over one engine: each write commits on
+// its own thread under the engine mutex. Background GC runs on one thread
+// of its own.
 //
 // Per-op latency (submit -> durable) is captured in nanoseconds into
 // fixed-memory Log2Histograms (one per client thread, merged at the end)
@@ -54,7 +54,7 @@ struct PrototypeConfig {
   /// production setting is 0.001.
   double adapt_sample_rate = 0.0;
   std::uint64_t seed = 1;
-  /// Live runtime stats: when set, every batch leader publishes its
+  /// Live runtime stats: when set, every committed write publishes its
   /// BatchSample into this sink, so an obs::LiveStatsPrinter can report
   /// the run while it goes (mirrors sim::SimConfig::live_stats). Not owned;
   /// must outlive run_prototype. Null (off) by default.
@@ -78,11 +78,12 @@ struct PrototypeResult {
   double latency_p999_us = 0.0;
   /// Per-op submit->durable latency distribution, nanoseconds.
   Log2Histogram latency_ns;
-  /// Group-commit batching counters.
+  /// Commit counters (one write per commit).
   lss::GroupCommitStats group_commit;
-  /// Phase-attributed virtual-time latency from the group-commit path:
-  /// intake wait, batch apply, lane queue, device service — exported into
-  /// the manifest's latency_breakdown block with its additivity identity.
+  /// Phase-attributed virtual-time latency from the concurrent write path:
+  /// intake wait, batch apply (0: each write is applied alone), lane
+  /// queue, device service — exported into the manifest's
+  /// latency_breakdown block with its additivity identity.
   lss::LatencyBreakdown breakdown;
   /// Device-lane snapshot: per-lane submit/stall/busy counters plus the
   /// merged queue-depth and submit→complete distributions.

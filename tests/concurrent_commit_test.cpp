@@ -1,8 +1,8 @@
-// Tests for the group-commit front-end (lss/group_commit.h): the writer
-// queue's batching and leader handoff, the failure and latency contracts,
-// and the differential linearization oracle — the concurrent path records
-// its op order, a serial engine replays it, and final state +
-// deterministic metrics must match bit-exactly.
+// Tests for the concurrent front-end (lss/group_commit.h): the one-lock
+// commit path's failure and latency contracts, and the differential
+// linearization oracle — the concurrent path records its op order, a
+// serial engine replays it, and final state + deterministic metrics must
+// match bit-exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -116,8 +116,8 @@ void run_differential(const DiffCase& dc) {
       engine.engine_for_inspection().group_count() + 4;
 
   // The simulated clock only needs to be shared and non-decreasing-ish;
-  // the leader monotonises it and records the applied value, so the
-  // oracle is exact regardless of what we feed here.
+  // write() monotonises it and records the applied value, so the oracle
+  // is exact regardless of what we feed here.
   std::atomic<std::uint64_t> clock{0};
   std::atomic<std::uint64_t> submitted_blocks{0};
   std::atomic<bool> done{false};
@@ -159,8 +159,7 @@ void run_differential(const DiffCase& dc) {
   }  // joins the GC thread
   engine.flush_all();
 
-  // Sanity: contention must have actually formed multi-op batches, or this
-  // test is not exercising the group path at all.
+  // Sanity: writes committed.
   const GroupCommitStats stats = engine.stats();
   EXPECT_GT(stats.groups, 0u);
   EXPECT_GE(stats.ops, stats.groups);
@@ -259,17 +258,19 @@ TEST(ConcurrentEngineTest, RejectsOutOfRangeWrite) {
   // must not be acknowledged.
   EXPECT_THROW(engine.write(cfg.logical_blocks - 2, 4, 0), std::out_of_range);
   EXPECT_THROW(engine.write(~Lba{0} - 3, 8, 0), std::out_of_range);
-  // The span is checked before it joins a batch: none was led or logged.
+  // The span is checked before the engine sees it: nothing was committed
+  // or logged.
   EXPECT_EQ(engine.stats().groups, 0u);
   EXPECT_TRUE(engine.recorded_ops().empty());
 }
 
-// Fault injection for the batch-abort contract: delegates to the real
-// policy, but call #1 parks (holding the leader inside its apply so the
-// test can queue followers behind it deterministically) and call #2 throws.
+// Fault injection for the failure contract: delegates to the real policy,
+// but call #1 parks (holding its writer inside the apply, under the engine
+// mutex, so the test can line other writers up behind it
+// deterministically) and call #2 throws.
 struct FaultyControl {
   std::atomic<int> calls{0};
-  std::atomic<bool> leader_blocked{false};
+  std::atomic<bool> parked{false};
   std::atomic<bool> release{false};
 };
 
@@ -286,7 +287,7 @@ class FaultyPolicy : public PlacementPolicy {
   GroupId place_user_write(Lba lba, VTime now) override {
     const int n = ctrl_->calls.fetch_add(1, std::memory_order_relaxed) + 1;
     if (n == 1) {
-      ctrl_->leader_blocked.store(true, std::memory_order_release);
+      ctrl_->parked.store(true, std::memory_order_release);
       while (!ctrl_->release.load(std::memory_order_acquire)) yield_now();
     } else if (n == 2) {
       throw std::runtime_error("injected placement failure");
@@ -313,13 +314,12 @@ class FaultyPolicy : public PlacementPolicy {
   FaultyControl* ctrl_;
 };
 
-// The failure contract end to end: thread C leads a batch of one and is
-// held inside its engine apply while A and B queue behind it; once C's
-// batch completes, the older of A/B leads the batch {A, B}, whose first
-// apply throws. The promoted leader must rethrow the injected engine error, its
-// follower must throw WriteAborted (its op was never applied), and C —
-// whose op DID apply — must return success. No lost write reports durable.
-TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
+// The failure contract end to end: thread C is held inside its engine
+// apply while A and B line up behind the engine mutex; once C's write
+// completes, whichever of A/B applies first hits the injected throw. That
+// writer alone must see the engine error; C and the other one return
+// success, and both of their writes are in the engine and the log.
+TEST(ConcurrentEngineTest, EngineFailureFailsOnlyItsOwnWrite) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
   FaultyControl ctrl;
@@ -332,13 +332,11 @@ TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
   };
   ConcurrentEngine engine(cfg, 1, factory);
 
-  std::atomic<int> ok{0}, injected{0}, aborted{0};
+  std::atomic<int> ok{0}, injected{0};
   auto classify = [&](Lba lba) {
     try {
       engine.write(lba, 1, 1);
       ok.fetch_add(1, std::memory_order_relaxed);
-    } catch (const WriteAborted&) {
-      aborted.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "injected placement failure");
       injected.fetch_add(1, std::memory_order_relaxed);
@@ -346,28 +344,25 @@ TEST(ConcurrentEngineTest, EngineFailureAbortsNotAppliedFollowers) {
   };
   {
     Thread c([&] { classify(0); });
-    while (!ctrl.leader_blocked.load(std::memory_order_acquire)) {
+    while (!ctrl.parked.load(std::memory_order_acquire)) {
       yield_now();
     }
     Thread a([&] { classify(1); });
     Thread b([&] { classify(2); });
-    // Generous margin for a and b to queue behind the held leader;
-    // if either misses the batch it would lead alone and the strict
-    // 1/1/1 split below fails loudly rather than passing vacuously.
+    // Margin for a and b to reach the engine mutex behind the held write.
     sleep_for_us(200'000);
     ctrl.release.store(true, std::memory_order_release);
   }  // joins a, b, c
-  EXPECT_EQ(ok.load(), 1);
+  EXPECT_EQ(ok.load(), 2);
   EXPECT_EQ(injected.load(), 1);
-  EXPECT_EQ(aborted.load(), 1);
-  // Exactly the applied prefix is in the engine and the linearized log.
-  EXPECT_EQ(engine.metrics().user_blocks, 1u);
-  EXPECT_EQ(engine.recorded_ops().size(), 1u);
+  // Both successful writes are in the engine and the linearized log.
+  EXPECT_EQ(engine.metrics().user_blocks, 2u);
+  EXPECT_EQ(engine.recorded_ops().size(), 2u);
 }
 
-// Delegating policy that parks call #1 inside the leader's apply (same
+// Delegating policy that parks call #1 inside its writer's apply (same
 // rendezvous shape as FaultyPolicy, without the injected throw), so the
-// test can deterministically queue followers behind a held leader.
+// test can deterministically line writers up behind a held one.
 class HoldFirstPolicy : public PlacementPolicy {
  public:
   HoldFirstPolicy(std::unique_ptr<PlacementPolicy> inner, FaultyControl* ctrl)
@@ -380,7 +375,7 @@ class HoldFirstPolicy : public PlacementPolicy {
   }
   GroupId place_user_write(Lba lba, VTime now) override {
     if (ctrl_->calls.fetch_add(1, std::memory_order_relaxed) == 0) {
-      ctrl_->leader_blocked.store(true, std::memory_order_release);
+      ctrl_->parked.store(true, std::memory_order_release);
       while (!ctrl_->release.load(std::memory_order_acquire)) yield_now();
     }
     return inner_->place_user_write(lba, now);
@@ -406,7 +401,7 @@ class HoldFirstPolicy : public PlacementPolicy {
 };
 
 /// A sepgc engine whose first placement call parks until
-/// `ctrl->release`, holding the first leader inside its apply.
+/// `ctrl->release`, holding the first writer inside its apply.
 std::unique_ptr<ConcurrentEngine> make_held_engine(FaultyControl* ctrl) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
@@ -421,95 +416,21 @@ std::unique_ptr<ConcurrentEngine> make_held_engine(FaultyControl* ctrl) {
   return std::make_unique<ConcurrentEngine>(cfg, 1, factory);
 }
 
-// Batches form in arrival order: while the first leader is parked inside
-// its apply, three writers queue one after another, and the next batch is
-// exactly those three, applied oldest first.
-TEST(ConcurrentEngineTest, BatchesFormInArrivalOrder) {
-  FaultyControl ctrl;
-  const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
-  {
-    Thread first([&] { engine->write(0, 1, 1); });
-    while (!ctrl.leader_blocked.load(std::memory_order_acquire)) {
-      yield_now();
-    }
-    std::vector<Thread> late;
-    late.reserve(3);
-    for (const Lba lba : {Lba{1}, Lba{2}, Lba{3}}) {
-      late.emplace_back([&engine, lba] { engine->write(lba, 1, 1); });
-      // Margin for this writer to queue before the next one starts.
-      sleep_for_us(50'000);
-    }
-    ctrl.release.store(true, std::memory_order_release);
-  }  // joins every writer
-  const std::vector<RecordedOp> log = engine->recorded_ops();
-  ASSERT_EQ(log.size(), 4u);
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    EXPECT_EQ(log[i].lba, i) << "op " << i;
-  }
-  const GroupCommitStats stats = engine->stats();
-  EXPECT_EQ(stats.groups, 2u);
-  EXPECT_EQ(stats.ops, 4u);
-  EXPECT_EQ(stats.max_batch, 3u);
-}
-
-/// Which test thread is running; read by the batch hook, which runs on
-/// the batch leader's thread.
-thread_local int tl_writer = -1;
-
-// A writer that arrives while a batch applies is not absorbed into it: it
-// waits for the batch to finish and then leads the next batch itself.
-TEST(ConcurrentEngineTest, WriterArrivingDuringApplyLeadsNextBatch) {
-  FaultyControl ctrl;
-  const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
-  // (leader thread, batch size) per batch, in commit order. Batches commit
-  // one after another, so no lock is needed.
-  std::vector<std::pair<int, std::uint64_t>> batches;
-  engine->set_batch_hook([&batches](const BatchSample& s) {
-    batches.emplace_back(tl_writer, s.ops);
-  });
-  {
-    Thread first([&] {
-      tl_writer = 0;
-      engine->write(0, 1, 1);
-    });
-    while (!ctrl.leader_blocked.load(std::memory_order_acquire)) {
-      yield_now();
-    }
-    Thread late([&] {
-      tl_writer = 1;
-      engine->write(1, 1, 1);
-    });
-    // Margin for the late writer to queue behind the parked leader.
-    sleep_for_us(200'000);
-    ctrl.release.store(true, std::memory_order_release);
-  }  // joins both writers
-  ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0], (std::pair<int, std::uint64_t>{0, 1}));
-  EXPECT_EQ(batches[1], (std::pair<int, std::uint64_t>{1, 1}));
-  EXPECT_EQ(engine->recorded_ops().size(), 2u);
-}
-
-// Regression for a latency-attribution bug: under a leader-absorbs-the-
-// wait hook, a batch's coalesced flush was charged to its LEADER alone —
-// followers returned in microseconds and their submit→durable latency
-// silently excluded the device time their own writes caused. The leader
-// now stamps the batch's modeled durable time into every ticket before
-// completing it and each op waits its own share on its own thread, so the
-// held-leader rendezvous below must see ALL three ops (the original
-// leader, the leader of {A, B}, and its follower) spend at least the
-// modeled service time inside write(). Before the fix the follower's
-// latency was ~1000x below the floor.
-TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
+// Each write submits the flush it tipped and waits out that flush's
+// modeled durable time on its own thread. Three chunk-sized writes, two of
+// them lined up behind a held one, make three submits and three waits, and
+// every write spends at least the modeled service time inside write().
+TEST(ConcurrentEngineTest, EveryWriteWaitsForTheFlushItTipped) {
   FaultyControl ctrl;
   const std::unique_ptr<ConcurrentEngine> engine = make_held_engine(&ctrl);
 
-  // Modeled device: every flushing batch is durable kServiceUs after
-  // submit, and the wait really sleeps — host-clock latency is the proof.
+  // Modeled device: every submit is durable kServiceUs later, and the wait
+  // really sleeps — host-clock latency is the proof.
   constexpr TimeUs kServiceUs = 50'000;
   std::atomic<int> submits{0}, waits{0};
   engine->set_device_model(
       [&](const std::vector<PendingFlush>& flushes) -> FlushOutcome {
-        EXPECT_FALSE(flushes.empty());
+        EXPECT_EQ(flushes.size(), 1u);
         submits.fetch_add(1, std::memory_order_relaxed);
         return {kServiceUs, kServiceUs};
       },
@@ -519,7 +440,7 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
       });
 
   // sepgc routes every user write to one fixed group, so a chunk-sized
-  // write always tips exactly one full-chunk flush inside its own batch.
+  // write always tips exactly one full-chunk flush.
   const std::uint32_t chunk = engine->config().chunk_blocks;
   std::uint64_t latency_ns[3] = {0, 0, 0};
   auto timed_write = [&](int idx, Lba lba) {
@@ -529,22 +450,18 @@ TEST(ConcurrentEngineTest, FollowersWaitTheirShareOfTheCoalescedFlush) {
   };
   {
     Thread c([&] { timed_write(0, 0); });
-    while (!ctrl.leader_blocked.load(std::memory_order_acquire)) {
+    while (!ctrl.parked.load(std::memory_order_acquire)) {
       yield_now();
     }
     Thread a([&] { timed_write(1, chunk); });
     Thread b([&] { timed_write(2, 2 * chunk); });
-    // Same margin as the abort test: a and b must queue behind the held
-    // leader, or the second batch is size one and waits drops below 3.
+    // Margin for a and b to reach the engine mutex behind the held write.
     sleep_for_us(200'000);
     ctrl.release.store(true, std::memory_order_release);
   }  // joins a, b, c
-  // Two batches ({C} then {A, B}) flushed, and every one of the three ops
-  // paid a device wait of its own.
-  EXPECT_EQ(submits.load(), 2);
+  EXPECT_EQ(submits.load(), 3);
   EXPECT_EQ(waits.load(), 3);
-  // 80% floor absorbs sleep_for_us granularity; the pre-fix follower came
-  // in three orders of magnitude below it.
+  // The 80% floor absorbs sleep_for_us granularity.
   const std::uint64_t floor_ns = std::uint64_t{kServiceUs} * 1000 * 8 / 10;
   for (int i = 0; i < 3; ++i) {
     EXPECT_GE(latency_ns[i], floor_ns) << "op " << i;
@@ -561,7 +478,7 @@ TEST(ConcurrentEngineTest, LatencyBreakdownTelescopesExactly) {
   cfg.logical_blocks = std::uint64_t{1} << 16;
   ConcurrentEngine engine(cfg, 1, stack_factory("sepgc"));
 
-  // Virtual device: each submitted batch is durable 100us later on a
+  // Virtual device: each submitted write is durable 100us later on a
   // monotone modeled clock, 40us of it pure service; waits are free.
   std::atomic<TimeUs> device_clock{0};
   engine.set_device_model(
@@ -613,13 +530,12 @@ class CollectSink final : public TraceSink {
   std::vector<TraceEvent> events;
 };
 
-// Causal-flow correlation: a traced batch mints one nonzero flow id and
-// stamps it on every event of the batch's lifecycle — per-op kOpSubmit,
-// the kGroupCommit batch event, the chunk flushes it tipped (and their
-// PendingFlush records, which the prototype forwards to the device lanes),
-// and the per-op kOpDurable records. Single-threaded, so batches are size
-// one and the ids are exactly 1..N.
-TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
+// Causal-flow correlation: a traced write mints one nonzero flow id and
+// stamps it on every event of its lifecycle — kOpSubmit, the kGroupCommit
+// commit event, the chunk flushes it tipped (and their PendingFlush
+// records, which the prototype forwards to the device lanes), and
+// kOpDurable. Single-threaded, so the ids are exactly 1..N.
+TEST(ConcurrentEngineTest, TracedWritesCarryCausalFlowIds) {
   LssConfig cfg;
   cfg.logical_blocks = std::uint64_t{1} << 16;
   ConcurrentEngine engine(cfg, 1, stack_factory("sepgc"));
@@ -628,7 +544,7 @@ TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
   engine.set_device_model(
       [](const std::vector<PendingFlush>& flushes) -> FlushOutcome {
         for (const PendingFlush& f : flushes) {
-          EXPECT_NE(f.id, 0u) << "traced batch flush lost its flow id";
+          EXPECT_NE(f.id, 0u) << "traced write's flush lost its flow id";
         }
         return {1'000, 200};
       },
@@ -670,11 +586,11 @@ TEST(ConcurrentEngineTest, TracedBatchesCarryCausalFlowIds) {
   expect_one_to_n(submit_ids, "kOpSubmit");
   expect_one_to_n(commit_ids, "kGroupCommit");
   expect_one_to_n(durable_ids, "kOpDurable");
-  // Every write tipped exactly one full-chunk flush inside its own batch.
+  // Every write tipped exactly one full-chunk flush of its own.
   expect_one_to_n(flush_ids, "kChunkFlush");
 
-  // End-of-run drain belongs to no batch: events emitted by flush_all must
-  // not inherit the last batch's id.
+  // End-of-run drain belongs to no write: events emitted by flush_all must
+  // not inherit the last write's id.
   sink.events.clear();
   engine.flush_all();
   for (const TraceEvent& e : sink.events) {

@@ -146,9 +146,10 @@ TEST(PrototypeTest, GroupCommitStatsPopulated) {
   PrototypeConfig c = tiny_proto();
   c.writes_per_client = 2000;
   const PrototypeResult r = run_prototype(c);
-  EXPECT_GT(r.group_commit.groups, 0u);
-  EXPECT_GE(r.group_commit.ops, r.group_commit.groups);
-  EXPECT_GE(r.group_commit.max_batch, 1u);
+  // One write per commit.
+  EXPECT_EQ(r.group_commit.ops, r.latency_ns.count());
+  EXPECT_EQ(r.group_commit.groups, r.group_commit.ops);
+  EXPECT_EQ(r.group_commit.max_batch, 1u);
   EXPECT_EQ(r.shards, 1u);
 }
 
@@ -173,8 +174,8 @@ TEST(PrototypeTest, RunsFig12GeometryOnOneEngine) {
   EXPECT_GE(r.metrics.wa(), 1.0);
 }
 
-// Every batch leader publishes its BatchSample into the live stats, so at
-// the end they hold exactly what the run committed.
+// Every write publishes its BatchSample into the live stats, so at the end
+// they hold exactly what the run committed.
 TEST(PrototypeTest, LiveStatsSeeEveryCommittedOp) {
   PrototypeConfig c = tiny_proto();
   c.writes_per_client = 2000;
@@ -182,8 +183,7 @@ TEST(PrototypeTest, LiveStatsSeeEveryCommittedOp) {
   c.live_stats = &live;
   const PrototypeResult r = run_prototype(c);
   const obs::RuntimeSnapshot snap = live.snapshot();
-  EXPECT_GT(snap.batches, 0u);
-  EXPECT_EQ(snap.batches, r.group_commit.groups);
+  EXPECT_GT(snap.ops, 0u);
   EXPECT_EQ(snap.ops, r.group_commit.ops);
   EXPECT_EQ(snap.blocks, r.user_blocks);
   EXPECT_EQ(snap.total_us.count(), r.breakdown.total_us.count());

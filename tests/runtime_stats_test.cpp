@@ -42,7 +42,6 @@ TEST(RuntimeStatsTest, SnapshotReflectsPublishedBatches) {
   stats.publish(make_sample(1, 4, 200));
 
   const RuntimeSnapshot snap = stats.snapshot();
-  EXPECT_EQ(snap.batches, 2u);
   EXPECT_EQ(snap.ops, 4u);
   EXPECT_EQ(snap.blocks, 16u);
   EXPECT_EQ(snap.intake_wait_us, 0u);
@@ -59,7 +58,6 @@ TEST(RuntimeStatsTest, ProgressPublishesOpsAndBlocksOnly) {
   RuntimeStats stats;
   stats.publish_progress(10, 10);
   const RuntimeSnapshot snap = stats.snapshot();
-  EXPECT_EQ(snap.batches, 0u);  // bare progress is not a batch
   EXPECT_EQ(snap.ops, 10u);
   EXPECT_EQ(snap.blocks, 10u);
   EXPECT_TRUE(snap.total_us.empty());
@@ -93,7 +91,7 @@ TEST(RuntimeStatsTest, ConcurrentReadersNeverObserveTornSnapshots) {
           readers_started.fetch_add(1, std::memory_order_release);
         }
         ASSERT_EQ(snap.blocks, 2 * snap.ops)
-            << "torn snapshot at batch " << snap.batches;
+            << "torn snapshot at ops " << snap.ops;
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -8,11 +8,11 @@
 // unconditionally and gate on the exit code.
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint.h"
+#include "obs/export.h"
 
 namespace {
 
@@ -48,13 +48,7 @@ int main(int argc, char** argv) {
     if (!json_path.empty()) {
       const std::string json = adapt::lint::findings_json(result);
       adapt::lint::validate_lint_json(json);  // self-check before writing
-      std::ofstream out(json_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "adapt_lint: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-      }
-      out << json << '\n';
+      adapt::obs::write_artifact(json_path, json + '\n');
     }
     std::fprintf(stderr, "adapt_lint: %zu files scanned, %zu finding%s\n",
                  result.files_scanned, result.findings.size(),

@@ -174,21 +174,6 @@ std::string read_file(const std::filesystem::path& path) {
   return buf.str();
 }
 
-/// Checked artifact write: throws if the stream cannot be opened or any
-/// write/flush fails, so a bad output path can never produce a silent
-/// truncated/empty artifact with exit code 0.
-void write_artifact(const std::filesystem::path& path,
-                    std::string_view text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path.string() +
-                             " for writing");
-  }
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) throw std::runtime_error("write failed: " + path.string());
-}
-
 int run(const Options& opt) {
   namespace fs = std::filesystem;
   namespace obs = adapt::obs;
@@ -251,21 +236,23 @@ int run(const Options& opt) {
   {
     std::ostringstream out;
     obs::write_series_jsonl(out, *result.series);
-    write_artifact(jsonl_path, out.str());
+    obs::write_artifact(jsonl_path, out.str());
   }
   {
     std::ostringstream out;
     obs::write_series_csv(out, *result.series);
-    write_artifact(csv_path, out.str());
+    obs::write_artifact(csv_path, out.str());
   }
-  write_artifact(manifest_path, obs::manifest_json(result.manifest) + "\n");
+  obs::write_artifact(manifest_path,
+                      obs::manifest_json(result.manifest) + "\n");
   if (opt.trace_events) {
     obs::TraceMeta meta;
     meta.tool = "adapt_run";
     meta.policy = result.policy;
     meta.workload = workload;
     meta.seed = opt.seed;
-    write_artifact(trace_path, obs::chrome_trace_json(*result.trace, meta));
+    obs::write_artifact(trace_path,
+                        obs::chrome_trace_json(*result.trace, meta));
   }
 
   std::printf("policy=%s victim=%s workload=%s records=%llu\n",
