@@ -1,6 +1,7 @@
 // Unit tests for the victim-selection policies against hand-crafted
 // segment pools, driven through the incremental index interface
 // (bind_pool + on_seal / on_valid_delta / on_free).
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,35 @@ TEST(CostBenefitTest, ValidDeltaMovesBuckets) {
   EXPECT_EQ(policy->select(pool.segments, 100, rng), 0u);
 }
 
+// Between equal scores the fewest valid blocks win, then the oldest seal,
+// then the lowest id: a first-maximum scan in id order picks 0 in both
+// pools below.
+TEST(CostBenefitTest, EqualScoresGoToFewestValidThenOldest) {
+  Rng rng(1);
+  {
+    // Across valid counts: (1-.25)*10/1.25 == (1-0)*6/1 == 6.0 at now=100.
+    Pool pool;
+    pool.add(2, 91);
+    pool.add(0, 95);
+    auto policy = make_cost_benefit();
+    pool.prime(*policy);
+    EXPECT_EQ(policy->select(pool.segments, 100, rng), 1u);
+  }
+  {
+    // Within one valid count: every full segment scores 0.
+    Pool pool;
+    pool.add(8, 50);
+    pool.add(8, 10);
+    pool.add(8, 10);
+    auto policy = make_cost_benefit();
+    policy->bind_pool(3, pool.blocks);
+    policy->on_seal(1, 8, 10);
+    policy->on_seal(2, 8, 10);
+    policy->on_seal(0, 8, 50);
+    EXPECT_EQ(policy->select(pool.segments, 100, rng), 1u);
+  }
+}
+
 TEST(DChoiceTest, WithLargeDMatchesGreedy) {
   Pool pool;
   for (std::uint32_t v = 8; v > 0; --v) pool.add(v, 0);
@@ -244,21 +274,30 @@ TEST(RandomTest, UniformOverCandidates) {
   for (int c : counts) EXPECT_GT(c, 700);
 }
 
+constexpr const char* kVictimNames[] = {"greedy", "cost-benefit", "d-choice",
+                                       "windowed", "random"};
+
 TEST(VictimIndexTest, DoubleSealThrows) {
-  Pool pool;
-  pool.add(3, 0);
-  auto policy = make_greedy();
-  pool.prime(*policy);
-  EXPECT_THROW(policy->on_seal(0, 3, 0), std::logic_error);
+  for (const char* name : kVictimNames) {
+    SCOPED_TRACE(name);
+    Pool pool;
+    pool.add(3, 0);
+    auto policy = make_victim_policy(name);
+    pool.prime(*policy);
+    EXPECT_THROW(policy->on_seal(0, 3, 0), std::logic_error);
+  }
 }
 
 TEST(VictimIndexTest, FreeOfAbsentSegmentThrows) {
-  Pool pool;
-  pool.add(3, 0);
-  auto policy = make_greedy();
-  pool.prime(*policy);
-  policy->on_free(0);
-  EXPECT_THROW(policy->on_free(0), std::logic_error);
+  for (const char* name : kVictimNames) {
+    SCOPED_TRACE(name);
+    Pool pool;
+    pool.add(3, 0);
+    auto policy = make_victim_policy(name);
+    pool.prime(*policy);
+    policy->on_free(0);
+    EXPECT_THROW(policy->on_free(0), std::logic_error);
+  }
 }
 
 TEST(VictimFactoryTest, KnownNames) {
