@@ -1,12 +1,14 @@
 // libFuzzer harness for the victim-policy factory string parser plus a
-// short randomized drive of the constructed policy's incremental index.
+// short randomized drive of the constructed policy's candidate tracking
+// (greedy's bucket index, windowed's seal-order list, or the sealed set
+// that cost-benefit, d-choice and random scan).
 //
 // Input layout: everything before the first '\n' is the policy spec for
 // make_victim_policy ("greedy", "d-choice:4", ...); the bytes after it are a
 // command tape replayed against the policy (seal / valid-delta / free /
 // select) on a small segment pool. std::invalid_argument is the documented
-// parser failure mode and is swallowed; index corruption shows up as ASan
-// findings or is_candidate()/select() contract traps.
+// parser failure mode and is swallowed; a corrupted candidate structure
+// shows up as ASan findings or is_candidate()/select() contract traps.
 //
 // Seed corpus: fuzz/corpus/victim/.
 #include <cstddef>

@@ -46,9 +46,10 @@ ADAPT_HOT void GcController::run_once(TimeUs now_us) {
   // Host-clock pause timing only (nondeterministic); everything the trace
   // records below uses the simulated clocks.
   const auto pause_begin = std::chrono::steady_clock::now();
-  // The victim index is maintained incrementally through seal / valid-delta
-  // / free notifications, so selection needs no candidate rebuild or pool
-  // scan.
+  // The victim policy follows the pool through seal / valid-delta / free
+  // notifications, so selection rebuilds no candidate list: greedy reads
+  // its bucket frontier, the other policies pass once over their sealed
+  // candidates.
   const SegmentId victim = victim_.select(pool_.segments(), vtime_, rng_);
   if (victim == kInvalidSegment) {
     throw std::runtime_error("LssEngine: no GC victim available");

@@ -3,11 +3,9 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <stdexcept>
-#include <utility>
+#include <tuple>
 
-#include "common/fenwick.h"
 #include "common/parse.h"
 
 namespace adapt::lss {
@@ -106,54 +104,6 @@ class ValidBuckets {
   std::uint32_t count_ = 0;
 };
 
-/// Id-ordered candidate presence: a Fenwick tree with a 1 at every sealed
-/// candidate's segment id. kth() is an order-statistic descent that
-/// reproduces exactly the seed implementation's candidates[k], which was
-/// built by an ascending-id pool scan.
-class SealedIdIndex {
- public:
-  void bind(std::uint32_t total_segments) {
-    occ_ = FenwickTree(total_segments);
-    present_.assign(total_segments, false);
-    count_ = 0;
-  }
-
-  std::uint32_t count() const noexcept { return count_; }
-
-  bool contains(SegmentId seg) const noexcept {
-    return seg < present_.size() && present_[seg];
-  }
-
-  void insert(SegmentId seg) {
-    if (present_.at(seg)) {
-      throw std::logic_error("victim index: double seal");
-    }
-    present_[seg] = true;
-    occ_.add(seg, +1);
-    ++count_;
-  }
-
-  void erase(SegmentId seg) {
-    if (!present_.at(seg)) {
-      throw std::logic_error("victim index: free of absent segment");
-    }
-    present_[seg] = false;
-    occ_.add(seg, -1);
-    --count_;
-  }
-
-  /// The k-th (0-indexed) candidate in ascending id order.
-  SegmentId kth(std::uint64_t k) const noexcept {
-    return static_cast<SegmentId>(occ_.lower_bound(
-        static_cast<std::int64_t>(k) + 1));
-  }
-
- private:
-  FenwickTree occ_;
-  std::vector<bool> present_;
-  std::uint32_t count_ = 0;
-};
-
 class GreedyPolicy final : public VictimPolicy {
  public:
   std::string_view name() const override { return "greedy"; }
@@ -192,72 +142,61 @@ class GreedyPolicy final : public VictimPolicy {
   ValidBuckets buckets_;
 };
 
-class CostBenefitPolicy final : public VictimPolicy {
+/// Base of the policies that keep no index beyond their set of sealed
+/// candidates: select() makes one ascending-id pass over the set and reads
+/// valid counts and seal times from the pool span, so an invalidation
+/// costs them nothing.
+class CandidateScanPolicy : public VictimPolicy {
  public:
-  std::string_view name() const override { return "cost-benefit"; }
-
   void bind_pool(std::uint32_t total_segments,
-                 std::uint32_t segment_blocks) override {
-    buckets_.assign(segment_blocks + 1, {});
-    valid_of_.assign(total_segments, kNoBucket);
-    seal_of_.assign(total_segments, 0);
-    occ_ = FenwickTree(segment_blocks + 1);
-    count_ = 0;
+                 std::uint32_t /*segment_blocks*/) override {
+    sealed_.assign(total_segments, false);
   }
 
-  void on_seal(SegmentId seg, std::uint32_t valid_count,
-               VTime seal_vtime) override {
-    if (valid_of_.at(seg) != kNoBucket) {
+  void on_seal(SegmentId seg, std::uint32_t /*valid_count*/,
+               VTime /*seal_vtime*/) override {
+    if (sealed_.at(seg)) {
       throw std::logic_error("victim index: double seal");
     }
-    valid_of_[seg] = valid_count;
-    seal_of_[seg] = seal_vtime;
-    buckets_[valid_count].insert({seal_vtime, seg});
-    occ_.add(valid_count, +1);
-    ++count_;
+    sealed_[seg] = true;
   }
 
-  void on_valid_delta(SegmentId seg, std::uint32_t /*old_valid*/,
-                      std::uint32_t new_valid) override {
-    const std::uint32_t old_bucket = valid_of_.at(seg);
-    if (old_bucket == kNoBucket) {
-      throw std::logic_error("victim index: delta on absent segment");
-    }
-    buckets_[old_bucket].erase({seal_of_[seg], seg});
-    buckets_[new_valid].insert({seal_of_[seg], seg});
-    occ_.add(old_bucket, -1);
-    occ_.add(new_valid, +1);
-    valid_of_[seg] = new_valid;
-  }
+  void on_valid_delta(SegmentId /*seg*/, std::uint32_t /*old_valid*/,
+                      std::uint32_t /*new_valid*/) override {}
 
   void on_free(SegmentId seg) override {
-    const std::uint32_t b = valid_of_.at(seg);
-    if (b == kNoBucket) {
+    if (!sealed_.at(seg)) {
       throw std::logic_error("victim index: free of absent segment");
     }
-    buckets_[b].erase({seal_of_[seg], seg});
-    occ_.add(b, -1);
-    valid_of_[seg] = kNoBucket;
-    --count_;
+    sealed_[seg] = false;
   }
 
   bool is_candidate(SegmentId seg) const override {
-    return seg < valid_of_.size() && valid_of_[seg] != kNoBucket;
+    return seg < sealed_.size() && sealed_[seg];
   }
+
+ protected:
+  /// Calls fn(id) for every candidate, in ascending id order.
+  template <typename Fn>
+  void for_each_candidate(Fn&& fn) const {
+    for (SegmentId id = 0; id < sealed_.size(); ++id) {
+      if (sealed_[id]) fn(id);
+    }
+  }
+
+ private:
+  std::vector<bool> sealed_;  ///< indexed by segment id
+};
+
+class CostBenefitPolicy final : public CandidateScanPolicy {
+ public:
+  std::string_view name() const override { return "cost-benefit"; }
 
   SegmentId select(std::span<const Segment> segments, VTime now,
                    Rng& /*rng*/) override {
-    if (count_ == 0) return kInvalidSegment;
     SegmentId best = kInvalidSegment;
     double best_score = -1.0;
-    // Within a bucket every candidate shares u, so the score is maximal at
-    // the minimum seal_vtime (max age) — score only that frontier element
-    // per occupied bucket instead of every candidate.
-    for (std::uint32_t b = static_cast<std::uint32_t>(occ_.lower_bound(1));
-         b < buckets_.size();
-         b = static_cast<std::uint32_t>(
-             occ_.lower_bound(occ_.prefix_sum(b) + 1))) {
-      const SegmentId id = buckets_[b].begin()->second;
+    for_each_candidate([&](SegmentId id) {
       const Segment& seg = segments[id];
       const double u = seg.utilization();
       const double age =
@@ -266,55 +205,45 @@ class CostBenefitPolicy final : public VictimPolicy {
           1.0;
       // Benefit / cost = free-space gain * age / (read + write cost).
       const double score = (1.0 - u) * age / (1.0 + u);
-      if (score > best_score) {
+      // Equal scores go to the fewest valid blocks, then the oldest seal;
+      // the ascending pass keeps the lowest id among the rest.
+      if (score > best_score ||
+          (score == best_score &&
+           std::tie(seg.valid_count, seg.seal_vtime) <
+               std::tie(segments[best].valid_count,
+                        segments[best].seal_vtime))) {
         best_score = score;
         best = id;
       }
-    }
+    });
     return best;
   }
-
- private:
-  /// Per valid count: candidates ordered by (seal_vtime, id); begin() is
-  /// the oldest — the bucket's best-scoring element.
-  std::vector<std::set<std::pair<VTime, SegmentId>>> buckets_;
-  std::vector<std::uint32_t> valid_of_;  ///< kNoBucket when absent
-  std::vector<VTime> seal_of_;
-  FenwickTree occ_;
-  std::uint32_t count_ = 0;
 };
 
-class DChoicePolicy final : public VictimPolicy {
+class DChoicePolicy final : public CandidateScanPolicy {
  public:
-  explicit DChoicePolicy(std::uint32_t d) : d_(d == 0 ? 1 : d) {}
-  std::string_view name() const override { return "d-choice"; }
+  DChoicePolicy(std::uint32_t d, std::string_view name)
+      : d_(d == 0 ? 1 : d), name_(name) {}
+  std::string_view name() const override { return name_; }
 
   void bind_pool(std::uint32_t total_segments,
-                 std::uint32_t /*segment_blocks*/) override {
-    index_.bind(total_segments);
-  }
-
-  void on_seal(SegmentId seg, std::uint32_t /*valid_count*/,
-               VTime /*seal_vtime*/) override {
-    index_.insert(seg);
-  }
-
-  void on_valid_delta(SegmentId /*seg*/, std::uint32_t /*old_valid*/,
-                      std::uint32_t /*new_valid*/) override {}
-
-  void on_free(SegmentId seg) override { index_.erase(seg); }
-
-  bool is_candidate(SegmentId seg) const override {
-    return index_.contains(seg);
+                 std::uint32_t segment_blocks) override {
+    CandidateScanPolicy::bind_pool(total_segments, segment_blocks);
+    ids_.clear();
+    ids_.reserve(total_segments);
   }
 
   SegmentId select(std::span<const Segment> segments, VTime /*now*/,
                    Rng& rng) override {
-    if (index_.count() == 0) return kInvalidSegment;
+    // Each draw indexes the ascending-id candidate list, as the seed
+    // implementation's candidates[k] did.
+    ids_.clear();
+    for_each_candidate([&](SegmentId id) { ids_.push_back(id); });
+    if (ids_.empty()) return kInvalidSegment;
     SegmentId best = kInvalidSegment;
     std::uint32_t best_valid = std::numeric_limits<std::uint32_t>::max();
     for (std::uint32_t i = 0; i < d_; ++i) {
-      const SegmentId id = index_.kth(rng.below(index_.count()));
+      const SegmentId id = ids_[rng.below(ids_.size())];
       if (segments[id].valid_count < best_valid) {
         best_valid = segments[id].valid_count;
         best = id;
@@ -325,7 +254,8 @@ class DChoicePolicy final : public VictimPolicy {
 
  private:
   std::uint32_t d_;
-  SealedIdIndex index_;
+  std::string_view name_;
+  std::vector<SegmentId> ids_;  ///< select()'s scratch, reserved at bind
 };
 
 class WindowedGreedyPolicy final : public VictimPolicy {
@@ -402,39 +332,6 @@ class WindowedGreedyPolicy final : public VictimPolicy {
   std::uint32_t count_ = 0;
 };
 
-class RandomPolicy final : public VictimPolicy {
- public:
-  std::string_view name() const override { return "random"; }
-
-  void bind_pool(std::uint32_t total_segments,
-                 std::uint32_t /*segment_blocks*/) override {
-    index_.bind(total_segments);
-  }
-
-  void on_seal(SegmentId seg, std::uint32_t /*valid_count*/,
-               VTime /*seal_vtime*/) override {
-    index_.insert(seg);
-  }
-
-  void on_valid_delta(SegmentId /*seg*/, std::uint32_t /*old_valid*/,
-                      std::uint32_t /*new_valid*/) override {}
-
-  void on_free(SegmentId seg) override { index_.erase(seg); }
-
-  bool is_candidate(SegmentId seg) const override {
-    return index_.contains(seg);
-  }
-
-  SegmentId select(std::span<const Segment> /*segments*/, VTime /*now*/,
-                   Rng& rng) override {
-    if (index_.count() == 0) return kInvalidSegment;
-    return index_.kth(rng.below(index_.count()));
-  }
-
- private:
-  SealedIdIndex index_;
-};
-
 }  // namespace
 
 std::unique_ptr<VictimPolicy> make_greedy() {
@@ -444,13 +341,13 @@ std::unique_ptr<VictimPolicy> make_cost_benefit() {
   return std::make_unique<CostBenefitPolicy>();
 }
 std::unique_ptr<VictimPolicy> make_d_choice(std::uint32_t d) {
-  return std::make_unique<DChoicePolicy>(d);
+  return std::make_unique<DChoicePolicy>(d, "d-choice");
 }
 std::unique_ptr<VictimPolicy> make_windowed_greedy(std::uint32_t window) {
   return std::make_unique<WindowedGreedyPolicy>(window);
 }
 std::unique_ptr<VictimPolicy> make_random() {
-  return std::make_unique<RandomPolicy>();
+  return std::make_unique<DChoicePolicy>(1, "random");
 }
 
 std::unique_ptr<VictimPolicy> make_victim_policy(std::string_view name) {
@@ -465,9 +362,13 @@ std::unique_ptr<VictimPolicy> make_victim_policy(std::string_view name) {
   }
   // The parameter is a count in [1, 2^32 - 1] (common/parse.h).
   const auto count = [&](std::uint32_t fallback) {
-    return has_param ? static_cast<std::uint32_t>(
-                           parse_uint(param, 1, UINT32_MAX))
-                     : fallback;
+    if (!has_param) return fallback;
+    try {
+      return static_cast<std::uint32_t>(parse_uint(param, 1, UINT32_MAX));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("victim policy '" + std::string(name) +
+                                  "': " + e.what());
+    }
   };
   if (base == "d-choice") return make_d_choice(count(8));
   if (base == "windowed") return make_windowed_greedy(count(32));

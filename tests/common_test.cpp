@@ -1,19 +1,17 @@
 // Unit and property tests for src/common: PRNG, Zipfian generators,
-// Fenwick tree, packed bitmaps, zero-page arrays, histograms, thread pool,
-// strict number parsing.
+// packed bitmaps, zero-page arrays, histograms, thread pool, strict number
+// parsing.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <new>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/fenwick.h"
 #include "common/histogram.h"
 #include "common/packed_bitmap.h"
 #include "common/parse.h"
@@ -221,87 +219,6 @@ TEST(ScrambledZipfTest, SpreadsHotKeys) {
       freq.begin(), freq.end(),
       [](const auto& a, const auto& b) { return a.second < b.second; });
   EXPECT_GT(hottest->second, 50000 / 10000 * 10);
-}
-
-// ---------------------------------------------------------------------------
-// Fenwick tree
-// ---------------------------------------------------------------------------
-
-TEST(FenwickTest, EmptyTreeSumsZero) {
-  FenwickTree t;
-  EXPECT_EQ(t.total(), 0);
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(FenwickTest, SingleElement) {
-  FenwickTree t(1);
-  t.add(0, 5);
-  EXPECT_EQ(t.prefix_sum(0), 5);
-  EXPECT_EQ(t.total(), 5);
-}
-
-TEST(FenwickTest, PrefixSumsMatchNaive) {
-  FenwickTree t(200);
-  std::vector<std::int64_t> naive(200, 0);
-  Rng rng(53);
-  for (int op = 0; op < 2000; ++op) {
-    const std::size_t i = rng.below(200);
-    const auto delta = static_cast<std::int64_t>(rng.below(11)) - 5;
-    t.add(i, delta);
-    naive[i] += delta;
-    const std::size_t q = rng.below(200);
-    const std::int64_t expect =
-        std::accumulate(naive.begin(), naive.begin() + q + 1,
-                        std::int64_t{0});
-    ASSERT_EQ(t.prefix_sum(q), expect) << "query at " << q;
-  }
-}
-
-TEST(FenwickTest, PrefixClampsBeyondSize) {
-  FenwickTree t(4);
-  t.add(2, 7);
-  EXPECT_EQ(t.prefix_sum(1000), 7);
-}
-
-TEST(FenwickTest, LowerBoundFindsFirstPositionReachingK) {
-  FenwickTree t(8);
-  t.add(1, 2);
-  t.add(4, 3);
-  t.add(6, 1);
-  EXPECT_EQ(t.lower_bound(1), 1u);
-  EXPECT_EQ(t.lower_bound(2), 1u);
-  EXPECT_EQ(t.lower_bound(3), 4u);
-  EXPECT_EQ(t.lower_bound(5), 4u);
-  EXPECT_EQ(t.lower_bound(6), 6u);
-  EXPECT_EQ(t.lower_bound(7), t.size());  // total is 6: unreachable
-}
-
-TEST(FenwickTest, LowerBoundMatchesNaiveUnderChurn) {
-  FenwickTree t(300);
-  std::vector<std::int64_t> naive(300, 0);
-  Rng rng(61);
-  for (int op = 0; op < 3000; ++op) {
-    const std::size_t i = rng.below(300);
-    if (naive[i] == 0 || rng.chance(0.7)) {
-      t.add(i, 1);
-      ++naive[i];
-    } else {
-      t.add(i, -1);
-      --naive[i];
-    }
-    const auto k = static_cast<std::int64_t>(rng.below(
-        static_cast<std::uint64_t>(t.total()) + 2)) + 1;
-    std::size_t expect = naive.size();
-    std::int64_t run = 0;
-    for (std::size_t p = 0; p < naive.size(); ++p) {
-      run += naive[p];
-      if (run >= k) {
-        expect = p;
-        break;
-      }
-    }
-    ASSERT_EQ(t.lower_bound(k), expect) << "k=" << k << " at op " << op;
-  }
 }
 
 // ---------------------------------------------------------------------------

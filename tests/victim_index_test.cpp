@@ -1,9 +1,12 @@
-// Differential and regression tests for the incremental GC victim index:
-// a randomized churn of seal / invalidate / free notifications is applied
-// to every policy while a scan-based reference (replicating the seed
+// Differential and regression tests for GC victim selection: a randomized
+// churn of seal / invalidate / free notifications is applied to every
+// policy while a scan-based reference (replicating the seed
 // implementation, which rebuilt an ascending-id candidate list per call)
-// checks each selection; plus a fixed-seed end-to-end run whose LssMetrics
-// are pinned from the pre-index implementation.
+// checks each selection. Greedy's incremental bucket index and windowed's
+// seal-order list must match the reference pick for pick, d-choice and
+// random must consume the same draws and pick the same segments, and
+// cost-benefit must reach the maximal score. A fixed-seed end-to-end run
+// pins LssMetrics from the pre-index implementation.
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -204,18 +207,18 @@ TEST(VictimIndexDifferentialTest, RandomAndDChoiceMatchScanExactly) {
   auto d_choice = make_d_choice(8);
   harness.attach(*random);
   harness.attach(*d_choice);
-  // Identically seeded selection streams: the indexed order-statistic
-  // lookup must consume the same draws as the seed's candidates[k].
-  Rng rng_indexed(77);
+  // Identically seeded selection streams: the policies' ascending-id pass
+  // must consume the same draws as the seed's candidates[k].
+  Rng rng_policy(77);
   Rng rng_scan(77);
   for (int i = 0; i < 4000; ++i) {
     harness.step();
     if (i % 7 != 0) continue;
     const auto candidates = candidates_of(harness.segments());
-    ASSERT_EQ(random->select(harness.segments(), i, rng_indexed),
+    ASSERT_EQ(random->select(harness.segments(), i, rng_policy),
               scan_random(candidates, rng_scan))
         << "step " << i;
-    ASSERT_EQ(d_choice->select(harness.segments(), i, rng_indexed),
+    ASSERT_EQ(d_choice->select(harness.segments(), i, rng_policy),
               scan_d_choice(candidates, harness.segments(), 8, rng_scan))
         << "step " << i;
   }
@@ -262,7 +265,7 @@ TEST(VictimIndexDifferentialTest, WindowedMatchesScanWithUniqueSealTimes) {
 }
 
 // Full fixed-seed volume replay with policy=adapt, victim=greedy
-// (tests/pinned_replay.h). The incremental victim index must reproduce the
+// (tests/pinned_replay.h). Greedy's incremental index must reproduce the
 // scan-based selection's counters bit-identically, proving the index is
 // WA-neutral end to end.
 TEST(VictimIndexRegressionTest, AdaptGreedyFixedSeedMetricsUnchanged) {
