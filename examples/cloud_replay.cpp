@@ -9,6 +9,9 @@
 //     policy: sepgc|mida|dac|warcip|sepbit|adapt|all (default all)
 //     victim: greedy|cost-benefit|d-choice|windowed|random (default greedy)
 //
+// An unknown format, policy or victim name is a usage error (exit 2) that
+// names it.
+//
 // With no arguments, a demo trace is synthesised, written to a temp file,
 // and replayed — so the example is runnable out of the box.
 #include <cstdio>
@@ -16,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "adapt/shard_stack.h"
 #include "sim/simulator.h"
 #include "trace/reader.h"
 #include "trace/synthetic.h"
@@ -52,6 +56,15 @@ int main(int argc, char** argv) {
   }
   if (argc > 3) policy = argv[3];
   if (argc > 4) victim = argv[4];
+  try {
+    core::StackSpec names;
+    if (policy != "all") names.policy = policy;
+    names.victim = victim;
+    core::check_stack_names(names);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "cloud_replay: %s\n", e.what());
+    return 2;
+  }
 
   if (path.empty()) {
     // Self-contained demo: synthesise a volume and round-trip it through

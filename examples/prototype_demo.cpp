@@ -14,8 +14,8 @@
 // phase shares) to stderr every <seconds> while the run goes, and one
 // when it ends.
 //
-// Numbers parse strictly: a malformed one is a usage error (exit 2) that
-// names the argument or variable.
+// Numbers parse strictly: a malformed one, like an unknown policy name, is
+// a usage error (exit 2) that names the argument or variable.
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "adapt/shard_stack.h"
 #include "common/parse.h"
 #include "lss/device_lanes.h"
 #include "obs/export.h"
@@ -57,6 +58,14 @@ int main(int argc, char** argv) {
 
   proto::PrototypeConfig config;
   config.policy = argc > 1 ? argv[1] : "adapt";
+  try {
+    core::StackSpec names;
+    names.policy = config.policy;
+    names.victim = config.victim_policy;
+    core::check_stack_names(names);
+  } catch (const std::invalid_argument& e) {
+    usage_error("policy", e);
+  }
   if (argc > 2) {
     config.num_clients =
         static_cast<std::uint32_t>(uint_arg("clients", argv[2], 1, 1024));

@@ -28,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "adapt/shard_stack.h"
 #include "common/parse.h"
 #include "obs/export.h"
 #include "obs/runtime_stats.h"
@@ -163,6 +164,13 @@ Options parse_args(int argc, char** argv) {
       throw std::invalid_argument("unknown option: " + std::string(arg));
     }
   }
+  // An unknown name is a usage error too, caught before any replay.
+  adapt::core::StackSpec names;
+  names.policy = opt.policy;
+  names.victim = opt.victim;
+  adapt::core::check_stack_names(names);
+  adapt::trace::profile_named(opt.profile);
+  adapt::trace::format_named(opt.format);
   return opt;
 }
 
