@@ -11,7 +11,6 @@ void RuntimeStats::publish(const lss::BatchSample& sample) {
   snap_.ops += sample.ops;
   snap_.blocks += sample.blocks;
   snap_.intake_wait_us += sample.breakdown.intake_wait_us.sum();
-  snap_.batch_apply_us += sample.breakdown.batch_apply_us.sum();
   snap_.lane_queue_us += sample.breakdown.lane_queue_us.sum();
   snap_.device_service_us += sample.breakdown.device_service_us.sum();
   snap_.total_us.merge_from(sample.breakdown.total_us);
@@ -35,23 +34,21 @@ std::string format_live_line(const RuntimeSnapshot& prev,
   const double rate =
       elapsed_s > 0.0 ? static_cast<double>(d_ops) / elapsed_s : 0.0;
   const std::uint64_t d_intake = cur.intake_wait_us - prev.intake_wait_us;
-  const std::uint64_t d_apply = cur.batch_apply_us - prev.batch_apply_us;
   const std::uint64_t d_queue = cur.lane_queue_us - prev.lane_queue_us;
   const std::uint64_t d_service =
       cur.device_service_us - prev.device_service_us;
-  const std::uint64_t phase_total = d_intake + d_apply + d_queue + d_service;
+  const std::uint64_t phase_total = d_intake + d_queue + d_service;
   char buf[256];
   if (phase_total > 0) {
     const double pt = static_cast<double>(phase_total);
     std::snprintf(
         buf, sizeof buf,
         "live: ops=%llu (+%llu) blocks=%llu thpt=%.1f ops/s p99=%.1fus "
-        "phase%% intake=%.1f apply=%.1f queue=%.1f service=%.1f",
+        "phase%% intake=%.1f queue=%.1f service=%.1f",
         static_cast<unsigned long long>(cur.ops),
         static_cast<unsigned long long>(d_ops),
         static_cast<unsigned long long>(cur.blocks), rate, cur.p99_us(),
         100.0 * static_cast<double>(d_intake) / pt,
-        100.0 * static_cast<double>(d_apply) / pt,
         100.0 * static_cast<double>(d_queue) / pt,
         100.0 * static_cast<double>(d_service) / pt);
   } else {

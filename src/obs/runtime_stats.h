@@ -30,7 +30,6 @@ struct RuntimeSnapshot {
   std::uint64_t ops = 0;
   std::uint64_t blocks = 0;
   std::uint64_t intake_wait_us = 0;     ///< cumulative phase sums (virtual us)
-  std::uint64_t batch_apply_us = 0;
   std::uint64_t lane_queue_us = 0;
   std::uint64_t device_service_us = 0;
   Log2Histogram total_us;               ///< submit->durable distribution
@@ -96,7 +95,7 @@ class LiveStatsObserver final : public lss::EngineObserver {
 /// Renders one live-stats line from two snapshots `elapsed_s` apart. Pure
 /// function of its inputs (deterministic, unit-testable):
 ///   live: ops=N (+dN) blocks=M thpt=R ops/s p99=Pus
-///         phase% intake=A apply=B queue=C service=D
+///         phase% intake=A queue=C service=D
 /// The phase%% tail is omitted while no phase data has been published.
 std::string format_live_line(const RuntimeSnapshot& prev,
                              const RuntimeSnapshot& cur, double elapsed_s);
