@@ -1,9 +1,6 @@
 #include "adapt/shard_stack.h"
 
-#include <algorithm>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "adapt/aggregation.h"
@@ -12,22 +9,11 @@
 #include "placement/factory.h"
 
 namespace adapt::core {
-namespace {
-
-/// The baseline a "<baseline>+agg" name wraps; empty for any other name.
-std::string_view agg_base(std::string_view policy) {
-  constexpr std::string_view kAggSuffix = "+agg";
-  if (policy.size() <= kAggSuffix.size() || !policy.ends_with(kAggSuffix)) {
-    return {};
-  }
-  return policy.substr(0, policy.size() - kAggSuffix.size());
-}
-
-}  // namespace
 
 lss::ShardParts make_shard_parts(const StackSpec& spec,
                                  const lss::LssConfig& shard_lss) {
   lss::ShardParts parts;
+  constexpr std::string_view kAggSuffix = "+agg";
   if (spec.policy == "adapt") {
     AdaptConfig ac = spec.adapt;
     ac.logical_blocks = shard_lss.logical_blocks;
@@ -41,9 +27,13 @@ lss::ShardParts make_shard_parts(const StackSpec& spec,
     placement::PolicyConfig pc;
     pc.logical_blocks = shard_lss.logical_blocks;
     pc.segment_blocks = shard_lss.segment_blocks();
-    if (const std::string_view base = agg_base(spec.policy); !base.empty()) {
+    if (spec.policy.size() > kAggSuffix.size() &&
+        spec.policy.ends_with(kAggSuffix)) {
       auto wrapped = std::make_unique<AggregatingPolicy>(
-          placement::make_baseline_policy(base, pc), shard_lss.chunk_blocks);
+          placement::make_baseline_policy(
+              spec.policy.substr(0, spec.policy.size() - kAggSuffix.size()),
+              pc),
+          shard_lss.chunk_blocks);
       parts.hook = wrapped.get();
       parts.policy = std::move(wrapped);
     } else {
@@ -63,15 +53,10 @@ lss::ShardParts make_shard_parts(const StackSpec& spec,
 }
 
 void check_stack_names(const StackSpec& spec) {
-  const std::string_view base = agg_base(spec.policy);
-  const auto& baselines = placement::baseline_names();
-  if (spec.policy != "adapt" &&
-      std::ranges::find(baselines, base.empty() ? spec.policy : base) ==
-          baselines.end()) {
-    throw std::invalid_argument("unknown policy: " +
-                                std::string(spec.policy));
-  }
-  lss::make_victim_policy(spec.victim);
+  // Name errors do not depend on the geometry, so a stack for the default
+  // one fails exactly where a run's would, including a "+agg" wrapper
+  // around a baseline with a single user group.
+  make_shard_parts(spec, lss::LssConfig{});
 }
 
 }  // namespace adapt::core

@@ -31,9 +31,9 @@ struct StackSpec {
 lss::ShardParts make_shard_parts(const StackSpec& spec,
                                  const lss::LssConfig& shard_lss);
 
-/// Throws the std::invalid_argument, naming the bad value, that
-/// make_shard_parts would throw for `spec`'s policy or victim name,
-/// without building the stack: a CLI checks its arguments before it runs.
+/// Throws the std::invalid_argument that make_shard_parts throws for
+/// `spec`'s policy or victim name, by building and discarding a stack for
+/// the default geometry: a CLI checks its arguments before it runs.
 void check_stack_names(const StackSpec& spec);
 
 }  // namespace adapt::core

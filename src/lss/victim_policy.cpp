@@ -229,7 +229,6 @@ class DChoicePolicy final : public CandidateScanPolicy {
   void bind_pool(std::uint32_t total_segments,
                  std::uint32_t segment_blocks) override {
     CandidateScanPolicy::bind_pool(total_segments, segment_blocks);
-    ids_.clear();
     ids_.reserve(total_segments);
   }
 
