@@ -88,7 +88,8 @@ PrototypeResult run_prototype(const PrototypeConfig& config) {
   // lane queueing from media time). Thread-safe (atomic rotor + per-lane
   // locks inside DeviceLanes): client writes and the GC thread all
   // submit. Each record's causal-flow id rides into the lane's trace
-  // events, correlating write -> flush -> lane in the trace.
+  // events, correlating write -> flush -> lane in a trace; the ids stay 0
+  // here, since run_prototype attaches no trace sink.
   auto submit_flushes = [&](const std::vector<lss::PendingFlush>& flushes)
       -> lss::FlushOutcome {
     const TimeUs now = wall_now_us(start);

@@ -1,5 +1,5 @@
 // Unit tests for the victim-selection policies against hand-crafted
-// segment pools, driven through the incremental index interface
+// segment pools, driven through the lifecycle notification interface
 // (bind_pool + on_seal / on_valid_delta / on_free).
 #include <stdexcept>
 #include <vector>
